@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 from scipy.ndimage import map_coordinates, spline_filter
+from scipy.sparse import csr_array
 
 from .fields import MarginalField, check_uniform, grid_step, uniform_grid
 from .states import DynamicsKind, StateSpec, wigner_evaluator
@@ -316,13 +317,7 @@ class SolverConfig:
     the arc spacing h/r that sets the band's own error accumulation, but
     its top edge must stay several cells clear of the box edge or the
     cubic stencil picks up boundary flattening; (1.2, 1.3) balances the
-    two on the default +-1.5 box.  boundary applies where lookups or
-    stencils leave the box.  "clamp" repeats edge values and is the default: the evolved
-    field is genuinely nonzero at the X edges once the flow has inflated
-    its support, and a zero extension there mis-evaluates the spline near
-    the edge every step, which compounds along the X-invariant flow into
-    an exponentially growing edge error.  "zero" is only safe when the
-    box contains the support's decay for the whole run.
+    two on the default +-1.5 box.
 
     remap_interval sets how much time may pass between grid resamples of
     the SemiLagrangian scheme.  The backward characteristic map composes
@@ -335,21 +330,14 @@ class SolverConfig:
     (harmonic flow) then run snapshot to snapshot in one window, while
     shears and expansions remap before grid data decorrelates.  The
     upwind scheme steps by dt regardless.
-
-    precision selects the internal dtype of the resampling loop.  The
-    spline gather is latency-bound, so "float32" saves memory but little
-    time; its rounding noise stays well below grid-resolution error.
     """
 
     scheme: Scheme = Scheme.SEMILAGRANGIAN
     dt: float = 0.01
     t_final: float = 1.0
-    boundary: str = "clamp"
     scaled_frame: bool = True
     r_ref_range: tuple[float, float] = (1.2, 1.3)
-    spline_order: int = 3
     max_cfl: float = 0.9
-    precision: str = "float64"
     remap_interval: "float | None" = None
 
     def __post_init__(self):
@@ -360,29 +348,83 @@ class SolverConfig:
         if self.remap_interval is not None and not (
                 0.0 < self.remap_interval < math.inf):
             raise ValueError("remap_interval must be positive or None")
-        if self.boundary not in ("zero", "clamp"):
-            raise ValueError("boundary must be 'zero' or 'clamp'")
         lo, hi = self.r_ref_range
         if not (0.0 < lo <= hi):
             raise ValueError("r_ref_range must satisfy 0 < lo <= hi")
-        if self.spline_order not in (1, 2, 3, 4, 5):
-            raise ValueError("spline_order must be an integer in 1..5")
         if not (0.0 < self.max_cfl <= 1.0):
             raise ValueError("max_cfl must lie in (0, 1]")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError("precision must be 'float32' or 'float64'")
+
+
+# Lookups per chunk of the X stage; bounds the transient tap arrays.
+_X_STAGE_POINTS = 1 << 16
+
+
+def _cubic_taps(coord, size: int):
+    """The four (tap index, cubic B-spline weight) pairs of index coordinates.
+
+    Reads the spline as map_coordinates(order=3, mode="nearest",
+    prefilter=False) does: the taps floor(c) - 1 .. floor(c) + 2 are
+    clamped into the axis, not the coordinate.
+    """
+    floor = np.floor(coord)
+    t = coord - floor
+    u = 1.0 - t
+    weights = (u * u * u / 6.0, (4.0 + t * t * (3.0 * t - 6.0)) / 6.0,
+               (4.0 + u * u * (3.0 * u - 6.0)) / 6.0, t * t * t / 6.0)
+    first = floor.astype(np.intp) - 1
+    return [(np.clip(first + k, 0, size - 1), w) for k, w in enumerate(weights)]
+
+
+@dataclass(frozen=True)
+class _SLPlan:
+    """One backward step of size dt in separable form.
+
+    Lookup (cell, k) reads the tricubic spline of the stored field at
+    inv * (mu_d, nu_d, x_d) and weights the value by inv, where
+    (mu_d, nu_d) is the cell's backtraced direction, x_d = x_back * x_k +
+    shift[cell], and inv the scaled-frame factor.  Where inv is the cell's
+    own factor, the direction is fixed per cell: `direction` holds the 16
+    taps of every cell, and only a 4-tap cubic along X remains per lookup.
+    The X-box cap moves the other lookups either onto X = +-x_edge, a
+    2-D read of the spline's plane there (`edges`), or to inv = 1, a
+    plain 3-D read (`plain`).
+    """
+
+    direction: csr_array          # (cells, cells) direction-stage taps
+    inv: np.ndarray               # (cells,) each cell's own factor
+    shift: np.ndarray             # (cells,) X offset of the backtrace
+    x_back: float
+    x_grid: np.ndarray
+    edges: tuple                  # (X index coordinate, lookups, (2, n) coords, inv)
+    plain: tuple                  # (lookups, (3, n) coords)
+    out_frac: float
 
 
 def _semilagrangian_plan(field: MarginalField, gen: np.ndarray, dt: float,
-                         config: SolverConfig):
-    """Index coordinates and weights for one backward step of size dt."""
+                         config: SolverConfig) -> _SLPlan:
+    """Taps, lookup classes and outflow of one backward step of size dt."""
     back = expm(-gen * dt)
-    x = field.x_grid[None, None, :]
-    mu = field.mu_grid[:, None, None]
-    nu = field.nu_grid[None, :, None]
-    x_d = back[0, 0] * x + back[0, 1] * mu + back[0, 2] * nu
-    mu_d = back[1, 1] * mu + back[1, 2] * nu + 0.0 * x
-    nu_d = back[2, 1] * mu + back[2, 2] * nu + 0.0 * x
+    grids = (field.mu_grid, field.nu_grid, field.x_grid)
+    sizes = tuple(g.size for g in grids)
+
+    def index(value, axis):
+        return (value - grids[axis][0]) / grid_step(grids[axis])
+
+    def outside(*coords):
+        """Lookups whose index coordinates, one per axis, leave the box."""
+        out = False
+        for coord, size in zip(coords, sizes):
+            out = out | (coord < 0.0) | (coord > size - 1.0)
+        return out
+
+    mu = field.mu_grid[:, None]
+    nu = field.nu_grid[None, :]
+    # back[1,0] = back[2,0] = 0: the direction flow never involves X.
+    mu_d = (back[1, 1] * mu + back[1, 2] * nu).ravel()
+    nu_d = (back[2, 1] * mu + back[2, 2] * nu).ravel()
+    shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
+    x_d = back[0, 0] * field.x_grid + shift[:, None]
+    x_edge = min(-field.x_grid[0], field.x_grid[-1])
     if config.scaled_frame:
         r_d = np.hypot(mu_d, nu_d)
         r_ref = np.clip(r_d, config.r_ref_range[0], config.r_ref_range[1])
@@ -390,30 +432,90 @@ def _semilagrangian_plan(field: MarginalField, gen: np.ndarray, dt: float,
         # Inflating a lookup (inv > 1) also inflates its X coordinate; cap
         # the inflation so no lookup leaves the X box, falling back toward
         # a plain (unscaled) read rather than a boundary substitute.
-        x_edge = min(-field.x_grid[0], field.x_grid[-1])
         with np.errstate(divide="ignore"):
-            x_cap = np.where(np.abs(x_d) > 0.0, x_edge / np.abs(x_d), np.inf)
-        inv = np.minimum(inv, np.maximum(1.0, x_cap))
+            cap = np.maximum(1.0, x_edge / np.abs(x_d))
     else:
         inv = np.ones_like(mu_d)
-    shape = np.broadcast_shapes(x_d.shape, inv.shape)
-    coords = np.empty((3,) + shape)
-    coords[0] = (mu_d * inv - field.mu_grid[0]) / grid_step(field.mu_grid)
-    coords[1] = (nu_d * inv - field.nu_grid[0]) / grid_step(field.nu_grid)
-    coords[2] = (x_d * inv - field.x_grid[0]) / grid_step(field.x_grid)
-    sizes = (field.mu_grid.size, field.nu_grid.size, field.x_grid.size)
-    outside = np.zeros(shape, dtype=bool)
-    for d in range(3):
-        outside |= (coords[d] < 0.0) | (coords[d] > sizes[d] - 1.0)
-    out_frac = float(np.mean(outside))
-    dtype = np.dtype(config.precision)
-    return coords.astype(dtype), np.broadcast_to(inv, shape).astype(dtype), out_frac
+        cap = np.full(x_d.shape, np.inf)
+    capped = inv[:, None] > cap
+
+    a = index(mu_d * inv, 0)
+    b = index(nu_d * inv, 1)
+    taps = [(ia * sizes[1] + ib, wa * wb)
+            for ia, wa in _cubic_taps(a, sizes[0])
+            for ib, wb in _cubic_taps(b, sizes[1])]
+    direction = csr_array(
+        (np.stack([w for _, w in taps], axis=1).ravel(),
+         np.stack([i for i, _ in taps], axis=1).ravel(),
+         np.arange(0, 16 * a.size + 1, 16)), shape=(a.size, a.size))
+    n_out = np.count_nonzero(~capped & outside(
+        a[:, None], b[:, None], index(x_d * inv[:, None], 2)))
+
+    # Capped at x_edge / |x_d| > 1, a lookup lands on X = +-x_edge exactly
+    # and only its direction varies; capped at 1 it is a plain read.
+    lookups = np.flatnonzero(capped)
+    scale = cap.ravel()[lookups]
+    x_c = x_d.ravel()[lookups]
+    cell = lookups // sizes[2]
+    edges = []
+    for side in (-1.0, 1.0):
+        on = (scale > 1.0) & (np.sign(x_c) == side)
+        if on.any():
+            coords = np.stack((index(mu_d[cell[on]] * scale[on], 0),
+                               index(nu_d[cell[on]] * scale[on], 1)))
+            n_out += np.count_nonzero(
+                outside(*coords, index(x_c[on] * scale[on], 2)))
+            edges.append((index(side * x_edge, 2), lookups[on], coords,
+                          scale[on]))
+    on = scale == 1.0
+    coords = np.stack((index(mu_d[cell[on]], 0), index(nu_d[cell[on]], 1),
+                       index(x_c[on], 2)))
+    n_out += np.count_nonzero(outside(*coords))
+    return _SLPlan(direction, inv, shift, back[0, 0], field.x_grid,
+                   tuple(edges), (lookups[on], coords), n_out / x_d.size)
 
 
-def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray,
-                boundary: str):
-    """-(V . grad w) with first-order directional differences."""
-    pad_mode = "edge" if boundary == "clamp" else "constant"
+def _resample(values: np.ndarray, plan: _SLPlan) -> np.ndarray:
+    """One SemiLagrangian resample: the cubic spline of ``values`` read at
+    the plan's lookups, each weighted by its factor inv.
+
+    The spline repeats edge values beyond the box: the evolved field is
+    genuinely nonzero at the X edges once the flow has inflated its
+    support, and a zero extension there would mis-evaluate the spline near
+    the edge every step, an error that compounds along the X-invariant
+    flow.
+    """
+    coeffs = spline_filter(values, order=3, mode="nearest")
+    n_x = values.shape[2]
+    rows = coeffs.reshape(-1, n_x)
+    # 16-tap direction stage: each cell's spline row at its own direction.
+    along = (plan.direction @ rows).ravel()
+    out = np.empty_like(rows)
+    x0, h_x = plan.x_grid[0], grid_step(plan.x_grid)
+    chunk = max(1, _X_STAGE_POINTS // n_x)
+    for lo in range(0, rows.shape[0], chunk):
+        cells = slice(lo, lo + chunk)
+        inv = plan.inv[cells, None]
+        coord = ((plan.x_back * plan.x_grid + plan.shift[cells, None]) * inv
+                 - x0) / h_x
+        row = n_x * np.arange(lo, lo + inv.shape[0])[:, None]
+        out[cells] = inv * sum(w * along.take(tap + row)
+                               for tap, w in _cubic_taps(coord, n_x))
+    out = out.reshape(-1)
+    for x_coord, points, coords, inv in plan.edges:
+        plane = sum(w * coeffs[:, :, tap]
+                    for tap, w in _cubic_taps(x_coord, n_x))
+        out[points] = inv * map_coordinates(plane, coords, order=3,
+                                            prefilter=False, mode="nearest")
+    points, coords = plan.plain
+    if points.size:
+        out[points] = map_coordinates(coeffs, coords, order=3,
+                                      prefilter=False, mode="nearest")
+    return out.reshape(values.shape)
+
+
+def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray):
+    """-(V . grad w) with first-order directional differences, clamped edges."""
     grids = (field.mu_grid, field.nu_grid, field.x_grid)
     mu = field.mu_grid[:, None, None]
     nu = field.nu_grid[None, :, None]
@@ -428,7 +530,7 @@ def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray,
         h = grid_step(grid)
         pad = [(0, 0)] * 3
         pad[axis] = (1, 1)
-        ext = np.pad(values, pad, mode=pad_mode)
+        ext = np.pad(values, pad, mode="edge")
         sl_lo = [slice(None)] * 3
         sl_hi = [slice(None)] * 3
         sl_lo[axis] = slice(0, -2)
@@ -452,6 +554,20 @@ def _check_cfl(field: MarginalField, gen: np.ndarray, dt: float,
     return cfl
 
 
+def _split_span(span: float, dt: float) -> tuple[int, float]:
+    """Full dt steps and the partial last step (0.0 if none) covering span.
+
+    A remainder within 1e-12 of 0 or of dt is rounding, not a step.
+    """
+    steps = math.floor(span / dt)
+    partial = span - steps * dt
+    if partial > dt - 1e-12:
+        return steps + 1, 0.0
+    if partial < 1e-12:
+        return steps, 0.0
+    return steps, partial
+
+
 def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                config: SolverConfig,
                times: "list[float] | None" = None):
@@ -460,7 +576,9 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     Returns the field at config.t_final, or a list of fields at ``times``
     (nondecreasing, <= t_final is not required; the last entry defines the
     end of integration).  Snapshot instants are hit exactly with a partial
-    step, which costs the SemiLagrangian scheme nothing.
+    step, which costs the SemiLagrangian scheme nothing.  Each snapshot's
+    meta["sl_windows"] lists the lengths of the SemiLagrangian windows
+    resampled since t = 0.
     """
     gen = coeffs.generator_matrix()
     snapshot_times = [config.t_final] if times is None else [float(t) for t in times]
@@ -468,32 +586,26 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
             b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be nondecreasing and >= 0")
 
-    values = initial.values.astype(config.precision)
+    values = initial.values.astype(float)
     out = []
-    t_now = 0.0
     warnings = set(initial.warnings)
+    # A window is keyed by its full steps and partial step, so windows of
+    # equal length share one plan whatever order their steps came in.
+    plan_cache: dict[tuple[int, float], _SLPlan] = {}
+    windows: list[float] = []
 
-    plan_cache: dict[float, tuple] = {}
-
-    mode = "nearest" if config.boundary == "clamp" else "grid-constant"
-
-    def sl_step(step_dt: float):
+    def sl_step(steps: int, partial: float):
         nonlocal values
-        key = round(step_dt, 15)
-        if key not in plan_cache:
-            plan_cache[key] = _semilagrangian_plan(initial, gen, step_dt, config)
-        coords, inv, out_frac = plan_cache[key]
-        if out_frac > 1e-3:
-            warnings.add(f"boundary outflow: {out_frac:.2%} of backtraced "
+        length = steps * config.dt + partial
+        plan = plan_cache.get((steps, partial))
+        if plan is None:
+            plan = _semilagrangian_plan(initial, gen, length, config)
+            plan_cache[(steps, partial)] = plan
+        if plan.out_frac > 1e-3:
+            warnings.add(f"boundary outflow: {plan.out_frac:.2%} of backtraced "
                          "points leave the box")
-        if config.spline_order > 1:
-            filtered = spline_filter(values, order=config.spline_order,
-                                     mode=mode)
-        else:
-            filtered = values
-        values = inv * map_coordinates(filtered, coords,
-                                       order=config.spline_order,
-                                       prefilter=False, mode=mode, cval=0.0)
+        values = _resample(values, plan)
+        windows.append(length)
 
     if config.scheme == Scheme.UPWIND:
         _check_cfl(initial, gen, config.dt, config.max_cfl)
@@ -509,23 +621,26 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
             return False
         return stretch(span_to_target) > _REMAP_HARD_STRETCH
 
-    window = 0.0
+    t_now = 0.0
     for target in snapshot_times:
-        while t_now < target - 1e-12:
-            step_dt = min(config.dt, target - t_now)
-            if config.scheme == Scheme.SEMILAGRANGIAN:
-                if window > 0.0 and must_flush(window + step_dt,
-                                               window + target - t_now):
-                    sl_step(window)
-                    window = 0.0
-                window += step_dt
-            else:
-                values = values + step_dt * _upwind_rhs(values, initial, gen,
-                                                        config.boundary)
-            t_now += step_dt
-        if window > 0.0:
-            sl_step(window)
-            window = 0.0
+        steps, partial = _split_span(target - t_now, config.dt)
+        if config.scheme == Scheme.SEMILAGRANGIAN:
+            held = 0  # full steps in the open window
+            for k in range(steps + (partial > 0.0)):
+                step = config.dt if k < steps else partial
+                rest = (steps - k) * config.dt + partial
+                if held and must_flush(held * config.dt + step,
+                                       held * config.dt + rest):
+                    sl_step(held, 0.0)
+                    held = 0
+                if k < steps:
+                    held += 1
+            if held or partial:
+                sl_step(held, partial)
+        else:
+            for step in [config.dt] * steps + ([partial] if partial else []):
+                values = values + step * _upwind_rhs(values, initial, gen)
+        t_now = target
         if initial_mass > 0.0:
             drift = abs(float(np.sum(np.abs(values))) - initial_mass) / initial_mass
             if drift > 1e-2:
@@ -533,7 +648,8 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                              "(boundary outflow or under-resolution)")
         meta = dict(initial.meta)
         meta.update({"time": t_now, "scheme": config.scheme.value,
-                     "potential": coeffs.potential.coefficients})
+                     "potential": coeffs.potential.coefficients,
+                     "sl_windows": list(windows)})
         out.append(MarginalField(initial.mu_grid, initial.nu_grid,
                                  initial.x_grid, values.astype(float),
                                  tuple(sorted(warnings)), meta))

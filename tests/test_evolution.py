@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.ndimage import map_coordinates, spline_filter
 
 from oracles import (
     fock_coefficients,
@@ -13,6 +15,7 @@ from oracles import (
     psi_free_evolved_sampled,
     psi_oddcat,
 )
+from tomoflow import evolution
 from tomoflow.evolution import (
     DEFAULT_EVOLUTION_X_GRID,
     DEFAULT_MU_GRID,
@@ -29,7 +32,8 @@ from tomoflow.evolution import (
     reduce_equation,
     resolvable_mask,
 )
-from tomoflow.fields import TomographyParams, uniform_grid
+from tomoflow.fields import TomographyParams, grid_step, uniform_grid
+from tomoflow.io import read_field, write_field
 from tomoflow.states import (
     EXCITED_FIRST,
     GROUND,
@@ -414,24 +418,11 @@ def test_pde_rejects_bad_snapshot_lists():
 
 def test_solver_config_validation():
     bad = [dict(dt=0.0), dict(dt=math.nan), dict(t_final=-1.0),
-           dict(boundary="wrap"), dict(r_ref_range=(1.3, 1.2)),
-           dict(r_ref_range=(0.0, 1.0)), dict(spline_order=7),
-           dict(max_cfl=0.0), dict(max_cfl=1.5), dict(precision="float16")]
+           dict(r_ref_range=(1.3, 1.2)), dict(r_ref_range=(0.0, 1.0)),
+           dict(max_cfl=0.0), dict(max_cfl=1.5)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
-
-
-def test_float32_precision_tracks_float64():
-    f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-6.0, 6.0, 129))
-    coeffs = reduce_equation(PotentialSpec.harmonic())
-    a = evolve_pde(f0, coeffs, SolverConfig(dt=0.05, t_final=0.5))
-    b = evolve_pde(f0, coeffs, SolverConfig(dt=0.05, t_final=0.5,
-                                            precision="float32"))
-    assert b.values.dtype == np.float64
-    assert np.abs(a.values - b.values).max() <= 1e-4
 
 
 def test_upwind_cfl_guard_raises():
@@ -475,3 +466,115 @@ def test_resolvable_mask_flags_cells_swept_below_radius():
     j = int(np.argmin(np.abs(f0.nu_grid + 0.45)))
     assert mask_rot[i, j] and not mask_free[i, j]
     assert not mask_free[len(f0.mu_grid) // 2, len(f0.nu_grid) // 2]
+
+
+def test_pde_records_resample_windows(tmp_path):
+    f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 17),
+                               uniform_grid(-1.5, 1.5, 17),
+                               uniform_grid(-6.0, 6.0, 65))
+    # a rotation runs to the snapshot in one window
+    rot = evolve_pde(f0, reduce_equation(PotentialSpec.harmonic()),
+                     SolverConfig(t_final=math.pi))
+    assert rot.meta["sl_windows"] == [pytest.approx(math.pi)]
+    # the free shear flushes before a window stretches by 1.3, unless the
+    # rest of the way to the snapshot stays below 1.6
+    snaps = evolve_pde(f0, reduce_equation(PotentialSpec.free()),
+                       SolverConfig(), times=[1.0, 2.2])
+    assert snaps[0].meta["sl_windows"] == pytest.approx([0.53, 0.47])
+    assert snaps[1].meta["sl_windows"] == pytest.approx(
+        [0.53, 0.47, 0.53, 0.67])
+    write_field(snaps[1], tmp_path / "free.csv")
+    assert read_field(tmp_path / "free.csv").meta["sl_windows"] == \
+        pytest.approx((0.53, 0.47, 0.53, 0.67))
+
+
+def test_equal_windows_share_one_plan(monkeypatch):
+    # [0, j] and [j, 2j] have equal lengths; how their steps sum in floats
+    # must not decide how many plans are built
+    f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 33),
+                               uniform_grid(-1.5, 1.5, 33),
+                               uniform_grid(-6.0, 6.0, 65))
+    coeffs = reduce_equation(PotentialSpec.free())
+    calls = []
+    build = evolution._semilagrangian_plan
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_semilagrangian_plan", counted)
+    counts = {}
+    for j in np.linspace(0.98, 1.02, 21):
+        calls.clear()
+        evolve_pde(f0, coeffs, SolverConfig(), times=[j, 2.0 * j])
+        counts[round(float(j), 3)] = len(calls)
+    assert set(counts.values()) == {2}, counts
+
+
+# ---------------------------------------------------------------------------
+# separable resample against the tricubic 3-D gather
+
+
+def reference_resample(field, gen, dt, config):
+    """One resample as a 64-tap tricubic map_coordinates gather; returns
+    the values and the lookups' index coordinates (3, ...)."""
+    back = expm(-gen * dt)
+    x = field.x_grid[None, None, :]
+    mu = field.mu_grid[:, None, None]
+    nu = field.nu_grid[None, :, None]
+    x_d = back[0, 0] * x + back[0, 1] * mu + back[0, 2] * nu
+    mu_d = back[1, 1] * mu + back[1, 2] * nu + 0.0 * x
+    nu_d = back[2, 1] * mu + back[2, 2] * nu + 0.0 * x
+    inv = np.ones_like(mu_d)
+    if config.scaled_frame:
+        r_d = np.hypot(mu_d, nu_d)
+        r_ref = np.clip(r_d, *config.r_ref_range)
+        inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
+        x_edge = min(-field.x_grid[0], field.x_grid[-1])
+        with np.errstate(divide="ignore"):
+            x_cap = np.where(np.abs(x_d) > 0.0, x_edge / np.abs(x_d), np.inf)
+        inv = np.minimum(inv, np.maximum(1.0, x_cap))
+    coords = np.stack([(v * inv - g[0]) / grid_step(g) for v, g in (
+        (mu_d, field.mu_grid), (nu_d, field.nu_grid), (x_d, field.x_grid))])
+    coeffs = spline_filter(field.values, order=3, mode="nearest")
+    values = inv * map_coordinates(coeffs, coords, order=3, prefilter=False,
+                                   mode="nearest")
+    return values, coords
+
+
+RESAMPLE_CASES = {
+    "free": (PotentialSpec.free(), 0.53, SolverConfig(),
+             DEFAULT_EVOLUTION_X_GRID),
+    "harmonic": (PotentialSpec.harmonic(), math.pi, SolverConfig(),
+                 DEFAULT_EVOLUTION_X_GRID),
+    "linear:0.5": (PotentialSpec.linear(0.5), 0.53, SolverConfig(),
+                   DEFAULT_EVOLUTION_X_GRID),
+    "unscaled": (PotentialSpec.free(), 0.8, SolverConfig(scaled_frame=False),
+                 DEFAULT_EVOLUTION_X_GRID),
+    # +-x_edge = +-6 is not a grid end on the high side
+    "asymmetric-x": (PotentialSpec.free(), 0.53, SolverConfig(),
+                     uniform_grid(-6.0, 8.0, 225)),
+    # the X shift carries lookups past both ends of a narrow box
+    "x-outflow": (PotentialSpec.linear(3.0), 1.0, SolverConfig(),
+                  uniform_grid(-5.0, 5.0, 161)),
+}
+
+
+@pytest.mark.parametrize("case", list(RESAMPLE_CASES))
+def test_separable_resample_matches_tricubic_gather(case):
+    potential, dt, config, x_grid = RESAMPLE_CASES[case]
+    field = sample_marginal_field(CAT_AXIS, DEFAULT_MU_GRID,
+                                  DEFAULT_NU_GRID, x_grid)
+    gen = reduce_equation(potential).generator_matrix()
+    want, coords = reference_resample(field, gen, dt, config)
+    plan = evolution._semilagrangian_plan(field, gen, dt, config)
+    got = evolution._resample(field.values, plan)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    last = np.array(field.values.shape)[:, None] - 1.0
+    flat = coords.reshape(3, -1)
+    outside = ((flat < 0.0) | (flat > last)).any(axis=0)
+    # lookups within rounding of the box edge may count either way
+    at_edge = ((np.abs(flat) < 1e-9) | (np.abs(flat - last) < 1e-9)).any(axis=0)
+    assert plan.out_frac == pytest.approx(outside.mean(), abs=at_edge.mean())
+    if case == "x-outflow":
+        assert (flat[2] < 0.0).any() and (flat[2] > last[2]).any()
