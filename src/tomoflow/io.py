@@ -125,7 +125,7 @@ def write_field(field, path, meta: dict | None = None) -> None:
 
 
 def _scan_body(path, n_cols: int) -> None:
-    """Locate the first malformed data row and raise with its line number."""
+    """Raise at the first malformed or non-finite data row, naming its line."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno <= 2:
@@ -137,14 +137,15 @@ def _scan_body(path, n_cols: int) -> None:
                     f"comma-separated fields, found {len(parts)}")
             for part in parts:
                 try:
-                    float(part)
+                    bad = "" if np.isfinite(float(part)) else "non-finite"
                 except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: "
-                                     f"non-numeric field {part!r}") from None
+                    bad = "non-numeric"
+                if bad:
+                    raise ValueError(f"{path}: line {lineno}: {bad} field {part!r}")
 
 
 def read_field(path):
-    """Load a field written by write_field; inverse for finite values."""
+    """Load a field written by write_field; non-finite values are refused."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith(_META_PREFIX):
@@ -173,6 +174,8 @@ def read_field(path):
                              f"geometry {expected}")
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"{path}: non-finite values in the body")
         except ValueError:
             _scan_body(path, len(expected))
             raise

@@ -22,7 +22,6 @@ directions are ever integrated and the r -> 0 region costs no accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -38,12 +37,15 @@ from .fields import (
     ReconstructionConfig,
     TomographyParams,
     WignerField,
+    check_uniform,
     grid_step,
     trapezoid_weights,
     uniform_grid,
 )
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_Y_GRID = uniform_grid(-12.0, 12.0, 1201)
+MU_EDGE_LIMIT = 1e-5  # largest |F| at the mu_range ends, relative to max |F|
 
 
 def wigner_field_sampler(field: WignerField):
@@ -125,6 +127,8 @@ class UnitSliceSource:
     """
 
     def _build(self, phi_grid: np.ndarray, table: np.ndarray):
+        if not np.all(np.isfinite(table)):
+            raise ValueError(f"{type(self).__name__}: non-finite unit-slice table")
         phi_ext = np.concatenate([phi_grid, [TWO_PI]])
         table_ext = np.vstack([table, table[:1]])
         self.phi_grid = phi_grid
@@ -158,8 +162,8 @@ class RadonMarginalEvaluator(UnitSliceSource):
     def __init__(self, wigner, *, n_phi: int = 360,
                  y_grid: np.ndarray | None = None,
                  line_half_width: float = 8.0, line_step: float = 0.04):
-        self.y_grid = (uniform_grid(-12.0, 12.0, 1201) if y_grid is None
-                       else np.asarray(y_grid, dtype=float))
+        self.y_grid = DEFAULT_Y_GRID if y_grid is None else np.asarray(y_grid, dtype=float)
+        check_uniform(self.y_grid, "y_grid")
         if n_phi < 8:
             raise ValueError("n_phi too small for stable interpolation")
         sample = _as_wigner_callable(wigner)
@@ -213,6 +217,45 @@ class FieldMarginalSource(UnitSliceSource):
         self._build(phi_grid, table)
 
 
+def _unit_rows(source, phis, y):
+    """Unit-direction rows w(y, cos phi, sin phi, 0), one per angle in phis.
+
+    Table sources give their unit_slices rows, cubic-resampled (zero
+    outside the table) when y is not their own grid; callables are
+    evaluated at the unit directions.
+    """
+    if not hasattr(source, "unit_slices"):
+        return source(y[None, :], np.cos(phis)[:, None],
+                      np.sin(phis)[:, None], 0.0)
+    rows = source.unit_slices(phis)
+    if not np.array_equal(source.y_grid, y):
+        rows = CubicSpline(source.y_grid, rows, axis=1, extrapolate=False)(y)
+        rows = np.nan_to_num(rows, nan=0.0)
+    return rows
+
+
+def _fourier_rows(rows, freq, y):
+    """Trapezoid sums sum_j w_j rows[c, j] exp(i freq[c] y_j) on a uniform y.
+
+    With j = B b + m and B ~ sqrt(n), exp(i f y_j) = exp(i f y_{Bb})
+    exp(i f m h): each row takes n/B + B exponentials instead of n, the sum
+    over m is a real batched product against the cos and sin of the
+    in-block phase, and the sum over b a short complex dot product.
+    """
+    n = y.size
+    h = (y[-1] - y[0]) / (n - 1)  # linspace's step; y[1] - y[0] is rounded
+    block = math.isqrt(n - 1) + 1
+    n_blocks = -(-n // block)  # the last block is padded with zeros
+    weighted = np.zeros((rows.shape[0], n_blocks * block))
+    weighted[:, :n] = rows * h
+    weighted[:, [0, n - 1]] *= 0.5
+    inner = np.multiply.outer(freq, h * np.arange(block))
+    sums = weighted.reshape(-1, n_blocks, block) @ np.stack(
+        [np.cos(inner), np.sin(inner)], axis=2)
+    starts = np.exp(1j * np.multiply.outer(freq, y[::block]))
+    return np.einsum("cb,cb->c", starts, sums[..., 0] + 1j * sums[..., 1])
+
+
 def characteristic_from_marginal(marginal, a_grid: np.ndarray | None = None,
                                  b_grid: np.ndarray | None = None,
                                  y_grid: np.ndarray | None = None
@@ -221,33 +264,20 @@ def characteristic_from_marginal(marginal, a_grid: np.ndarray | None = None,
 
     Integration uses the scaled abscissa X = r y, so the integrand is the
     unit-direction slice times exp(i r y) and the origin needs no special
-    case (chi(0, 0) is the marginal normalization).
+    case (chi(0, 0) is the marginal normalization).  Each a-row of unit rows
+    is summed by `_fourier_rows`; y_grid must be uniform.
     """
     a_grid = uniform_grid(-10.0, 10.0, 201) if a_grid is None else np.asarray(a_grid, dtype=float)
     b_grid = uniform_grid(-10.0, 10.0, 201) if b_grid is None else np.asarray(b_grid, dtype=float)
     if y_grid is None:
-        y_grid = getattr(marginal, "y_grid", None)
-        y_grid = uniform_grid(-12.0, 12.0, 1201) if y_grid is None else y_grid
+        y_grid = getattr(marginal, "y_grid", DEFAULT_Y_GRID)
     y_grid = np.asarray(y_grid, dtype=float)
+    check_uniform(y_grid, "y_grid")
 
     values = np.empty((a_grid.size, b_grid.size), dtype=complex)
-    use_table = hasattr(marginal, "unit_slices")
-    if use_table:
-        source_grid = marginal.y_grid
     for i, a in enumerate(a_grid):
-        phi = np.arctan2(b_grid, a)
-        r = np.hypot(a, b_grid)
-        if use_table:
-            rows = marginal.unit_slices(phi)
-            if source_grid.shape != y_grid.shape or not np.allclose(source_grid, y_grid):
-                rows = CubicSpline(source_grid, rows, axis=1,
-                                   extrapolate=False)(y_grid)
-                rows = np.nan_to_num(rows, nan=0.0)
-        else:
-            rows = marginal(y_grid[None, :], np.cos(phi)[:, None],
-                            np.sin(phi)[:, None], 0.0)
-        kernel = np.exp(1j * r[:, None] * y_grid[None, :])
-        values[i] = np.trapezoid(rows * kernel, y_grid, axis=1)
+        rows = _unit_rows(marginal, np.arctan2(b_grid, a), y_grid)
+        values[i] = _fourier_rows(rows, np.hypot(a, b_grid), y_grid)
     return CharacteristicGrid(a_grid, b_grid, values)
 
 
@@ -282,48 +312,43 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
 
     The double integral is evaluated as an inner Fourier integral over the
     scaled abscissa Y = r y (per direction cell, window config.y_range in
-    units of r) followed by an outer mu quadrature.  Both quadrature grids
-    are symmetric, which makes the result hermitian to rounding error for
-    any marginal with the physical parity w(X, -mu, -nu) = w(-X, mu, nu).
+    units of r, or a table source's own grid), summed one mu-row at a time
+    by `_fourier_rows`, followed by an outer mu quadrature.  Both
+    quadrature grids are symmetric, which makes the result hermitian to
+    rounding error for any marginal with the physical parity
+    w(X, -mu, -nu) = w(-X, mu, nu).  When the inner integral at the
+    mu_range ends exceeds MU_EDGE_LIMIT of its maximum, chi is truncated
+    there and the result carries a warning with the measured ratio.
     """
     q_grid = uniform_grid(-5.0, 5.0, 101) if q_grid is None else np.asarray(q_grid, dtype=float)
     config = ReconstructionConfig() if config is None else config
     s = config.s
     n = q_grid.size
     mu = np.linspace(config.mu_range[0], config.mu_range[1], config.mu_samples)
-    use_table = hasattr(marginal, "unit_slices")
     # Table-backed sources already carry a scaled-abscissa grid; reuse it.
-    y_unit = (np.asarray(marginal.y_grid, dtype=float) if use_table
-              else np.linspace(config.y_range[0], config.y_range[1],
-                               config.y_samples))
+    y_unit = getattr(marginal, "y_grid", None)
+    if y_unit is None:
+        y_unit = np.linspace(*config.y_range, config.y_samples)
 
     # Distinct values of v = q - q' and u = q + q' on the product grid.
     v_vals = np.concatenate([q_grid - q_grid[-1], (q_grid - q_grid[0])[1:]])
     u_vals = np.concatenate([q_grid + q_grid[0], (q_grid + q_grid[-1])[1:]])
-
     nu = v_vals / s
-    r_cell = np.sqrt(mu[:, None] ** 2 + nu[None, :] ** 2)  # (n_mu, n_v)
 
     # Inner integral in scaled form: with Y = r y and the scaling law,
     # F(mu, v) = Int w(Y, mu, v/s) e^{isY} dY
     #          = Int w_unit(y, phi) e^{i s r y} dy,  phi = atan2(v/s, mu).
     # The integrand is continuous through r = 0, where F is the marginal
-    # normalization for any approach angle.
+    # normalization for any approach angle (atan2(0, 0) = 0 picks phi = 0).
     f_table = np.empty((mu.size, v_vals.size), dtype=complex)
-    y_w = trapezoid_weights(y_unit)
     for k in range(mu.size):
-        r_row = r_cell[k]
-        if use_table:
-            w_scaled = marginal.unit_slices(np.arctan2(nu, mu[k]))
-        else:
-            deg = (mu[k] == 0.0) & (nu == 0.0)
-            mu_b = np.where(deg, 1.0, mu[k])
-            nu_b = np.where(deg, 0.0, nu)
-            r_eff = np.where(deg, 1.0, r_row)
-            w_scaled = r_eff[:, None] * marginal(r_eff[:, None] * y_unit[None, :],
-                                                 mu_b[:, None], nu_b[:, None], 0.0)
-        kernel = np.exp(1j * s * np.outer(r_row, y_unit)) * y_w[None, :]
-        f_table[k] = np.sum(w_scaled * kernel, axis=1)
+        rows = _unit_rows(marginal, np.arctan2(nu, mu[k]), y_unit)
+        f_table[k] = _fourier_rows(rows, s * np.hypot(mu[k], nu), y_unit)
+    edge = np.max(np.abs(f_table[[0, -1]])) / np.max(np.abs(f_table))
+    warnings = ()
+    if edge > MU_EDGE_LIMIT:
+        warnings = (f"chi truncated: the inner integral at the mu_range ends is "
+                    f"{edge:.3g} of its maximum, above {MU_EDGE_LIMIT:g}",)
 
     # Outer integral over mu, one u per column: rho_uv[u, v].
     mu_w = trapezoid_weights(mu)
@@ -333,7 +358,7 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     i_idx = np.arange(n)[:, None]
     j_idx = np.arange(n)[None, :]
     rho = rho_uv[i_idx + j_idx, i_idx - j_idx + (n - 1)]
-    return DensityMatrixGrid(q_grid, rho, config)
+    return DensityMatrixGrid(q_grid, rho, config, warnings)
 
 
 def slice_moments(sl: MarginalSlice) -> tuple[float, float]:

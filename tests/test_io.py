@@ -141,6 +141,20 @@ def test_non_numeric_field_names_line(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("lineno,text", [(12, "nan"), (25, "-inf")])
+def test_non_finite_field_names_line(tmp_path, lineno, text):
+    path = tmp_path / "w.csv"
+    write_field(small_wigner(), path)
+    lines = _lines(path)
+    parts = lines[lineno - 1].split(",")
+    parts[-1] = text
+    lines[lineno - 1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=rf"line {lineno}: non-finite field '{text}'"):
+        read_field(path)
+
+
 def test_missing_row_count_mismatch(tmp_path):
     path = tmp_path / "w.csv"
     write_field(small_wigner(), path)

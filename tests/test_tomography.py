@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from oracles import fock_coefficients, fock_moments, psi_coherent, psi_oddcat
 from tomoflow.fields import (
     ReconstructionConfig,
     TomographyParams,
+    trapezoid_weights,
     uniform_grid,
 )
 from tomoflow.states import (
@@ -23,6 +25,7 @@ from tomoflow.states import (
 )
 from tomoflow.tomography import (
     RadonMarginalEvaluator,
+    _fourier_rows,
     characteristic_from_marginal,
     density_matrix_from_marginal,
     marginal_field_from_wigner,
@@ -124,6 +127,117 @@ def test_radon_evaluator_zero_outside_table(cat_radon_source):
 def test_radon_evaluator_rejects_vector_direction(cat_radon_source):
     with pytest.raises(ValueError):
         cat_radon_source(np.zeros(3), np.array([1.0, 2.0]), 0.0)
+
+
+def test_radon_evaluator_rejects_non_uniform_y_grid():
+    y = np.concatenate([uniform_grid(-6.0, 0.0, 31), [0.1, 0.3, 0.6]])
+    with pytest.raises(ValueError, match="y_grid"):
+        RadonMarginalEvaluator(wigner_evaluator(GROUND), n_phi=8, y_grid=y)
+
+
+def test_radon_evaluator_rejects_non_finite_table():
+    def broken(q, p):
+        return np.where(q > 1.0, np.nan, np.exp(-q * q - p * p))
+
+    with pytest.raises(ValueError,
+                       match="RadonMarginalEvaluator: non-finite"):
+        RadonMarginalEvaluator(broken, n_phi=8,
+                               y_grid=uniform_grid(-4.0, 4.0, 41))
+
+
+# ---------------------------------------------------------------------------
+# the Fourier-row kernel shared by chi and rho
+
+
+@pytest.mark.parametrize("n", [9, 161, 401, 512, 1201])
+def test_fourier_rows_matches_dense_trapezoid(n):
+    rng = np.random.default_rng(n)
+    y = uniform_grid(-12.0, 12.0, n)
+    rows = rng.standard_normal((7, n)) * np.exp(-0.05 * y * y)
+    freq = np.array([0.0, 1e-3, 0.7, -2.5, 9.3, -17.1, 30.0])
+    want = np.trapezoid(rows * np.exp(1j * freq[:, None] * y[None, :]), y,
+                        axis=1)
+    got = _fourier_rows(rows, freq, y)
+    scale = np.sum(np.abs(trapezoid_weights(y) * rows), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def dense_chi(marginal, a_grid, b_grid, y_grid):
+    """chi by one dense complex kernel per a-row (the kernel's reference)."""
+    values = np.empty((a_grid.size, b_grid.size), dtype=complex)
+    for i, a in enumerate(a_grid):
+        phi = np.arctan2(b_grid, a)
+        r = np.hypot(a, b_grid)
+        if hasattr(marginal, "unit_slices"):
+            rows = CubicSpline(marginal.y_grid, marginal.unit_slices(phi), axis=1,
+                               extrapolate=False)(y_grid)
+            rows = np.nan_to_num(rows, nan=0.0)
+        else:
+            rows = marginal(y_grid[None, :], np.cos(phi)[:, None],
+                            np.sin(phi)[:, None], 0.0)
+        kernel = np.exp(1j * r[:, None] * y_grid[None, :])
+        values[i] = np.trapezoid(rows * kernel, y_grid, axis=1)
+    return values
+
+
+def dense_rho(marginal, q_grid, config):
+    """rho by dense kernels per mu-row, evaluating callables at radius r."""
+    s, n = config.s, q_grid.size
+    mu = np.linspace(*config.mu_range, config.mu_samples)
+    table = hasattr(marginal, "unit_slices")
+    y = (marginal.y_grid if table
+         else np.linspace(*config.y_range, config.y_samples))
+    v = np.concatenate([q_grid - q_grid[-1], (q_grid - q_grid[0])[1:]])
+    u = np.concatenate([q_grid + q_grid[0], (q_grid + q_grid[-1])[1:]])
+    nu = v / s
+    f_table = np.empty((mu.size, v.size), dtype=complex)
+    for k in range(mu.size):
+        r = np.sqrt(mu[k] ** 2 + nu ** 2)
+        if table:
+            rows = marginal.unit_slices(np.arctan2(nu, mu[k]))
+        else:
+            deg = (mu[k] == 0.0) & (nu == 0.0)
+            r_eff = np.where(deg, 1.0, r)[:, None]
+            rows = r_eff * marginal(r_eff * y[None, :],
+                                    np.where(deg, 1.0, mu[k])[:, None],
+                                    np.where(deg, 0.0, nu)[:, None], 0.0)
+        kernel = np.exp(1j * s * np.outer(r, y)) * trapezoid_weights(y)
+        f_table[k] = np.sum(rows * kernel, axis=1)
+    phase = np.exp(-0.5j * s * np.outer(u, mu)) * trapezoid_weights(mu)
+    rho_uv = phase @ f_table * (abs(s) / (2.0 * math.pi))
+    i, j = np.indices((n, n))
+    return rho_uv[i + j, i - j + (n - 1)]
+
+
+@pytest.mark.parametrize("source", ["radon", "closed"])
+def test_characteristic_matches_dense_kernel(source, cat_radon_source):
+    marginal = (cat_radon_source if source == "radon"
+                else marginal_evaluator(CAT_TILTED))
+    a = uniform_grid(-10.0, 10.0, 21)
+    b = uniform_grid(-9.0, 9.0, 19)
+    # the table's own grid, a coarser one, and one that np.allclose would
+    # mistake for the table's grid (the rows must still be resampled)
+    for y in (uniform_grid(-12.0, 12.0, 1201), uniform_grid(-10.0, 10.0, 301),
+              uniform_grid(-12.00005, 12.00005, 1201)):
+        chi = characteristic_from_marginal(marginal, a, b, y)
+        assert np.max(np.abs(chi.values - dense_chi(marginal, a, b, y))) <= 1e-13
+
+
+@pytest.mark.parametrize("source", ["radon", "closed"])
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_density_matrix_matches_dense_kernel(source, s, cat_radon_source):
+    marginal = (cat_radon_source if source == "radon"
+                else marginal_evaluator(CAT_TILTED))
+    q = uniform_grid(-4.0, 4.0, 17)
+    config = ReconstructionConfig(s=s, mu_samples=101)
+    rho = density_matrix_from_marginal(marginal, q, config)
+    assert np.max(np.abs(rho.values - dense_rho(marginal, q, config))) <= 1e-13
+
+
+def test_characteristic_rejects_non_uniform_y_grid():
+    y = np.concatenate([uniform_grid(-6.0, 0.0, 31), [0.1, 0.3, 0.6]])
+    with pytest.raises(ValueError, match="y_grid"):
+        characteristic_from_marginal(marginal_evaluator(GROUND), y_grid=y)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +349,19 @@ def test_density_matrix_cat():
     eigs = rho.eigenvalues()
     assert eigs[-1] == pytest.approx(1.0, abs=1e-3)
     assert np.all(eigs[:-1] < 1e-3)
+
+
+def test_density_matrix_warns_when_mu_range_truncates():
+    q = uniform_grid(-4.0, 4.0, 33)
+    off_axis = StateSpec(StateKind.ODD_CAT, q0=1.6 * math.cos(-1.0),
+                         p0=1.6 * math.sin(-1.0))
+    rho = density_matrix_from_marginal(marginal_evaluator(off_axis), q,
+                                       small_config())
+    assert len(rho.warnings) == 1
+    assert "0.000474" in rho.warnings[0] and "1e-05" in rho.warnings[0]
+    on_axis = density_matrix_from_marginal(marginal_evaluator(CAT_AXIS), q,
+                                           small_config())
+    assert on_axis.warnings == ()
 
 
 def test_density_matrix_scale_invariance():
