@@ -8,7 +8,6 @@ form inside the solver's resolvable region at each snapshot.
 """
 
 import argparse
-import math
 import pathlib
 import sys
 
@@ -26,14 +25,7 @@ from tomoflow.evolution import (
 )
 from tomoflow.fields import uniform_grid
 from tomoflow.io import write_field
-from tomoflow.states import DynamicsKind, StateKind, StateSpec, sample_marginal_field
-
-CATALOG = {
-    "ground": StateSpec(StateKind.GROUND),
-    "excited1": StateSpec(StateKind.EXCITED_FIRST),
-    "coherent": StateSpec(StateKind.COHERENT, q0=1.2, p0=-0.7),
-    "oddcat": StateSpec(StateKind.ODD_CAT, q0=math.sqrt(2.0), p0=0.0),
-}
+from tomoflow.states import CATALOG, DynamicsKind, sample_marginal_field
 
 POTENTIALS = {"free": PotentialSpec.free(), "harmonic": PotentialSpec.harmonic()}
 

@@ -9,7 +9,6 @@ headline numbers at each stage.
 """
 
 import argparse
-import math
 import pathlib
 import sys
 
@@ -19,7 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from tomoflow.fields import uniform_grid
 from tomoflow.io import write_field
-from tomoflow.states import StateKind, StateSpec, sample_wigner_field, wigner_evaluator
+from tomoflow.states import CATALOG, sample_wigner_field, wigner_evaluator
 from tomoflow.tomography import (
     RadonMarginalEvaluator,
     characteristic_from_marginal,
@@ -27,13 +26,6 @@ from tomoflow.tomography import (
     wigner_from_characteristic,
 )
 from tomoflow.verify import compare_fields
-
-CATALOG = {
-    "ground": StateSpec(StateKind.GROUND),
-    "excited1": StateSpec(StateKind.EXCITED_FIRST),
-    "coherent": StateSpec(StateKind.COHERENT, q0=1.2, p0=-0.7),
-    "oddcat": StateSpec(StateKind.ODD_CAT, q0=math.sqrt(2.0), p0=0.0),
-}
 
 
 def main() -> int:

@@ -3,6 +3,10 @@
 Every command is deterministic for fixed flags; nothing reads the clock
 or draws random numbers, so reruns produce identical files.  Exit codes:
 0 success, 1 validation or check failure, 2 usage errors.
+
+Each command imports the scipy-backed layers (evolution, tomography,
+verify) itself, so a process loads only what its command uses:
+`sample-field`, `state-wigner` and `marginal` run without scipy.
 """
 
 from __future__ import annotations
@@ -11,22 +15,20 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evolution import (
-    DEFAULT_VALID_RADIUS,
-    NonlocalPotentialError,
+from .fields import (
+    MarginalField,
     PotentialSpec,
-    SolverConfig,
-    evolve_characteristics,
-    evolve_pde,
-    reduce_equation,
-    resolvable_mask,
+    ReconstructionConfig,
+    TomographyParams,
+    uniform_grid,
 )
-from .fields import ReconstructionConfig, TomographyParams, uniform_grid
 from .io import read_field, write_field
 from .states import (
+    CATALOG,
     DynamicsKind,
     StateKind,
     StateSpec,
@@ -38,37 +40,18 @@ from .states import (
     sample_wigner_field,
     wigner_eval,
 )
-from .tomography import (
-    FieldMarginalSource,
-    characteristic_from_marginal,
-    density_matrix_from_marginal,
-    wigner_from_characteristic,
-)
-from .verify import CheckResult, DEFAULT_TOLERANCES, roundtrip_report
-from .fields import MarginalField
+
+if TYPE_CHECKING:
+    from .verify import CheckResult
 
 SQRT_PI = math.sqrt(math.pi)
 
-CATALOG = {
-    "ground": StateSpec(StateKind.GROUND),
-    "excited1": StateSpec(StateKind.EXCITED_FIRST),
-    "coherent": StateSpec(StateKind.COHERENT, q0=1.2, p0=-0.7),
-    "oddcat": StateSpec(StateKind.ODD_CAT, q0=math.sqrt(2.0), p0=0.0),
-}
-
 
 def _potential_arg(text: str) -> PotentialSpec:
-    if text == "free":
-        return PotentialSpec.free()
-    if text == "harmonic":
-        return PotentialSpec.harmonic()
-    if text.startswith("linear:"):
-        try:
-            return PotentialSpec((0.0, float(text.split(":", 1)[1])))
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(
-        f"{text!r} is not free, harmonic or linear:<slope>")
+    try:
+        return PotentialSpec.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -142,6 +125,8 @@ def cmd_sample_field(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .evolution import SolverConfig, evolve_pde, reduce_equation
+
     field = _require(read_field(args.infile), MarginalField, "--in")
     coeffs = reduce_equation(args.dyn)
     if args.t == 0.0:
@@ -161,6 +146,12 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from .tomography import (
+        FieldMarginalSource,
+        characteristic_from_marginal,
+        wigner_from_characteristic,
+    )
+
     cfg = _load_config(args.config)
     field = _require(read_field(args.infile), MarginalField, "--in")
     source = FieldMarginalSource(field)
@@ -172,6 +163,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_density_matrix(args) -> int:
+    from .tomography import FieldMarginalSource, density_matrix_from_marginal
+
     cfg = _load_config(args.config)
     field = _require(read_field(args.infile), MarginalField, "--in")
     source = FieldMarginalSource(field)
@@ -184,17 +177,23 @@ def cmd_density_matrix(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    coeffs = reduce_equation(PotentialSpec.from_string(args.potential))
+    from .evolution import reduce_equation
+
+    coeffs = reduce_equation(args.potential)
     print(coeffs.describe())
     return 0
 
 
 def _exact(name: str, measured: float, tol: float, **context) -> CheckResult:
+    from .verify import CheckResult
+
     return CheckResult(name, bool(abs(measured) <= tol), float(measured),
                        tol, context)
 
 
 def _suite_roundtrip(states) -> list[CheckResult]:
+    from .verify import DEFAULT_TOLERANCES, roundtrip_report
+
     results = []
     for label, state in states:
         for res in roundtrip_report(state, tolerances=DEFAULT_TOLERANCES):
@@ -204,6 +203,16 @@ def _suite_roundtrip(states) -> list[CheckResult]:
 
 
 def _suite_evolution(states) -> list[CheckResult]:
+    from .evolution import (
+        DEFAULT_VALID_RADIUS,
+        SolverConfig,
+        evolve_characteristics,
+        evolve_pde,
+        reduce_equation,
+        resolvable_mask,
+    )
+    from .verify import DEFAULT_TOLERANCES, CheckResult
+
     results = []
     free = reduce_equation(PotentialSpec.free())
     rot = reduce_equation(PotentialSpec.harmonic())
@@ -369,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="advance a stored marginal field")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--dyn", type=_potential_arg, required=True,
-                   help="free | harmonic | linear:<slope>")
+                   help='free | harmonic | linear:<slope> | "c0,c1,c2"')
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--solver", choices=["char", "pde"], default="char")
     p.add_argument("--dt", type=float, default=0.01)
@@ -394,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce",
                        help="print the transport terms of a potential")
-    p.add_argument("--potential", required=True,
-                   help='comma-separated coefficients "c0,c1,c2"')
+    p.add_argument("--potential", type=_potential_arg, required=True,
+                   help='free | harmonic | linear:<slope> | "c0,c1,c2"')
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("check", help="run a verification suite")
@@ -420,7 +429,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, NonlocalPotentialError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,16 @@ from scipy.linalg import expm
 from scipy.ndimage import map_coordinates, spline_filter
 from scipy.sparse import csr_array
 
-from .fields import MarginalField, check_uniform, grid_step, uniform_grid
+# PotentialSpec and NonlocalPotentialError live in the numpy-only fields
+# module, so the CLI can parse --dyn without scipy; they stay importable here.
+from .fields import (
+    MarginalField,
+    NonlocalPotentialError,
+    PotentialSpec,
+    check_uniform,
+    grid_step,
+    uniform_grid,
+)
 from .states import DynamicsKind, StateSpec, wigner_evaluator
 
 DEFAULT_MU_GRID = uniform_grid(-1.5, 1.5, 65)
@@ -60,52 +69,6 @@ DEFAULT_VALID_RADIUS = 0.5
 # field a second time and costs more than the longer window does.
 _REMAP_STRETCH = 1.3
 _REMAP_HARD_STRETCH = 1.6
-
-
-class NonlocalPotentialError(ValueError):
-    """The reduced evolution operator is not a differential operator."""
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Polynomial potential V(q) = sum_k coefficients[k] * q**k."""
-
-    coefficients: tuple[float, ...] = (0.0,)
-
-    def __post_init__(self):
-        if len(self.coefficients) == 0:
-            object.__setattr__(self, "coefficients", (0.0,))
-        if not all(np.isfinite(c) for c in self.coefficients):
-            raise ValueError("potential coefficients must be finite")
-
-    @classmethod
-    def free(cls) -> "PotentialSpec":
-        return cls((0.0,))
-
-    @classmethod
-    def linear(cls, c1: float) -> "PotentialSpec":
-        return cls((0.0, float(c1)))
-
-    @classmethod
-    def harmonic(cls) -> "PotentialSpec":
-        return cls((0.0, 0.0, 0.5))
-
-    @classmethod
-    def from_string(cls, text: str) -> "PotentialSpec":
-        """Parse comma-separated coefficients, constant term first."""
-        try:
-            coeffs = tuple(float(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse potential {text!r}") from exc
-        return cls(coeffs)
-
-    @property
-    def degree(self) -> int:
-        deg = 0
-        for k, c in enumerate(self.coefficients):
-            if c != 0.0:
-                deg = k
-        return deg
 
 
 @dataclass(frozen=True)

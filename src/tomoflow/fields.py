@@ -1,4 +1,5 @@
-"""Grid-backed containers shared by the tomography and evolution layers.
+"""Grid-backed containers shared by the tomography and evolution layers,
+and the polynomial potentials that drive the evolution.
 
 Conventions used throughout the package (hbar = 1):
 
@@ -33,7 +34,8 @@ def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def grid_step(grid: np.ndarray) -> float:
-    return float(grid[1] - grid[0])
+    """linspace's own step; grid[1] - grid[0] carries grid[0]'s rounding."""
+    return float((grid[-1] - grid[0]) / (len(grid) - 1))
 
 
 def check_uniform(grid: np.ndarray, name: str = "grid") -> None:
@@ -50,6 +52,62 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+class NonlocalPotentialError(ValueError):
+    """The reduced evolution operator is not a differential operator."""
+
+
+@dataclass(frozen=True)
+class PotentialSpec:
+    """Polynomial potential V(q) = sum_k coefficients[k] * q**k."""
+
+    coefficients: tuple[float, ...] = (0.0,)
+
+    def __post_init__(self):
+        if len(self.coefficients) == 0:
+            object.__setattr__(self, "coefficients", (0.0,))
+        if not all(np.isfinite(c) for c in self.coefficients):
+            raise ValueError("potential coefficients must be finite")
+
+    @classmethod
+    def free(cls) -> "PotentialSpec":
+        return cls((0.0,))
+
+    @classmethod
+    def linear(cls, c1: float) -> "PotentialSpec":
+        return cls((0.0, float(c1)))
+
+    @classmethod
+    def harmonic(cls) -> "PotentialSpec":
+        return cls((0.0, 0.0, 0.5))
+
+    @classmethod
+    def from_string(cls, text: str) -> "PotentialSpec":
+        """Parse free, harmonic, linear:<slope> or "c0,c1,..." (constant
+        term first)."""
+        if text == "free":
+            return cls.free()
+        if text == "harmonic":
+            return cls.harmonic()
+        try:
+            if text.startswith("linear:"):
+                coeffs = (0.0, float(text[len("linear:"):]))
+            else:
+                coeffs = tuple(float(part) for part in text.split(","))
+        except ValueError as exc:
+            raise ValueError(
+                f"cannot parse potential {text!r}: expected free, harmonic, "
+                f"linear:<slope> or comma-separated coefficients") from exc
+        return cls(coeffs)
+
+    @property
+    def degree(self) -> int:
+        deg = 0
+        for k, c in enumerate(self.coefficients):
+            if c != 0.0:
+                deg = k
+        return deg
 
 
 # Default evaluation grids.

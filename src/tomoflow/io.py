@@ -3,15 +3,18 @@
 Layout: line 1 is ``#META {json}``, line 2 the CSV column names, then one
 row per grid point with the first axis outermost.  Coordinates are written
 next to the values so any plotting tool can consume the file directly,
-but the header alone determines the geometry and the reader checks the
-row count against it.  Floats are written in repr's shortest round-trip
-form, so finite doubles survive write/read bit-exactly; JSON arrays in
-the metadata come back as tuples.
+but the header alone determines the geometry: the reader checks the row
+count against it and every row's coordinates against its grid point.
+Floats are written in repr's shortest round-trip form, so finite doubles
+survive write/read bit-exactly; JSON arrays in the metadata come back as
+tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 
 import numpy as np
 
@@ -36,6 +39,9 @@ FIELD_KINDS = {
 }
 
 _META_PREFIX = "#META "
+
+# Rows per write: the body is never held whole (about 60 bytes a row).
+_BLOCK_ROWS = 4096
 
 
 def _axes(field):
@@ -111,17 +117,36 @@ def write_field(field, path, meta: dict | None = None) -> None:
 
     names = [n for n, _ in axes]
     names += ["re_value", "im_value"] if is_complex else ["value"]
-    mesh = np.meshgrid(*[g for _, g in axes], indexing="ij")
-    cols = [m.ravel() for m in mesh]
-    if is_complex:
-        cols += [values.real.ravel(), values.imag.ravel()]
-    else:
-        cols += [values.ravel()]
+    columns = ([values.real.ravel(), values.imag.ravel()] if is_complex
+               else [values.ravel()])
     with open(path, "w") as fh:
         fh.write(_META_PREFIX + json.dumps(header, sort_keys=True) + "\n")
         fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for block in _body_blocks([g for _, g in axes], columns):
+            fh.write(block)
+
+
+def _body_blocks(grids, columns):
+    """The CSV body, _BLOCK_ROWS rows at a time, as the row loop
+
+        for row in zip(*meshgrid(*grids, indexing="ij"), *columns):
+            ",".join(repr(float(v)) for v in row)
+
+    would write it: every coordinate's repr is taken once per grid point,
+    not once per row, and the values go through one tolist per block.
+    """
+    cells = [[repr(v) + "," for v in np.asarray(g, dtype=float).tolist()]
+             for g in grids]
+    outer = ["".join(t) for t in itertools.product(*cells[:-1])]
+    prefixes = (o + c for o in outer for c in cells[-1])
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    for start in range(0, columns[0].size, _BLOCK_ROWS):
+        texts = [map(repr, c[start:start + _BLOCK_ROWS].tolist())
+                 for c in columns]
+        values = texts[0] if len(texts) == 1 else map("{},{}".format, *texts)
+        rows = map(operator.add, itertools.islice(prefixes, _BLOCK_ROWS),
+                   values)
+        yield "\n".join(rows) + "\n"
 
 
 def _scan_body(path, n_cols: int) -> None:
@@ -144,8 +169,41 @@ def _scan_body(path, n_cols: int) -> None:
                     raise ValueError(f"{path}: line {lineno}: {bad} field {part!r}")
 
 
+def _check_coordinates(path, data, grids) -> None:
+    """Raise unless each row's coordinates are its own point of the header
+    grids, bit for bit (shortest repr round-trips), naming the first line
+    that is not."""
+    shape = tuple(g.size for g in grids)
+    wrong = np.zeros(shape, dtype=bool)
+    for k, grid in enumerate(grids):
+        along = [1] * len(grids)
+        along[k] = grid.size
+        wrong |= data[:, k].reshape(shape) != grid.reshape(along)
+    if wrong.any():
+        row = int(np.argmax(wrong.ravel()))
+        point = np.unravel_index(row, shape)
+        found = ",".join(repr(float(v)) for v in data[row, :len(grids)])
+        want = ",".join(repr(float(g[i])) for g, i in zip(grids, point))
+        raise ValueError(f"{path}: line {_body_line(path, row)}: coordinates "
+                         f"{found} are not the header grids' point {want}")
+
+
+def _body_line(path, row: int) -> int:
+    """File line of data row `row`, counting the blank and comment lines
+    np.loadtxt skips."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > 2 and line.split("#", 1)[0].strip():
+                if row == 0:
+                    return lineno
+                row -= 1
+
+
 def read_field(path):
-    """Load a field written by write_field; non-finite values are refused."""
+    """Load a field written by write_field.
+
+    Non-finite values are refused, and so are rows whose coordinates are
+    not their point of the header grids (swapped, reordered or edited)."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith(_META_PREFIX):
@@ -188,6 +246,7 @@ def read_field(path):
     if data.shape[1] != len(expected):
         raise ValueError(f"{path}: {data.shape[1]} columns, expected "
                          f"{len(expected)}")
+    _check_coordinates(path, data, list(grids.values()))
     if is_complex:
         values = (data[:, -2] + 1j * data[:, -1]).reshape(shape)
     else:

@@ -82,6 +82,14 @@ class StateSpec:
 GROUND = StateSpec(StateKind.GROUND)
 EXCITED_FIRST = StateSpec(StateKind.EXCITED_FIRST)
 
+# The named states of the command line and the demo scripts.
+CATALOG = {
+    "ground": GROUND,
+    "excited1": EXCITED_FIRST,
+    "coherent": StateSpec(StateKind.COHERENT, q0=1.2, p0=-0.7),
+    "oddcat": StateSpec(StateKind.ODD_CAT, q0=math.sqrt(2.0), p0=0.0),
+}
+
 
 def cat_normalization(q0: float, p0: float) -> float:
     """Normalization constant of the odd superposition of +-(q0, p0).

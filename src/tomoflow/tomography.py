@@ -243,7 +243,7 @@ def _fourier_rows(rows, freq, y):
     in-block phase, and the sum over b a short complex dot product.
     """
     n = y.size
-    h = (y[-1] - y[0]) / (n - 1)  # linspace's step; y[1] - y[0] is rounded
+    h = grid_step(y)
     block = math.isqrt(n - 1) + 1
     n_blocks = -(-n // block)  # the last block is padded with zeros
     weighted = np.zeros((rows.shape[0], n_blocks * block))

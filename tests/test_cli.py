@@ -5,12 +5,15 @@ through the public io module, so these also exercise format stability.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tomoflow
 import tomoflow.cli as cli
 from tomoflow.cli import main
 from tomoflow.fields import MarginalField, WignerField, uniform_grid
@@ -236,3 +239,48 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "d/dX" in proc.stdout
+
+
+def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):
+    assert main(["reduce", "--potential", "harmonic"]) == 0
+    named = capsys.readouterr().out
+    assert main(["reduce", "--potential", "0,0,0.5"]) == 0
+    assert capsys.readouterr().out == named
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for dyn, out in (("linear:0.4", a), ("0,0.4", b)):
+        assert main(["evolve", "--in", ground_field, "--dyn", dyn,
+                     "--t", "0.3", "--out", str(out)]) == 0
+    assert np.array_equal(read_field(a).values, read_field(b).values)
+    assert main(["reduce", "--potential", "linear:x"]) == 2
+    assert main(["reduce", "--potential", "0,nan"]) == 2
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running code."""
+    src = pathlib.Path(tomoflow.__file__).resolve().parent.parent
+    probe = code + (
+        "\nimport sys\nprint(*(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    return proc.stdout.split()
+
+
+def test_cli_import_and_sample_field_load_no_scipy(tmp_path, small_config):
+    assert scipy_modules_after("import tomoflow.cli") == []
+    out = tmp_path / "f.csv"
+    argv = ["sample-field", "--state", "oddcat", "--config", small_config,
+            "--out", str(out)]
+    assert scipy_modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert isinstance(read_field(out), MarginalField)
+
+
+def test_evolve_loads_no_interpolation_module(tmp_path, ground_field):
+    argv = ["evolve", "--in", ground_field, "--dyn", "free", "--t", "0.5",
+            "--out", str(tmp_path / "e.csv")]
+    loaded = scipy_modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0")
+    assert "scipy.ndimage" in loaded
+    assert "scipy.interpolate" not in loaded

@@ -120,6 +120,13 @@ def test_potential_spec_parsing_and_validation():
         PotentialSpec.from_string("1, spam")
     with pytest.raises(ValueError):
         PotentialSpec((math.nan,))
+    assert PotentialSpec.from_string("free") == PotentialSpec.free()
+    assert PotentialSpec.from_string("harmonic") == PotentialSpec.harmonic()
+    assert PotentialSpec.from_string("linear:-0.25") == PotentialSpec.linear(-0.25)
+    with pytest.raises(ValueError, match="linear:<slope>"):
+        PotentialSpec.from_string("linear:")
+    with pytest.raises(ValueError, match="finite"):
+        PotentialSpec.from_string("0,inf")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tomoflow import io
 from tomoflow.fields import (
     CharacteristicGrid,
     DensityMatrixGrid,
@@ -209,3 +210,144 @@ def test_shortest_repr_floats_survive(tmp_path):
     field = WignerField(q, q, vals)
     write_field(field, tmp_path / "w.csv")
     assert np.array_equal(read_field(tmp_path / "w.csv").values, vals)
+
+
+# -- the block writer against the row loop it replaced ---------------------
+
+GRIDS = {
+    WignerField: lambda f: [f.q_grid, f.p_grid],
+    MarginalSlice: lambda f: [f.x_grid],
+    MarginalField: lambda f: [f.mu_grid, f.nu_grid, f.x_grid],
+    DensityMatrixGrid: lambda f: [f.q_grid, f.q_grid],
+    CharacteristicGrid: lambda f: [f.a_grid, f.b_grid],
+}
+
+
+def row_loop_body(field) -> str:
+    """The CSV body as a loop over meshgrid rows writes it."""
+    mesh = np.meshgrid(*GRIDS[type(field)](field), indexing="ij")
+    cols = [m.ravel() for m in mesh]
+    values = np.asarray(field.values)
+    if np.iscomplexobj(values):
+        cols += [values.real.ravel(), values.imag.ravel()]
+    else:
+        cols += [values.ravel()]
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in zip(*cols))
+
+
+def assert_body_matches_row_loop(field, path):
+    write_field(field, path)
+    header, _, body = path.read_text().split("\n", 2)
+    assert header.startswith("#META ")
+    assert body == row_loop_body(field)
+
+
+def marginal_field_with_rows(n_x: int) -> MarginalField:
+    mu = uniform_grid(-1.0, 1.0, 4)
+    nu = uniform_grid(-1.5, 0.5, 8)
+    x = uniform_grid(-4.0, 4.0, n_x)
+    return MarginalField(mu, nu, x, RNG.standard_normal((4, 8, n_x)))
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_block_writer_matches_row_loop(kind, tmp_path):
+    assert_body_matches_row_loop(FIELDS[kind](), tmp_path / f"{kind}.csv")
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+def test_block_writer_spans_blocks(extra, tmp_path):
+    # 32 rows per x point: exactly two blocks, then two and a part
+    field = marginal_field_with_rows(io._BLOCK_ROWS // 16 + extra)
+    assert (field.values.size % io._BLOCK_ROWS == 0) == (extra == 0)
+    assert_body_matches_row_loop(field, tmp_path / "f.csv")
+
+
+def test_block_writer_extreme_values(tmp_path):
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                         2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 123.0])
+    q = uniform_grid(-1.0, 1.0, specials.size)
+    values = np.add.outer(specials, np.zeros(3))
+    values[:, 1] = specials[::-1]
+    real = WignerField(q, uniform_grid(0.0, 2.0, 3), values)
+    assert_body_matches_row_loop(real, tmp_path / "w.csv")
+    assert "-0.0\n" in (tmp_path / "w.csv").read_text()
+    assert np.array_equal(np.signbit(read_field(tmp_path / "w.csv").values),
+                          np.signbit(values))
+    chi = CharacteristicGrid(q, uniform_grid(0.0, 2.0, 3),
+                             values + 1j * values[::-1])
+    assert_body_matches_row_loop(chi, tmp_path / "c.csv")
+    assert np.array_equal(read_field(tmp_path / "c.csv").values, chi.values)
+
+
+def test_block_writer_long_slice(tmp_path):
+    x = uniform_grid(-9.0, 9.0, 2 * io._BLOCK_ROWS + 5)
+    field = MarginalSlice(TomographyParams(1.0, 0.0), x,
+                          RNG.standard_normal(x.size))
+    assert_body_matches_row_loop(field, tmp_path / "s.csv")
+
+
+# -- the reader checks every row's coordinates ------------------------------
+
+def rewrite_lines(path, edit):
+    lines = _lines(path)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_swapped_rows_name_line(tmp_path):
+    path = tmp_path / "w.csv"
+    write_field(small_wigner(), path)
+
+    def swap(lines):
+        lines[9], lines[10] = lines[10], lines[9]
+    rewrite_lines(path, swap)
+    with pytest.raises(ValueError, match=r"line 10: coordinates "):
+        read_field(path)
+
+
+def test_mismatch_line_counts_skipped_lines(tmp_path):
+    path = tmp_path / "w.csv"
+    write_field(small_wigner(), path)
+
+    def swap_after_blank_and_comment(lines):
+        lines[4:4] = ["", "# a note"]
+        lines[12], lines[13] = lines[13], lines[12]
+    rewrite_lines(path, swap_after_blank_and_comment)
+    with pytest.raises(ValueError, match=r"line 13: coordinates "):
+        read_field(path)
+
+
+def test_coordinate_off_the_grid_names_line(tmp_path):
+    path = tmp_path / "w.csv"
+    write_field(small_wigner(), path)
+
+    def move_q(lines):
+        lines[19] = "9.0," + lines[19].split(",", 1)[1]
+    rewrite_lines(path, move_q)
+    with pytest.raises(ValueError,
+                       match=r"line 20: coordinates 9\.0,\S+ are not"):
+        read_field(path)
+
+
+def test_reordered_block_names_line(tmp_path):
+    path = tmp_path / "f.csv"
+    write_field(small_marginal_field(), path)
+
+    def move_block(lines):
+        # lines 30-40 move behind line 60: every row keeps its values,
+        # so only the coordinates can tell
+        lines[29:60] = lines[40:60] + lines[29:40]
+    rewrite_lines(path, move_block)
+    with pytest.raises(ValueError, match=r"line 30: coordinates "):
+        read_field(path)
+
+
+def test_unmodified_coordinates_pass_bit_for_bit(tmp_path):
+    # grids whose points have no short decimal form
+    q = np.linspace(-np.pi, np.e, 23)
+    p = np.linspace(-1 / 3, 2 / 7, 19)
+    field = WignerField(q, p, RNG.standard_normal((23, 19)))
+    write_field(field, tmp_path / "w.csv")
+    back = read_field(tmp_path / "w.csv")
+    assert np.array_equal(back.q_grid, q) and np.array_equal(back.p_grid, p)
