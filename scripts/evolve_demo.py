@@ -47,13 +47,13 @@ def main() -> int:
     d_grid = uniform_grid(-1.5, 1.5, args.n_dir)
     x_grid = uniform_grid(-8.0, 8.0, args.n_x)
     initial = sample_marginal_field(state, d_grid, d_grid, x_grid)
-    config = SolverConfig(dt=args.dt, t_final=max(args.times))
+    config = SolverConfig(dt=args.dt)
 
     print(f"state={args.state} dyn={args.dyn} grid={args.n_dir}x{args.n_dir}"
           f"x{args.n_x} dt={args.dt}")
     print(f"{'t':>6}  {'max |solver - exact|':>22}  {'resolvable cells':>17}")
 
-    snapshots = evolve_pde(initial, coeffs, config, times=sorted(args.times))
+    snapshots = evolve_pde(initial, coeffs, config, sorted(args.times))
     mu, nu = np.meshgrid(d_grid, d_grid, indexing="ij")
     radius_ok = np.hypot(mu, nu) >= DEFAULT_VALID_RADIUS
     for t, snap in zip(sorted(args.times), snapshots):

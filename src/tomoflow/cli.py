@@ -64,10 +64,16 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _grid(cfg: dict, key: str, lo: float, hi: float, n: int) -> np.ndarray:
-    spec = cfg.get(key, [lo, hi, n])
-    lo, hi, n = float(spec[0]), float(spec[1]), int(spec[2])
-    return uniform_grid(lo, hi, n)
+def _grid(path: str | None, key: str, lo: float, hi: float,
+          n: int) -> np.ndarray:
+    """The [lo, hi, n] grid under key in the --config file, or the default."""
+    spec = _load_config(path).get(key, [lo, hi, n])
+    numbers = isinstance(spec, list) and len(spec) == 3 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec)
+    if not (numbers and float(spec[2]).is_integer()):
+        raise ValueError(f"{path}: {key} must be [lo, hi, n] with an "
+                         f"integral n, got {json.dumps(spec)}")
+    return uniform_grid(float(spec[0]), float(spec[1]), int(spec[2]))
 
 
 def _state(args) -> StateSpec:
@@ -86,8 +92,7 @@ def _require(field, cls, flag: str):
 
 
 def cmd_state_wigner(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _grid(cfg, "wigner_grid", -4.0, 4.0, 129)
+    grid = _grid(args.config, "wigner_grid", -4.0, 4.0, 129)
     state = _state(args)
     field = sample_wigner_field(state, grid, grid, t=args.t,
                                 dyn=DynamicsKind(args.dyn))
@@ -98,8 +103,7 @@ def cmd_state_wigner(args) -> int:
 
 
 def cmd_marginal(args) -> int:
-    cfg = _load_config(args.config)
-    x_grid = _grid(cfg, "slice_x_grid", -10.0, 10.0, 1001)
+    x_grid = _grid(args.config, "slice_x_grid", -10.0, 10.0, 1001)
     state = _state(args)
     params = TomographyParams(args.mu, args.nu, args.delta)
     field = marginal_slice(state, params, x_grid, t=args.t,
@@ -112,9 +116,8 @@ def cmd_marginal(args) -> int:
 
 
 def cmd_sample_field(args) -> int:
-    cfg = _load_config(args.config)
-    d = _grid(cfg, "direction_grid", -1.5, 1.5, 65)
-    x_grid = _grid(cfg, "x_grid", -8.0, 8.0, 257)
+    d = _grid(args.config, "direction_grid", -1.5, 1.5, 65)
+    x_grid = _grid(args.config, "x_grid", -8.0, 8.0, 257)
     state = _state(args)
     field = sample_marginal_field(state, d, d, x_grid, t=args.t,
                                   dyn=DynamicsKind(args.dyn))
@@ -131,14 +134,10 @@ def cmd_evolve(args) -> int:
     coeffs = reduce_equation(args.dyn)
     if args.t == 0.0:
         result = field
-    elif args.solver == "char":
-        # single exact backtrace of the whole span, one grid resample
-        config = SolverConfig(dt=args.t, t_final=args.t,
-                              remap_interval=args.t)
-        result = evolve_pde(field, coeffs, config)
     else:
-        config = SolverConfig(dt=args.dt, t_final=args.t)
-        result = evolve_pde(field, coeffs, config)
+        # char: one dt spans the run, so one exact backtrace and resample
+        dt = args.t if args.solver == "char" else args.dt
+        result, = evolve_pde(field, coeffs, SolverConfig(dt=dt), [args.t])
     write_field(result, args.out, meta={
         "command": "evolve", "solver": args.solver, "t": args.t,
         "dt": args.dt, "potential": coeffs.potential.coefficients})
@@ -152,11 +151,10 @@ def cmd_invert(args) -> int:
         wigner_from_characteristic,
     )
 
-    cfg = _load_config(args.config)
+    grid = _grid(args.config, "wigner_grid", -4.0, 4.0, 129)
     field = _require(read_field(args.infile), MarginalField, "--in")
     source = FieldMarginalSource(field)
     chi = characteristic_from_marginal(source)
-    grid = _grid(cfg, "wigner_grid", -4.0, 4.0, 129)
     wigner = wigner_from_characteristic(chi, grid, grid)
     write_field(wigner, args.out, meta={"command": "invert"})
     return 0
@@ -165,10 +163,9 @@ def cmd_invert(args) -> int:
 def cmd_density_matrix(args) -> int:
     from .tomography import FieldMarginalSource, density_matrix_from_marginal
 
-    cfg = _load_config(args.config)
+    q_grid = _grid(args.config, "density_grid", -5.0, 5.0, 65)
     field = _require(read_field(args.infile), MarginalField, "--in")
     source = FieldMarginalSource(field)
-    q_grid = _grid(cfg, "density_grid", -5.0, 5.0, 65)
     config = ReconstructionConfig(s=args.s)
     dm = density_matrix_from_marginal(source, q_grid, config)
     write_field(dm, args.out, meta={"command": "density-matrix",
@@ -250,7 +247,7 @@ def _suite_evolution(states) -> list[CheckResult]:
     state = CATALOG["ground"]
     f0 = sample_marginal_field(state, d, d, xg)
     t = 0.4
-    snap = evolve_pde(f0, free, SolverConfig(t_final=t))
+    snap, = evolve_pde(f0, free, SolverConfig(), [t])
     ref = sample_marginal_field(state, d, d, xg, t=t, dyn=DynamicsKind.FREE)
     mu, nu = np.meshgrid(d, d, indexing="ij")
     mask = ((np.hypot(mu, nu) >= DEFAULT_VALID_RADIUS)

@@ -21,7 +21,7 @@ accelerated packets exactly.
 
 The grid solver `evolve_pde` offers two schemes.  SemiLagrangian traces
 the affine flow back one step exactly and resamples by cubic spline,
-rescaling every lookup to a reference annulus |(mu, nu)| in r_ref_range
+rescaling every lookup to a fixed reference annulus of |(mu, nu)|
 through the exact scaling identity; this sidesteps both box outflow (the
 flow may leave any finite (mu, nu) box) and the 1/r sharpening of the
 marginal near the degenerate direction.  Upwind is a plain first-order
@@ -61,14 +61,30 @@ DEFAULT_EVOLUTION_X_GRID = uniform_grid(-8.0, 8.0, 257)
 # X-cells); solver output there is excluded from comparisons.
 DEFAULT_VALID_RADIUS = 0.5
 
-# Adaptive remap cadence: flush the SemiLagrangian window before its
-# direction map stretches any unit vector by more than the soft factor.
-# A window already at the soft limit may still run through to the next
-# snapshot within the hard factor; flushing twice in quick succession
-# (a full window plus a sliver) reads the freshly stored, most sheared
-# field a second time and costs more than the longer window does.
+# Adaptive remap cadence.  The backward characteristic map composes
+# exactly across dt steps (the generator is affine), and each grid
+# resample costs one spline interpolation error, so the SemiLagrangian
+# scheme resamples only at snapshots and when a window's direction map
+# would stretch some unit vector by more than the soft factor: rotations
+# run snapshot to snapshot in one window, shears remap before the grid
+# data decorrelates.  A window already at the soft limit may still run
+# through to the next snapshot within the hard factor; flushing twice in
+# quick succession (a full window plus a sliver) reads the freshly
+# stored, most sheared field a second time and costs more than the
+# longer window does.
 _REMAP_STRETCH = 1.3
 _REMAP_HARD_STRETCH = 1.6
+
+# Reference annulus of the SemiLagrangian scaled-frame lookups.  A thin
+# band high in the direction box minimizes the arc spacing h/r that sets
+# the band's own error accumulation, but its top edge must stay several
+# cells clear of the box edge or the cubic stencil picks up boundary
+# flattening; (1.2, 1.3) balances the two on the default +-1.5 box.
+_R_REF_RANGE = (1.2, 1.3)
+
+# Largest CFL number the upwind scheme accepts; donor-cell differencing
+# is stable up to 1.
+_MAX_CFL = 0.9
 
 
 @dataclass(frozen=True)
@@ -273,49 +289,19 @@ class Scheme(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid-solver plan for evolve_pde.
+    """Grid-solver plan for evolve_pde: the scheme and its time step.
 
-    r_ref_range bounds the reference annulus used by the SemiLagrangian
-    scaled-frame lookups.  A thin band high in the direction box minimizes
-    the arc spacing h/r that sets the band's own error accumulation, but
-    its top edge must stay several cells clear of the box edge or the
-    cubic stencil picks up boundary flattening; (1.2, 1.3) balances the
-    two on the default +-1.5 box.
-
-    remap_interval sets how much time may pass between grid resamples of
-    the SemiLagrangian scheme.  The backward characteristic map composes
-    exactly across dt steps (the generator is affine), so nothing forces
-    a resample every step; each resample costs one spline interpolation
-    error, and fewer resamples accumulate less of it.  Snapshot instants
-    always force a resample.  The default None picks the cadence
-    adaptively, resampling just before the window's direction map would
-    stretch any unit vector beyond a fixed factor: pure rotations
-    (harmonic flow) then run snapshot to snapshot in one window, while
-    shears and expansions remap before grid data decorrelates.  The
-    upwind scheme steps by dt regardless.
+    The SemiLagrangian scheme resamples at snapshots and at the adaptive
+    remap cadence, whose window boundaries fall on multiples of dt past
+    the last snapshot; the upwind scheme steps by dt under a CFL guard.
     """
 
     scheme: Scheme = Scheme.SEMILAGRANGIAN
     dt: float = 0.01
-    t_final: float = 1.0
-    scaled_frame: bool = True
-    r_ref_range: tuple[float, float] = (1.2, 1.3)
-    max_cfl: float = 0.9
-    remap_interval: "float | None" = None
 
     def __post_init__(self):
         if self.dt <= 0.0 or not np.isfinite(self.dt):
-            raise ValueError("dt must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
-        if self.remap_interval is not None and not (
-                0.0 < self.remap_interval < math.inf):
-            raise ValueError("remap_interval must be positive or None")
-        lo, hi = self.r_ref_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("r_ref_range must satisfy 0 < lo <= hi")
-        if not (0.0 < self.max_cfl <= 1.0):
-            raise ValueError("max_cfl must lie in (0, 1]")
+            raise ValueError("dt must be positive and finite")
 
 
 # Lookups per chunk of the X stage; bounds the transient tap arrays.
@@ -363,8 +349,8 @@ class _SLPlan:
     out_frac: float
 
 
-def _semilagrangian_plan(field: MarginalField, gen: np.ndarray, dt: float,
-                         config: SolverConfig) -> _SLPlan:
+def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
+                         dt: float) -> _SLPlan:
     """Taps, lookup classes and outflow of one backward step of size dt."""
     back = expm(-gen * dt)
     grids = (field.mu_grid, field.nu_grid, field.x_grid)
@@ -388,18 +374,14 @@ def _semilagrangian_plan(field: MarginalField, gen: np.ndarray, dt: float,
     shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
     x_d = back[0, 0] * field.x_grid + shift[:, None]
     x_edge = min(-field.x_grid[0], field.x_grid[-1])
-    if config.scaled_frame:
-        r_d = np.hypot(mu_d, nu_d)
-        r_ref = np.clip(r_d, config.r_ref_range[0], config.r_ref_range[1])
-        inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
-        # Inflating a lookup (inv > 1) also inflates its X coordinate; cap
-        # the inflation so no lookup leaves the X box, falling back toward
-        # a plain (unscaled) read rather than a boundary substitute.
-        with np.errstate(divide="ignore"):
-            cap = np.maximum(1.0, x_edge / np.abs(x_d))
-    else:
-        inv = np.ones_like(mu_d)
-        cap = np.full(x_d.shape, np.inf)
+    r_d = np.hypot(mu_d, nu_d)
+    r_ref = np.clip(r_d, *_R_REF_RANGE)
+    inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
+    # Inflating a lookup (inv > 1) also inflates its X coordinate; cap
+    # the inflation so no lookup leaves the X box, falling back toward
+    # a plain (unscaled) read rather than a boundary substitute.
+    with np.errstate(divide="ignore"):
+        cap = np.maximum(1.0, x_edge / np.abs(x_d))
     capped = inv[:, None] > cap
 
     a = index(mu_d * inv, 0)
@@ -504,16 +486,15 @@ def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray):
     return rhs
 
 
-def _check_cfl(field: MarginalField, gen: np.ndarray, dt: float,
-               max_cfl: float) -> float:
+def _check_cfl(field: MarginalField, gen: np.ndarray, dt: float) -> float:
     mu_max = float(np.max(np.abs(field.mu_grid)))
     nu_max = float(np.max(np.abs(field.nu_grid)))
     bound = lambda row: abs(gen[row, 1]) * mu_max + abs(gen[row, 2]) * nu_max
     cfl = dt * (bound(1) / grid_step(field.mu_grid)
                 + bound(2) / grid_step(field.nu_grid)
                 + bound(0) / grid_step(field.x_grid))
-    if cfl > max_cfl:
-        raise ValueError(f"CFL number {cfl:.3f} exceeds limit {max_cfl}")
+    if cfl > _MAX_CFL:
+        raise ValueError(f"CFL number {cfl:.3f} exceeds limit {_MAX_CFL}")
     return cfl
 
 
@@ -533,18 +514,19 @@ def _split_span(span: float, dt: float) -> tuple[int, float]:
 
 def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                config: SolverConfig,
-               times: "list[float] | None" = None):
+               times: list[float]) -> list[MarginalField]:
     """Advance a marginal field on its grid; exact affine backtracing.
 
-    Returns the field at config.t_final, or a list of fields at ``times``
-    (nondecreasing, <= t_final is not required; the last entry defines the
-    end of integration).  Snapshot instants are hit exactly with a partial
-    step, which costs the SemiLagrangian scheme nothing.  Each snapshot's
-    meta["sl_windows"] lists the lengths of the SemiLagrangian windows
-    resampled since t = 0.
+    Returns the list of fields at ``times`` (finite, nondecreasing and
+    >= 0; the last entry is the end of integration).  Snapshot instants
+    are hit exactly with a partial step, which costs the SemiLagrangian
+    scheme nothing.  Each snapshot's meta["sl_windows"] lists the lengths
+    of the SemiLagrangian windows resampled since t = 0.
     """
     gen = coeffs.generator_matrix()
-    snapshot_times = [config.t_final] if times is None else [float(t) for t in times]
+    snapshot_times = [float(t) for t in times]
+    if not all(math.isfinite(t) for t in snapshot_times):
+        raise ValueError(f"snapshot times must be finite, got {snapshot_times}")
     if any(t < 0 for t in snapshot_times) or any(
             b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be nondecreasing and >= 0")
@@ -562,7 +544,7 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
         length = steps * config.dt + partial
         plan = plan_cache.get((steps, partial))
         if plan is None:
-            plan = _semilagrangian_plan(initial, gen, length, config)
+            plan = _semilagrangian_plan(initial, gen, length)
             plan_cache[(steps, partial)] = plan
         if plan.out_frac > 1e-3:
             warnings.add(f"boundary outflow: {plan.out_frac:.2%} of backtraced "
@@ -571,18 +553,15 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
         windows.append(length)
 
     if config.scheme == Scheme.UPWIND:
-        _check_cfl(initial, gen, config.dt, config.max_cfl)
+        _check_cfl(initial, gen, config.dt)
     initial_mass = float(np.sum(np.abs(initial.values)))
 
     def stretch(span: float) -> float:
         return float(np.linalg.norm(expm(-gen * span)[1:, 1:], 2))
 
     def must_flush(span_next: float, span_to_target: float) -> bool:
-        if config.remap_interval is not None:
-            return span_next > config.remap_interval + 1e-12
-        if stretch(span_next) <= _REMAP_STRETCH:
-            return False
-        return stretch(span_to_target) > _REMAP_HARD_STRETCH
+        return (stretch(span_next) > _REMAP_STRETCH
+                and stretch(span_to_target) > _REMAP_HARD_STRETCH)
 
     t_now = 0.0
     for target in snapshot_times:
@@ -616,4 +595,4 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
         out.append(MarginalField(initial.mu_grid, initial.nu_grid,
                                  initial.x_grid, values.astype(float),
                                  tuple(sorted(warnings)), meta))
-    return out[0] if times is None else out
+    return out

@@ -17,12 +17,8 @@ All grids are uniform and ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-
-MarginalEvaluator = Callable[..., np.ndarray]
-WignerEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -113,18 +109,6 @@ class PotentialSpec:
 # Default evaluation grids.
 DEFAULT_X_GRID = uniform_grid(-10.0, 10.0, 1024)
 DEFAULT_PHASE_GRID = uniform_grid(-6.0, 6.0, 241)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A single phase-space point (q, p)."""
-
-    q: float
-    p: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.q) and np.isfinite(self.p)):
-            raise ValueError("phase-space coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -225,14 +209,6 @@ class MarginalField:
         """Cells whose direction norm exceeds min_radius (and is nonzero)."""
         r = self.radius()
         return r > max(min_radius, 0.0)
-
-    def slice_at(self, i: int, j: int, delta: float = 0.0) -> MarginalSlice:
-        """Extract one cell; nonzero delta applies the shift identity."""
-        params = TomographyParams(float(self.mu_grid[i]), float(self.nu_grid[j]), delta)
-        vals = self.values[i, j]
-        if delta != 0.0:
-            vals = np.interp(self.x_grid - delta, self.x_grid, vals, left=0.0, right=0.0)
-        return MarginalSlice(params, self.x_grid, vals)
 
     def cell_normalizations(self) -> np.ndarray:
         return np.trapezoid(self.values, self.x_grid, axis=2)

@@ -213,6 +213,9 @@ def read_field(path):
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line 1: malformed {_META_PREFIX.strip()}"
                              f" header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: line 1: {_META_PREFIX.strip()} header "
+                             f"is not a JSON object")
         version = header.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"{path}: unsupported schema_version {version!r}"
@@ -220,8 +223,14 @@ def read_field(path):
         kind = header.get("field_kind")
         if kind not in FIELD_KINDS.values():
             raise ValueError(f"{path}: unknown field_kind {kind!r}")
-        axis_names = header.get("axes", list(header["grids"]))
-        grids = {name: np.asarray(header["grids"][name], dtype=float)
+        header_grids = header.get("grids")
+        if not isinstance(header_grids, dict):
+            raise ValueError(f"{path}: header has no grids")
+        axis_names = header.get("axes", list(header_grids))
+        missing = [name for name in axis_names if name not in header_grids]
+        if missing:
+            raise ValueError(f"{path}: axes {missing} have no header grid")
+        grids = {name: np.asarray(header_grids[name], dtype=float)
                  for name in axis_names}
         is_complex = bool(header.get("complex"))
         names = fh.readline().rstrip("\n").split(",")

@@ -39,7 +39,6 @@ from .fields import (
     DEFAULT_X_GRID,
     MarginalField,
     MarginalSlice,
-    PhasePoint,
     TomographyParams,
     WignerField,
     check_uniform,
@@ -192,11 +191,8 @@ def wigner_evaluator(state: StateSpec, t: float = 0.0,
 
 def wigner_eval(state: StateSpec, point, t: float = 0.0,
                 dyn: DynamicsKind = DynamicsKind.STATIC):
-    """Evaluate the Wigner function at a PhasePoint or (q, p) arrays."""
-    if isinstance(point, PhasePoint):
-        q, p = point.q, point.p
-    else:
-        q, p = point
+    """Evaluate the Wigner function at a (q, p) pair of scalars or arrays."""
+    q, p = point
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):

@@ -45,6 +45,10 @@ from .fields import (
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_Y_GRID = uniform_grid(-12.0, 12.0, 1201)
+# Arc length l of every Radon line integral, in absolute phase-space units
+# (step 0.04): wide enough for the catalog states' Wigner functions to
+# vanish at its ends.
+_LINE_GRID = np.linspace(-8.0, 8.0, 401)
 MU_EDGE_LIMIT = 1e-5  # largest |F| at the mu_range ends, relative to max |F|
 
 
@@ -67,35 +71,44 @@ def _as_wigner_callable(wigner):
     return wigner_field_sampler(wigner) if isinstance(wigner, WignerField) else wigner
 
 
+def _line_integrals(sample, phis, y) -> np.ndarray:
+    """Unit-direction marginal rows, one per angle in phis:
+
+        (1/2pi) Int W(y cos phi - l sin phi, y sin phi + l cos phi) dl
+
+    by the trapezoid rule over _LINE_GRID.  ``y`` is one abscissa row shared
+    by all angles or one row per angle.
+    """
+    y = np.broadcast_to(y, (len(phis), np.shape(y)[-1]))
+    table = np.empty(y.shape)
+    for k, phi in enumerate(phis):
+        c, s = math.cos(phi), math.sin(phi)
+        q = y[k][:, None] * c - _LINE_GRID[None, :] * s
+        p = y[k][:, None] * s + _LINE_GRID[None, :] * c
+        table[k] = np.trapezoid(sample(q, p), _LINE_GRID, axis=1) / TWO_PI
+    return table
+
+
 def radon_marginal(wigner, params: TomographyParams,
-                   x_grid: np.ndarray | None = None, *,
-                   line_half_width: float = 8.0,
-                   line_step: float = 0.02) -> MarginalSlice:
+                   x_grid: np.ndarray | None = None) -> MarginalSlice:
     """Project a Wigner function onto the marginal of mu q + nu p + delta.
 
     ``wigner`` is a callable W(q, p) or a WignerField (sampled bilinearly,
-    zero outside its box).  The line integral runs over arc length l in
-    [-line_half_width, line_half_width]; both limits are in absolute
-    phase-space units, independent of the direction norm.
+    zero outside its box).  The unit-direction row at y = (X - delta) / r
+    is divided by r (scaling law).
     """
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
     r = params.r
     if r == 0.0:
         raise ValueError("degenerate direction: mu and nu both zero")
-    sample = _as_wigner_callable(wigner)
-    n = 2 * int(math.ceil(line_half_width / line_step)) + 1
-    line = np.linspace(-line_half_width, line_half_width, n)
-    y = (x_grid - params.delta) / (r * r)
-    q = y[:, None] * params.mu - line[None, :] * (params.nu / r)
-    p = y[:, None] * params.nu + line[None, :] * (params.mu / r)
-    values = np.trapezoid(sample(q, p), line, axis=1) / (TWO_PI * r)
-    return MarginalSlice(params, x_grid, values)
+    row = _line_integrals(_as_wigner_callable(wigner),
+                          [math.atan2(params.nu, params.mu)],
+                          (x_grid - params.delta) / r)[0]
+    return MarginalSlice(params, x_grid, row / r)
 
 
 def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
-                               x_grid: np.ndarray, *,
-                               line_half_width: float = 8.0,
-                               line_step: float = 0.04) -> MarginalField:
+                               x_grid: np.ndarray) -> MarginalField:
     """Radon-project a Wigner function over a whole (mu, nu, X) box.
 
     Cost grows as n_mu * n_nu * n_x * n_line; intended for moderate grids.
@@ -104,16 +117,15 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
-    values = np.zeros((mu_grid.size, nu_grid.size, x_grid.size))
-    for i, mu in enumerate(mu_grid):
-        for j, nu in enumerate(nu_grid):
-            if mu == 0.0 and nu == 0.0:
-                continue
-            sl = radon_marginal(wigner, TomographyParams(mu, nu), x_grid,
-                                line_half_width=line_half_width,
-                                line_step=line_step)
-            values[i, j] = sl.values
-    return MarginalField(mu_grid, nu_grid, x_grid, values)
+    r = np.hypot(mu_grid[:, None], nu_grid[None, :]).ravel()
+    phis = np.arctan2(nu_grid[None, :], mu_grid[:, None]).ravel()
+    cells = r > 0.0
+    values = np.zeros((r.size, x_grid.size))
+    values[cells] = _line_integrals(
+        _as_wigner_callable(wigner), phis[cells],
+        x_grid / r[cells, None]) / r[cells, None]
+    return MarginalField(mu_grid, nu_grid, x_grid,
+                         values.reshape(mu_grid.size, nu_grid.size, -1))
 
 
 class UnitSliceSource:
@@ -160,60 +172,42 @@ class RadonMarginalEvaluator(UnitSliceSource):
     """Marginal source backed by Radon projections of a Wigner function."""
 
     def __init__(self, wigner, *, n_phi: int = 360,
-                 y_grid: np.ndarray | None = None,
-                 line_half_width: float = 8.0, line_step: float = 0.04):
+                 y_grid: np.ndarray | None = None):
         self.y_grid = DEFAULT_Y_GRID if y_grid is None else np.asarray(y_grid, dtype=float)
         check_uniform(self.y_grid, "y_grid")
         if n_phi < 8:
             raise ValueError("n_phi too small for stable interpolation")
-        sample = _as_wigner_callable(wigner)
         phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-        n = 2 * int(math.ceil(line_half_width / line_step)) + 1
-        line = np.linspace(-line_half_width, line_half_width, n)
-        table = np.empty((n_phi, self.y_grid.size))
-        for k, phi in enumerate(phi_grid):
-            c, s = math.cos(phi), math.sin(phi)
-            q = self.y_grid[:, None] * c - line[None, :] * s
-            p = self.y_grid[:, None] * s + line[None, :] * c
-            table[k] = np.trapezoid(sample(q, p), line, axis=1) / TWO_PI
-        self._build(phi_grid, table)
+        self._build(phi_grid, _line_integrals(_as_wigner_callable(wigner),
+                                              phi_grid, self.y_grid))
 
 
 class FieldMarginalSource(UnitSliceSource):
     """Marginal source backed by a stored MarginalField grid.
 
-    Unit slices are read off the field along a circle of working_radius
-    (bicubic in the direction plane, at the field's own X nodes, so no X
-    interpolation enters) and rescaled to radius 1.  The field's box must
-    surround the origin with some margin; the default working radius
-    stays inside the box corner-to-edge.
+    Unit slices at 360 angles are read off the field along the circle of
+    radius 0.75 * reach, reach being the distance from the origin to the
+    nearest box edge (bicubic in the direction plane, at the field's own
+    X nodes, so no X interpolation enters), and rescaled to radius 1.
     """
 
-    def __init__(self, field: MarginalField, *, n_phi: int = 360,
-                 working_radius: float | None = None):
-        if n_phi < 8:
-            raise ValueError("n_phi too small for stable interpolation")
+    def __init__(self, field: MarginalField):
         reach = min(field.mu_grid[-1], -field.mu_grid[0],
                     field.nu_grid[-1], -field.nu_grid[0])
         if not reach > 0.0:
             raise ValueError("field box must surround the origin")
-        if working_radius is None:
-            working_radius = 0.75 * reach
-        if not 0.0 < working_radius <= reach:
-            raise ValueError("working_radius must lie inside the box")
-        self.working_radius = float(working_radius)
-        self.y_grid = field.x_grid / self.working_radius
-        phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-        mu = self.working_radius * np.cos(phi_grid)
-        nu = self.working_radius * np.sin(phi_grid)
-        coords = np.empty((2, n_phi))
-        coords[0] = (mu - field.mu_grid[0]) / grid_step(field.mu_grid)
-        coords[1] = (nu - field.nu_grid[0]) / grid_step(field.nu_grid)
-        table = np.empty((n_phi, field.x_grid.size))
+        radius = float(0.75 * reach)
+        self.y_grid = field.x_grid / radius
+        phi_grid = np.linspace(0.0, TWO_PI, 360, endpoint=False)
+        mu0, nu0 = field.mu_grid[0], field.nu_grid[0]
+        coords = np.stack([
+            (radius * np.cos(phi_grid) - mu0) / grid_step(field.mu_grid),
+            (radius * np.sin(phi_grid) - nu0) / grid_step(field.nu_grid)])
+        table = np.empty((phi_grid.size, field.x_grid.size))
         for k in range(field.x_grid.size):
             table[:, k] = map_coordinates(field.values[:, :, k], coords,
                                           order=3, mode="nearest")
-        table *= self.working_radius
+        table *= radius
         self._build(phi_grid, table)
 
 

@@ -146,7 +146,7 @@ def test_criterion_04_commuting_square():
                                      float(np.abs(got - want).max()))
             coeffs = reduce_equation(potential)
             f0 = sample_marginal_field(state, d_grid, d_grid, x_grid)
-            snaps = evolve_pde(f0, coeffs, SolverConfig(), times=list(times))
+            snaps = evolve_pde(f0, coeffs, SolverConfig(), list(times))
             for t, snap in zip(times, snaps):
                 ref = sample_marginal_field(state, d_grid, d_grid, x_grid,
                                             t=t, dyn=dyn)
@@ -219,8 +219,8 @@ def test_criterion_06_excited_state_stationarity():
     x_grid = uniform_grid(-8.0, 8.0, 257)
     f0 = sample_marginal_field(EXCITED, d_grid, d_grid, x_grid)
     period = 2.0 * math.pi
-    snap = evolve_pde(f0, reduce_equation(PotentialSpec.harmonic()),
-                      SolverConfig(t_final=period))
+    snap, = evolve_pde(f0, reduce_equation(PotentialSpec.harmonic()),
+                       SolverConfig(), [period])
     mu_mesh, nu_mesh = np.meshgrid(d_grid, d_grid, indexing="ij")
     mask = (np.hypot(mu_mesh, nu_mesh) >= DEFAULT_VALID_RADIUS)[:, :, None]
     pde_drift = float(np.where(mask, np.abs(snap.values - f0.values),
@@ -322,8 +322,7 @@ def _convergence_error(scheme: Scheme, n_dir: int, n_x: int,
     x_grid = uniform_grid(-6.0, 6.0, n_x)
     coeffs = reduce_equation(PotentialSpec.free())
     f0 = sample_marginal_field(GROUND, d_grid, d_grid, x_grid)
-    snap = evolve_pde(f0, coeffs, SolverConfig(scheme=scheme, dt=dt,
-                                               t_final=t))
+    snap, = evolve_pde(f0, coeffs, SolverConfig(scheme=scheme, dt=dt), [t])
     ref = sample_marginal_field(GROUND, d_grid, d_grid, x_grid, t=t,
                                 dyn=DynamicsKind.FREE)
     mu_mesh, nu_mesh = np.meshgrid(d_grid, d_grid, indexing="ij")

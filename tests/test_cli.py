@@ -116,6 +116,29 @@ def test_config_overrides_grid(tmp_path, small_config):
     assert read_field(out).q_grid.size == 65
 
 
+@pytest.mark.parametrize("entry", [5, [-1.5, 1.5], [-1.5, 1.5, 16.7],
+                                   [-1.5, 1.5, "33"], [-1.5, 1.5, True],
+                                   [-1.5, 1.5, 33, 0]])
+def test_config_grid_entry_must_be_lo_hi_n(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"direction_grid": entry}))
+    assert main(["sample-field", "--state", "ground", "--config", str(path),
+                 "--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "bad.json: direction_grid must be [lo, hi, n]" in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_config_grid_accepts_integral_float_n(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"wigner_grid": [-4.0, 4.0, 33.0]}))
+    out = tmp_path / "w.csv"
+    assert main(["state-wigner", "--state", "ground", "--config", str(path),
+                 "--out", str(out)]) == 0
+    assert read_field(out).q_grid.size == 33
+
+
 def test_evolve_char_matches_analytic(tmp_path, ground_field):
     out = tmp_path / "e.csv"
     assert main(["evolve", "--in", ground_field, "--dyn", "free",
@@ -168,6 +191,17 @@ def test_evolve_input_validation(tmp_path, ground_field, capsys):
     assert main(["evolve", "--in", str(tmp_path / "missing.csv"),
                  "--dyn", "free", "--t", "1",
                  "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("solver", ["pde", "char"])
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_evolve_rejects_non_finite_time(tmp_path, ground_field, capsys,
+                                        solver, t):
+    assert main(["evolve", "--in", ground_field, "--dyn", "free", "--t", t,
+                 "--solver", solver, "--out", str(tmp_path / "e.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_invert_recovers_wigner(tmp_path, ground_field, small_config):

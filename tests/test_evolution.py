@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -331,7 +335,7 @@ def test_pde_time_zero_snapshot_is_identity():
                                uniform_grid(-1.5, 1.5, 17),
                                uniform_grid(-6.0, 6.0, 65))
     coeffs = reduce_equation(PotentialSpec.free())
-    snap, = evolve_pde(f0, coeffs, SolverConfig(t_final=1.0), times=[0.0])
+    snap, = evolve_pde(f0, coeffs, SolverConfig(), [0.0])
     assert np.array_equal(snap.values, f0.values)
 
 
@@ -340,7 +344,7 @@ def test_pde_free_short_time_accuracy_and_invariants():
     t = 0.5
     f0 = sample_marginal_field(state, **SHORT_GRIDS)
     coeffs = reduce_equation(PotentialSpec.free())
-    snap = evolve_pde(f0, coeffs, SolverConfig(t_final=t))
+    snap, = evolve_pde(f0, coeffs, SolverConfig(), [t])
     err, mask = masked_error(state, DynamicsKind.FREE, PotentialSpec.free(),
                              snap, f0, t)
     assert np.abs(err).max() <= 1e-3
@@ -356,7 +360,7 @@ def test_pde_harmonic_quarter_period():
     t = 0.5 * math.pi
     f0 = sample_marginal_field(state, **SHORT_GRIDS)
     coeffs = reduce_equation(PotentialSpec.harmonic())
-    snap = evolve_pde(f0, coeffs, SolverConfig(t_final=t))
+    snap, = evolve_pde(f0, coeffs, SolverConfig(), [t])
     err, mask = masked_error(state, DynamicsKind.HARMONIC,
                              PotentialSpec.harmonic(), snap, f0, t)
     assert np.abs(err).max() <= 1e-3
@@ -371,7 +375,7 @@ def test_pde_cat_marginal_stays_nonnegative_on_fine_x():
     f0 = sample_marginal_field(state, DEFAULT_MU_GRID, DEFAULT_NU_GRID,
                                uniform_grid(-8.0, 8.0, 513))
     coeffs = reduce_equation(PotentialSpec.free())
-    snap = evolve_pde(f0, coeffs, SolverConfig(t_final=t))
+    snap, = evolve_pde(f0, coeffs, SolverConfig(), [t])
     err, mask = masked_error(state, DynamicsKind.FREE, PotentialSpec.free(),
                              snap, f0, t)
     assert np.abs(err).max() <= 1e-3
@@ -382,22 +386,22 @@ def test_pde_snapshots_concatenate_exactly():
     f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 33),
                                uniform_grid(-1.5, 1.5, 33),
                                uniform_grid(-6.0, 6.0, 129))
-    coeffs = reduce_equation(PotentialSpec.harmonic())
-    # remap cadence aligned with the snapshot, so both runs resample at
-    # the same instants and agree to rounding
-    cfg = SolverConfig(dt=0.05, t_final=0.6, remap_interval=0.15)
-    one = evolve_pde(f0, coeffs, cfg)
-    pair = evolve_pde(f0, coeffs, cfg, times=[0.3, 0.6])
-    assert len(pair) == 2
-    assert np.allclose(pair[1].values, one.values, atol=1e-14)
-    assert pair[0].meta["time"] == pytest.approx(0.3)
-    assert pair[1].meta["time"] == pytest.approx(0.6)
+    cfg = SolverConfig(dt=0.05)
+    # windows restart at each snapshot, so a run restarted from the
+    # t = 0.3 snapshot resamples at the same instants as the run through it
+    for potential in (PotentialSpec.harmonic(), PotentialSpec.free()):
+        coeffs = reduce_equation(potential)
+        pair = evolve_pde(f0, coeffs, cfg, [0.3, 0.6])
+        assert len(pair) == 2
+        assert pair[0].meta["time"] == pytest.approx(0.3)
+        assert pair[1].meta["time"] == pytest.approx(0.6)
+        restart, = evolve_pde(pair[0], coeffs, cfg, [0.3])
+        assert np.array_equal(restart.values, pair[1].values)
     # an extra mid-run snapshot may shift adaptive window boundaries but
     # must stay within the scheme's own resample error on this half-step grid
-    free_cfg = SolverConfig(t_final=0.6)
-    one = evolve_pde(f0, reduce_equation(PotentialSpec.free()), free_cfg)
-    pair = evolve_pde(f0, reduce_equation(PotentialSpec.free()), free_cfg,
-                      times=[0.3, 0.6])
+    free = reduce_equation(PotentialSpec.free())
+    one, = evolve_pde(f0, free, SolverConfig(), [0.6])
+    pair = evolve_pde(f0, free, SolverConfig(), [0.3, 0.6])
     assert np.abs(pair[1].values - one.values).max() <= 5e-4
 
 
@@ -405,10 +409,9 @@ def test_pde_warns_on_boundary_outflow():
     f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 33),
                                uniform_grid(-1.5, 1.5, 33),
                                uniform_grid(-6.0, 6.0, 129))
-    coeffs = reduce_equation(PotentialSpec.free())
-    # raw lookups run off the direction box; scaled ones would not
-    snap = evolve_pde(f0, coeffs, SolverConfig(dt=0.25, t_final=2.0,
-                                               scaled_frame=False))
+    coeffs = reduce_equation(PotentialSpec.linear(1.0))
+    # the linear potential's X shift carries lookups past the X box ends
+    snap, = evolve_pde(f0, coeffs, SolverConfig(dt=0.25), [2.0])
     assert any("outflow" in w for w in snap.warnings)
 
 
@@ -417,19 +420,21 @@ def test_pde_rejects_bad_snapshot_lists():
                                uniform_grid(-1.5, 1.5, 17),
                                uniform_grid(-6.0, 6.0, 65))
     coeffs = reduce_equation(PotentialSpec.free())
-    with pytest.raises(ValueError):
-        evolve_pde(f0, coeffs, SolverConfig(), times=[0.5, 0.2])
-    with pytest.raises(ValueError):
-        evolve_pde(f0, coeffs, SolverConfig(), times=[-0.1, 0.2])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        evolve_pde(f0, coeffs, SolverConfig(), [0.5, 0.2])
+    with pytest.raises(ValueError, match=">= 0"):
+        evolve_pde(f0, coeffs, SolverConfig(), [-0.1, 0.2])
+    for bad in ([math.nan], [0.2, math.inf], [-math.inf, 0.2]):
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve_pde(f0, coeffs, SolverConfig(), bad)
 
 
 def test_solver_config_validation():
-    bad = [dict(dt=0.0), dict(dt=math.nan), dict(t_final=-1.0),
-           dict(r_ref_range=(1.3, 1.2)), dict(r_ref_range=(0.0, 1.0)),
-           dict(max_cfl=0.0), dict(max_cfl=1.5)]
-    for kwargs in bad:
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "scheme", "dt"]
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            SolverConfig(dt=dt)
 
 
 def test_upwind_cfl_guard_raises():
@@ -438,8 +443,8 @@ def test_upwind_cfl_guard_raises():
                                uniform_grid(-6.0, 6.0, 129))
     coeffs = reduce_equation(PotentialSpec.free())
     with pytest.raises(ValueError, match="CFL"):
-        evolve_pde(f0, coeffs, SolverConfig(scheme=Scheme.UPWIND, dt=0.2,
-                                            t_final=0.4))
+        evolve_pde(f0, coeffs, SolverConfig(scheme=Scheme.UPWIND, dt=0.2),
+                   [0.4])
 
 
 def test_upwind_short_time_smoke():
@@ -449,8 +454,8 @@ def test_upwind_short_time_smoke():
                                uniform_grid(-1.5, 1.5, 33),
                                uniform_grid(-6.0, 6.0, 129))
     coeffs = reduce_equation(PotentialSpec.free())
-    snap = evolve_pde(f0, coeffs, SolverConfig(scheme=Scheme.UPWIND,
-                                               dt=0.025, t_final=t))
+    snap, = evolve_pde(f0, coeffs, SolverConfig(scheme=Scheme.UPWIND,
+                                                dt=0.025), [t])
     err, _ = masked_error(state, DynamicsKind.FREE, PotentialSpec.free(),
                           snap, f0, t)
     assert np.abs(err).max() <= 5e-2
@@ -480,13 +485,13 @@ def test_pde_records_resample_windows(tmp_path):
                                uniform_grid(-1.5, 1.5, 17),
                                uniform_grid(-6.0, 6.0, 65))
     # a rotation runs to the snapshot in one window
-    rot = evolve_pde(f0, reduce_equation(PotentialSpec.harmonic()),
-                     SolverConfig(t_final=math.pi))
+    rot, = evolve_pde(f0, reduce_equation(PotentialSpec.harmonic()),
+                      SolverConfig(), [math.pi])
     assert rot.meta["sl_windows"] == [pytest.approx(math.pi)]
     # the free shear flushes before a window stretches by 1.3, unless the
     # rest of the way to the snapshot stays below 1.6
     snaps = evolve_pde(f0, reduce_equation(PotentialSpec.free()),
-                       SolverConfig(), times=[1.0, 2.2])
+                       SolverConfig(), [1.0, 2.2])
     assert snaps[0].meta["sl_windows"] == pytest.approx([0.53, 0.47])
     assert snaps[1].meta["sl_windows"] == pytest.approx(
         [0.53, 0.47, 0.53, 0.67])
@@ -513,7 +518,7 @@ def test_equal_windows_share_one_plan(monkeypatch):
     counts = {}
     for j in np.linspace(0.98, 1.02, 21):
         calls.clear()
-        evolve_pde(f0, coeffs, SolverConfig(), times=[j, 2.0 * j])
+        evolve_pde(f0, coeffs, SolverConfig(), [j, 2.0 * j])
         counts[round(float(j), 3)] = len(calls)
     assert set(counts.values()) == {2}, counts
 
@@ -522,7 +527,7 @@ def test_equal_windows_share_one_plan(monkeypatch):
 # separable resample against the tricubic 3-D gather
 
 
-def reference_resample(field, gen, dt, config):
+def reference_resample(field, gen, dt):
     """One resample as a 64-tap tricubic map_coordinates gather; returns
     the values and the lookups' index coordinates (3, ...)."""
     back = expm(-gen * dt)
@@ -532,15 +537,13 @@ def reference_resample(field, gen, dt, config):
     x_d = back[0, 0] * x + back[0, 1] * mu + back[0, 2] * nu
     mu_d = back[1, 1] * mu + back[1, 2] * nu + 0.0 * x
     nu_d = back[2, 1] * mu + back[2, 2] * nu + 0.0 * x
-    inv = np.ones_like(mu_d)
-    if config.scaled_frame:
-        r_d = np.hypot(mu_d, nu_d)
-        r_ref = np.clip(r_d, *config.r_ref_range)
-        inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
-        x_edge = min(-field.x_grid[0], field.x_grid[-1])
-        with np.errstate(divide="ignore"):
-            x_cap = np.where(np.abs(x_d) > 0.0, x_edge / np.abs(x_d), np.inf)
-        inv = np.minimum(inv, np.maximum(1.0, x_cap))
+    r_d = np.hypot(mu_d, nu_d)
+    r_ref = np.clip(r_d, *evolution._R_REF_RANGE)
+    inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
+    x_edge = min(-field.x_grid[0], field.x_grid[-1])
+    with np.errstate(divide="ignore"):
+        x_cap = np.where(np.abs(x_d) > 0.0, x_edge / np.abs(x_d), np.inf)
+    inv = np.minimum(inv, np.maximum(1.0, x_cap))
     coords = np.stack([(v * inv - g[0]) / grid_step(g) for v, g in (
         (mu_d, field.mu_grid), (nu_d, field.nu_grid), (x_d, field.x_grid))])
     coeffs = spline_filter(field.values, order=3, mode="nearest")
@@ -550,31 +553,24 @@ def reference_resample(field, gen, dt, config):
 
 
 RESAMPLE_CASES = {
-    "free": (PotentialSpec.free(), 0.53, SolverConfig(),
-             DEFAULT_EVOLUTION_X_GRID),
-    "harmonic": (PotentialSpec.harmonic(), math.pi, SolverConfig(),
-                 DEFAULT_EVOLUTION_X_GRID),
-    "linear:0.5": (PotentialSpec.linear(0.5), 0.53, SolverConfig(),
-                   DEFAULT_EVOLUTION_X_GRID),
-    "unscaled": (PotentialSpec.free(), 0.8, SolverConfig(scaled_frame=False),
-                 DEFAULT_EVOLUTION_X_GRID),
+    "free": (PotentialSpec.free(), 0.53, DEFAULT_EVOLUTION_X_GRID),
+    "harmonic": (PotentialSpec.harmonic(), math.pi, DEFAULT_EVOLUTION_X_GRID),
+    "linear:0.5": (PotentialSpec.linear(0.5), 0.53, DEFAULT_EVOLUTION_X_GRID),
     # +-x_edge = +-6 is not a grid end on the high side
-    "asymmetric-x": (PotentialSpec.free(), 0.53, SolverConfig(),
-                     uniform_grid(-6.0, 8.0, 225)),
+    "asymmetric-x": (PotentialSpec.free(), 0.53, uniform_grid(-6.0, 8.0, 225)),
     # the X shift carries lookups past both ends of a narrow box
-    "x-outflow": (PotentialSpec.linear(3.0), 1.0, SolverConfig(),
-                  uniform_grid(-5.0, 5.0, 161)),
+    "x-outflow": (PotentialSpec.linear(3.0), 1.0, uniform_grid(-5.0, 5.0, 161)),
 }
 
 
 @pytest.mark.parametrize("case", list(RESAMPLE_CASES))
 def test_separable_resample_matches_tricubic_gather(case):
-    potential, dt, config, x_grid = RESAMPLE_CASES[case]
+    potential, dt, x_grid = RESAMPLE_CASES[case]
     field = sample_marginal_field(CAT_AXIS, DEFAULT_MU_GRID,
                                   DEFAULT_NU_GRID, x_grid)
     gen = reduce_equation(potential).generator_matrix()
-    want, coords = reference_resample(field, gen, dt, config)
-    plan = evolution._semilagrangian_plan(field, gen, dt, config)
+    want, coords = reference_resample(field, gen, dt)
+    plan = evolution._semilagrangian_plan(field, gen, dt)
     got = evolution._resample(field.values, plan)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     last = np.array(field.values.shape)[:, None] - 1.0
@@ -585,3 +581,20 @@ def test_separable_resample_matches_tricubic_gather(case):
     assert plan.out_frac == pytest.approx(outside.mean(), abs=at_edge.mean())
     if case == "x-outflow":
         assert (flat[2] < 0.0).any() and (flat[2] > last[2]).any()
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+def test_evolve_demo_prints_one_row_per_time():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "evolve_demo.py"),
+         "--n-dir", "17", "--n-x", "65", "--times", "0.3", "0.6"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]
+            if not line.lstrip().startswith("warning:")]
+    assert [row[0] for row in rows] == ["0.30", "0.60"]
+    assert all(float(row[1]) <= 1e-2 for row in rows)

@@ -1,5 +1,7 @@
 """File format: header + CSV body, lossless for finite float64 fields."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,42 @@ def test_unknown_kind(tmp_path):
                                 '"field_kind": "mystery"')
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="unknown field_kind 'mystery'"):
+        read_field(path)
+
+
+def _with_header(tmp_path, edit):
+    """A small Wigner file whose #META header is replaced by edit(header)."""
+    path = tmp_path / "w.csv"
+    write_field(small_wigner(), path)
+    lines = _lines(path)
+    header = json.loads(lines[0][len("#META "):])
+    lines[0] = "#META " + json.dumps(edit(header))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_header_not_an_object(tmp_path):
+    path = _with_header(tmp_path, lambda h: [h])
+    with pytest.raises(ValueError, match=r"w\.csv: line 1: #META header is "
+                                         r"not a JSON object"):
+        read_field(path)
+
+
+def test_header_without_grids(tmp_path):
+    path = _with_header(tmp_path, lambda h: {k: v for k, v in h.items()
+                                             if k != "grids"})
+    with pytest.raises(ValueError, match=r"w\.csv: header has no grids"):
+        read_field(path)
+
+
+def test_axis_without_grid(tmp_path):
+    def drop_p(h):
+        del h["grids"]["p"]
+        return h
+
+    path = _with_header(tmp_path, drop_p)
+    with pytest.raises(ValueError,
+                       match=r"w\.csv: axes \['p'\] have no header grid"):
         read_field(path)
 
 

@@ -95,11 +95,12 @@ def test_marginal_field_from_wigner_small_box():
     mu = uniform_grid(-1.0, 1.0, 5)
     nu = uniform_grid(-1.0, 1.0, 5)
     x = uniform_grid(-6.0, 6.0, 81)
-    field = marginal_field_from_wigner(wigner_evaluator(GROUND), mu, nu, x)
+    field = marginal_field_from_wigner(wigner_evaluator(COHERENT_A), mu, nu, x)
     assert np.all(field.values[2, 2] == 0.0)
-    want = marginal_eval(GROUND, TomographyParams(1.0, 0.5), x)
-    got = field.values[4, 3]
-    assert np.max(np.abs(got - want)) < 1e-8
+    for i, j in np.ndindex(5, 5):
+        if (i, j) != (2, 2):
+            want = marginal_eval(COHERENT_A, TomographyParams(mu[i], nu[j]), x)
+            assert np.max(np.abs(field.values[i, j] - want)) < 1e-8, (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +416,17 @@ def test_uncertainty_products():
 
 
 @settings(max_examples=10, deadline=None)
-@given(delta=st.floats(-2, 2, **finite))
-def test_radon_slice_obeys_shift_identity(delta):
+@given(delta=st.floats(-2, 2, **finite), lam=st.floats(0.25, 4, **finite),
+       flip=st.booleans())
+def test_radon_slice_obeys_shift_identity(delta, lam, flip):
     x = uniform_grid(-6.0, 6.0, 61)
     w = wigner_evaluator(EXCITED_FIRST)
     shifted = radon_marginal(w, TomographyParams(0.8, 0.6, delta), x)
     base = radon_marginal(w, TomographyParams(0.8, 0.6), x - delta)
     assert np.max(np.abs(shifted.values - base.values)) < 1e-12
+    # scaling law: w(lam X, lam mu, lam nu, lam delta) = w(X, mu, nu, delta) / |lam|
+    lam, order = (-lam, slice(None, None, -1)) if flip else (lam, slice(None))
+    scaled = radon_marginal(
+        w, TomographyParams(0.8 * lam, 0.6 * lam, delta * lam), (x * lam)[order])
+    assert np.max(np.abs(scaled.values[order] * abs(lam)
+                         - shifted.values)) < 1e-12
