@@ -162,10 +162,13 @@ def _marginal_zero_t(state: StateSpec, y, mu, nu):
         nm2 = cat_normalization(q0, p0) ** 2
         m0 = mu * q0 + nu * p0
         k0 = (nu * q0 - mu * p0) / r2
-        plus = np.exp(-((y - m0) ** 2) / r2)
-        minus = np.exp(-((y + m0) ** 2) / r2)
-        cross = np.exp(-(y * y + m0 * m0) / r2) * np.cos(2.0 * y * k0)
-        return nm2 * norm * (plus + minus - 2.0 * cross)
+        # plus + minus - 2 cross with plus = e_+^2, minus = e_-^2 and
+        # cross = e_+ e_- cos(2 y k0): a sum of non-negative terms, which
+        # does not cancel to a negative number at the nodes.
+        e_plus = np.exp(-((y - m0) ** 2) / (2.0 * r2))
+        e_minus = np.exp(-((y + m0) ** 2) / (2.0 * r2))
+        return nm2 * norm * ((e_plus - e_minus) ** 2
+                             + 4.0 * e_plus * e_minus * np.sin(y * k0) ** 2)
     raise ValueError(f"unknown state kind {state.kind!r}")
 
 

@@ -45,10 +45,24 @@ from .fields import (
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_Y_GRID = uniform_grid(-12.0, 12.0, 1201)
-# Arc length l of every Radon line integral, in absolute phase-space units
-# (step 0.04): wide enough for the catalog states' Wigner functions to
-# vanish at its ends.
+# Arc length l of every Radon line integral, in absolute phase-space units:
+# wide enough for the catalog states' Wigner functions to vanish at its
+# ends.  Its step 0.04 is the finest of the nested trapezoid levels, whose
+# strides on this grid are 8, 4, 2, 1 (steps 0.32, 0.16, 0.08, 0.04).
 _LINE_GRID = np.linspace(-8.0, 8.0, 401)
+_LINE_STRIDE = 8
+# A row settles when two successive levels agree to this fraction of its
+# largest value.  On an analytic integrand with Gaussian decay the trapezoid
+# error falls like exp(-c / h^2), so halving h raises it to about the fourth
+# power: a change of 1e-12 leaves the finer level at rounding.  The bound is
+# far enough above the rounding of a 401-point sum (~1e-16) that a settled
+# row is not kept refining by noise.  The argument needs W to have decayed
+# to rounding (machine epsilon of the row's largest value) at both line
+# ends; where the window cuts W, the error is the Euler-Maclaurin end term
+# ~h^2, a 1e-12 change can leave 3e-13, and only the full grid reproduces
+# the 0.04 sum.
+_SETTLE_RTOL = 1e-12
+_EPS = np.finfo(float).eps
 MU_EDGE_LIMIT = 1e-5  # largest |F| at the mu_range ends, relative to max |F|
 
 
@@ -67,26 +81,52 @@ def wigner_field_sampler(field: WignerField):
     return sample
 
 
-def _as_wigner_callable(wigner):
-    return wigner_field_sampler(wigner) if isinstance(wigner, WignerField) else wigner
-
-
-def _line_integrals(sample, phis, y) -> np.ndarray:
+def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, np.ndarray]:
     """Unit-direction marginal rows, one per angle in phis:
 
         (1/2pi) Int W(y cos phi - l sin phi, y sin phi + l cos phi) dl
 
-    by the trapezoid rule over _LINE_GRID.  ``y`` is one abscissa row shared
-    by all angles or one row per angle.
+    by nested trapezoid halving on _LINE_GRID.  Each row starts on the
+    sub-grid of stride _LINE_STRIDE, adds only the new midpoints at each
+    halving, and stops at the first level that agrees with the one before
+    it to _SETTLE_RTOL of the row's maximum, provided W has decayed to
+    rounding at both line ends; a row that never settles ends on the full
+    grid.  A WignerField is sampled bilinearly, which the convergence
+    argument does not cover, so its rows use the full grid.
+    ``y`` is one abscissa row shared by all angles or one row per angle.
+    Returns the (angle, y) table and the line step each row ended at.
     """
+    field = isinstance(wigner, WignerField)
+    sample = wigner_field_sampler(wigner) if field else wigner
+    first = 1 if field else _LINE_STRIDE
     y = np.broadcast_to(y, (len(phis), np.shape(y)[-1]))
     table = np.empty(y.shape)
+    steps = np.empty(len(phis))
     for k, phi in enumerate(phis):
         c, s = math.cos(phi), math.sin(phi)
-        q = y[k][:, None] * c - _LINE_GRID[None, :] * s
-        p = y[k][:, None] * s + _LINE_GRID[None, :] * c
-        table[k] = np.trapezoid(sample(q, p), _LINE_GRID, axis=1) / TWO_PI
-    return table
+
+        def line(l):
+            return sample(y[k][:, None] * c - l[None, :] * s,
+                          y[k][:, None] * s + l[None, :] * c)
+
+        stride = first
+        values = line(_LINE_GRID[::stride])
+        h = stride * grid_step(_LINE_GRID)
+        ends = values[:, [0, -1]]
+        row = h * (values.sum(axis=1) - 0.5 * ends.sum(axis=1))
+        decayed = np.max(np.abs(ends)) <= _EPS * np.max(np.abs(row))
+        while stride > 1:
+            stride //= 2
+            h *= 0.5
+            finer = 0.5 * row + h * line(_LINE_GRID[stride::2 * stride]).sum(axis=1)
+            settled = (np.max(np.abs(finer - row))
+                       <= _SETTLE_RTOL * np.max(np.abs(finer)))
+            row = finer
+            if decayed and settled:
+                break
+        table[k] = row / TWO_PI
+        steps[k] = h
+    return table, steps
 
 
 def radon_marginal(wigner, params: TomographyParams,
@@ -101,17 +141,19 @@ def radon_marginal(wigner, params: TomographyParams,
     r = params.r
     if r == 0.0:
         raise ValueError("degenerate direction: mu and nu both zero")
-    row = _line_integrals(_as_wigner_callable(wigner),
-                          [math.atan2(params.nu, params.mu)],
-                          (x_grid - params.delta) / r)[0]
-    return MarginalSlice(params, x_grid, row / r)
+    table, _ = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
+                               (x_grid - params.delta) / r)
+    return MarginalSlice(params, x_grid, table[0] / r)
 
 
 def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
                                x_grid: np.ndarray) -> MarginalField:
     """Radon-project a Wigner function over a whole (mu, nu, X) box.
 
-    Cost grows as n_mu * n_nu * n_x * n_line; intended for moderate grids.
+    Cost grows as n_mu * n_nu * n_x * n_line, with n_line the line points
+    a cell's row needs: 101 for a callable whose rows settle at step 0.16
+    (every catalog state), up to 401 for rows that do not and for a
+    WignerField; intended for moderate grids.
     The degenerate (0, 0) cell, if present, is stored as zero.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
@@ -121,9 +163,8 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     phis = np.arctan2(nu_grid[None, :], mu_grid[:, None]).ravel()
     cells = r > 0.0
     values = np.zeros((r.size, x_grid.size))
-    values[cells] = _line_integrals(
-        _as_wigner_callable(wigner), phis[cells],
-        x_grid / r[cells, None]) / r[cells, None]
+    table, _ = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])
+    values[cells] = table / r[cells, None]
     return MarginalField(mu_grid, nu_grid, x_grid,
                          values.reshape(mu_grid.size, nu_grid.size, -1))
 
@@ -178,8 +219,15 @@ class RadonMarginalEvaluator(UnitSliceSource):
         if n_phi < 8:
             raise ValueError("n_phi too small for stable interpolation")
         phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-        self._build(phi_grid, _line_integrals(_as_wigner_callable(wigner),
-                                              phi_grid, self.y_grid))
+        table, steps = _line_integrals(wigner, phi_grid, self.y_grid)
+        steps.flags.writeable = False
+        self._line_steps = steps
+        self._build(phi_grid, table)
+
+    @property
+    def line_steps(self) -> np.ndarray:
+        """Line step each angle's row settled at (read-only, one per angle)."""
+        return self._line_steps
 
 
 class FieldMarginalSource(UnitSliceSource):

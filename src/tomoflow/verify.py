@@ -161,12 +161,15 @@ def roundtrip_report(state: StateSpec, *,
     ``marginal_source`` overrides the marginal family (any callable
     w(x, mu, nu, delta)); the default is the closed-form evaluator backed
     by a Radon table of the state's Wigner function, exercising the full
-    projection+inversion path.
+    projection+inversion path; the largest line step of that table is
+    reported as "line_step" in the wigner-roundtrip context.
     """
     if config is None:
         config = ReconstructionConfig()
+    plan = {}
     if marginal_source is None:
         marginal_source = RadonMarginalEvaluator(wigner_evaluator(state))
+        plan["line_step"] = float(np.max(marginal_source.line_steps))
 
     results = []
     x_grid = uniform_grid(-10.0, 10.0, 1001)
@@ -192,7 +195,7 @@ def roundtrip_report(state: StateSpec, *,
         "wigner-roundtrip", report.max_abs <= tolerances.roundtrip_max_abs,
         report.max_abs, tolerances.roundtrip_max_abs,
         {"state": state.kind.value, "argmax_location": list(report.argmax_location),
-         "hermitian_defect": chi.hermitian_defect()}))
+         "hermitian_defect": chi.hermitian_defect(), **plan}))
 
     rho = density_matrix_from_marginal(marginal_source, config=config)
     results.append(CheckResult(

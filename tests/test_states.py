@@ -166,6 +166,35 @@ def test_marginal_nonnegative(x, mu, nu):
         assert marginal_evaluator(state)(x, mu, nu) >= 0.0
 
 
+def cat_marginal_with_cross_term(state, y, mu, nu):
+    """The odd-cat marginal as plus + minus - 2 cross (the docstring form)."""
+    r2 = mu * mu + nu * nu
+    m0 = mu * state.q0 + nu * state.p0
+    k0 = (nu * state.q0 - mu * state.p0) / r2
+    plus = np.exp(-((y - m0) ** 2) / r2)
+    minus = np.exp(-((y + m0) ** 2) / r2)
+    cross = np.exp(-(y * y + m0 * m0) / r2) * np.cos(2.0 * y * k0)
+    return (cat_normalization(state.q0, state.p0) ** 2
+            * (plus + minus - 2.0 * cross) / np.sqrt(np.pi * r2))
+
+
+def test_cat_marginal_nonnegative_at_its_node():
+    # the cross-term form cancels to -2.05e-15 here
+    x, mu, nu = 2.1e-18, 0.0, 0.01760004
+    assert cat_marginal_with_cross_term(CAT_TILTED, x, mu, nu) < 0.0
+    assert marginal_evaluator(CAT_TILTED)(x, mu, nu) >= 0.0
+
+
+@pytest.mark.parametrize("state", [CAT_AXIS, CAT_TILTED])
+def test_cat_marginal_matches_cross_term_form(state):
+    x = uniform_grid(-8.0, 8.0, 321)[:, None, None]
+    mu = uniform_grid(-2.0, 2.0, 9)[None, :, None]
+    nu = uniform_grid(-1.5, 2.5, 7)[None, None, :]
+    got = marginal_evaluator(state)(x, mu, nu)
+    want = cat_marginal_with_cross_term(state, x, mu, nu)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @settings(max_examples=40, deadline=None)
 @given(q=st.floats(-4, 4, **finite), p=st.floats(-4, 4, **finite))
 def test_wigner_parity_and_rotation_symmetries(q, p):

@@ -26,6 +26,7 @@ from tomoflow.states import (
 from tomoflow.tomography import (
     RadonMarginalEvaluator,
     _fourier_rows,
+    wigner_field_sampler,
     characteristic_from_marginal,
     density_matrix_from_marginal,
     marginal_field_from_wigner,
@@ -101,6 +102,106 @@ def test_marginal_field_from_wigner_small_box():
         if (i, j) != (2, 2):
             want = marginal_eval(COHERENT_A, TomographyParams(mu[i], nu[j]), x)
             assert np.max(np.abs(field.values[i, j] - want)) < 1e-8, (i, j)
+
+
+# ---------------------------------------------------------------------------
+# the line-integral kernel against the fixed-step trapezoid
+
+
+def fixed_grid_line_integrals(sample, phis, y):
+    """Unit-direction rows by np.trapezoid on 401 line points, step 0.04."""
+    line = np.linspace(-8.0, 8.0, 401)
+    y = np.broadcast_to(y, (len(phis), np.shape(y)[-1]))
+    table = np.empty(y.shape)
+    for k, phi in enumerate(phis):
+        c, s = math.cos(phi), math.sin(phi)
+        q = y[k][:, None] * c - line[None, :] * s
+        p = y[k][:, None] * s + line[None, :] * c
+        table[k] = np.trapezoid(sample(q, p), line, axis=1) / (2.0 * math.pi)
+    return table
+
+
+def radon_table(wigner, n_phi, y):
+    source = RadonMarginalEvaluator(wigner, n_phi=n_phi, y_grid=y)
+    return source, source.unit_slices(source.phi_grid)
+
+
+@pytest.mark.parametrize("state", [GROUND, COHERENT_A, EXCITED_FIRST, CAT_AXIS,
+                                   CAT_TILTED],
+                         ids=["ground", "coherent", "excited1", "cat_axis",
+                              "cat_tilted"])
+def test_radon_table_matches_fixed_step_kernel(state):
+    y = uniform_grid(-12.0, 12.0, 401)
+    source, got = radon_table(wigner_evaluator(state), 90, y)
+    want = fixed_grid_line_integrals(wigner_evaluator(state), source.phi_grid, y)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # every row settles one halving below the coarsest step 0.32
+    assert np.all(source.line_steps == 0.16)
+
+
+def test_radon_table_of_a_wide_cat_ends_on_the_full_grid():
+    # At radius 4 the line ends cut the cat wherever |sin phi| >= 1/2, so
+    # those rows never settle; along the q axis W has decayed at the ends.
+    wide = StateSpec(StateKind.ODD_CAT, q0=4.0, p0=0.0)
+    y = uniform_grid(-12.0, 12.0, 161)
+    source, got = radon_table(wigner_evaluator(wide), 8, y)
+    want = fixed_grid_line_integrals(wigner_evaluator(wide), source.phi_grid, y)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert source.line_steps.tolist() == [0.16, 0.04, 0.04, 0.04,
+                                          0.16, 0.04, 0.04, 0.04]
+
+
+def test_radon_rows_that_never_settle_end_on_the_fixed_step_sum():
+    # A Gaussian too wide for the line window: the trapezoid error is the
+    # h^2 end term, so only the full grid with its half-weight ends agrees.
+    def wide(q, p):
+        return np.exp(-(q * q + p * p) / 50.0)
+
+    y = uniform_grid(-3.0, 3.0, 31)
+    source, got = radon_table(wide, 8, y)
+    assert np.all(source.line_steps == 0.04)
+    want = fixed_grid_line_integrals(wide, source.phi_grid, y)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    params = TomographyParams(0.6, 0.8)
+    row = radon_marginal(wide, params, y)
+    want = fixed_grid_line_integrals(wide, [math.atan2(0.8, 0.6)], y)[0]
+    assert np.max(np.abs(row.values - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_radon_table_of_a_sampled_field_keeps_the_fixed_step():
+    grid = uniform_grid(-6.0, 6.0, 161)
+    field = sample_wigner_field(CAT_TILTED, grid, grid)
+    y = uniform_grid(-8.0, 8.0, 161)
+    source, got = radon_table(field, 36, y)
+    want = fixed_grid_line_integrals(wigner_field_sampler(field),
+                                     source.phi_grid, y)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.all(source.line_steps == 0.04)
+
+
+def test_radon_line_steps_are_read_only():
+    source = RadonMarginalEvaluator(wigner_evaluator(GROUND), n_phi=8,
+                                    y_grid=uniform_grid(-6.0, 6.0, 41))
+    assert source.line_steps.shape == (8,)
+    with pytest.raises(AttributeError):
+        source.line_steps = np.zeros(8)
+    with pytest.raises(ValueError):
+        source.line_steps[0] = 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(radius=st.floats(0.1, 2.0, **finite), angle=st.floats(-4.0, 4.0, **finite),
+       phi=st.floats(-4.0, 4.0, **finite), r=st.floats(0.5, 2.0, **finite),
+       kind=st.sampled_from([StateKind.COHERENT, StateKind.ODD_CAT]))
+def test_radon_marginal_matches_fixed_step_kernel(radius, angle, phi, r, kind):
+    w = wigner_evaluator(StateSpec(kind, q0=radius * math.cos(angle),
+                                   p0=radius * math.sin(angle)))
+    params = TomographyParams(r * math.cos(phi), r * math.sin(phi))
+    x = uniform_grid(-7.0, 7.0, 141)
+    got = radon_marginal(w, params, x)
+    want = fixed_grid_line_integrals(
+        w, [math.atan2(params.nu, params.mu)], x / params.r)[0] / params.r
+    assert np.max(np.abs(got.values - want)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

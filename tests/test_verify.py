@@ -117,6 +117,8 @@ def test_roundtrip_report_radon_path():
     assert "wigner-roundtrip" in names and "density-purity" in names
     for res in results:
         assert res.passed, (res.name, res.measured, res.threshold)
+    roundtrip = results[names.index("wigner-roundtrip")]
+    assert roundtrip.context["line_step"] == 0.16
 
 
 def test_roundtrip_report_analytic_source():
@@ -125,6 +127,8 @@ def test_roundtrip_report_analytic_source():
     assert len(results) == 6
     for res in results:
         assert res.passed, (res.name, res.measured, res.threshold)
+    assert results[1].name == "wigner-roundtrip"
+    assert "line_step" not in results[1].context
 
 
 def test_roundtrip_report_stops_at_denormalized_source():
