@@ -241,24 +241,26 @@ class CharacteristicGrid:
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Quadrature plan for the density-matrix double integral.
+    """Quadrature plan for the density matrix as the outer transform of chi.
 
-    s is a free rescaling of the kernel; any admissible input gives
-    s-independent output, which is used as a consistency check.  The inner
-    X integral for a direction of norm r runs over r*y_range with y_samples
-    points, so narrow and wide slices are resolved alike.
+    The a-integral runs over a = |s| mu, mu on mu_samples points of
+    mu_range = (lo, hi), two finite numbers with lo < hi.  s is a free
+    rescaling of the kernel; any admissible input gives s-independent
+    output, which is used as a consistency check.
     """
 
     s: float = 1.0
     mu_range: tuple[float, float] = (-8.0, 8.0)
     mu_samples: int = 801
-    y_range: tuple[float, float] = (-20.0, 20.0)
-    y_samples: int = 512
 
     def __post_init__(self):
         if self.s == 0.0 or not np.isfinite(self.s):
             raise ValueError("s must be finite and nonzero")
-        if self.mu_samples < 9 or self.y_samples < 9:
+        ends = np.asarray(self.mu_range, dtype=float)
+        if ends.shape != (2,) or not (np.all(np.isfinite(ends)) and ends[0] < ends[1]):
+            raise ValueError(f"mu_range must be two finite numbers lo < hi, "
+                             f"got {self.mu_range!r}")
+        if self.mu_samples < 9:
             raise ValueError("sample counts too small")
 
 

@@ -112,7 +112,6 @@ def write_field(field, path, meta: dict | None = None) -> None:
         c = field.config
         header["reconstruction"] = {
             "s": c.s, "mu_range": list(c.mu_range), "mu_samples": c.mu_samples,
-            "y_range": list(c.y_range), "y_samples": c.y_samples,
         }
 
     names = [n for n, _ in axes]
@@ -275,12 +274,15 @@ def read_field(path):
         return MarginalField(grids["mu"], grids["nu"], grids["x"], values,
                              warnings, meta)
     if kind == "density_matrix":
+        # Older files also carry y_range and y_samples, which no setting
+        # reads any more; they are ignored.
         r = header.get("reconstruction", {})
-        config = ReconstructionConfig(
-            s=float(r.get("s", 1.0)),
-            mu_range=tuple(r.get("mu_range", (-8.0, 8.0))),
-            mu_samples=int(r.get("mu_samples", 801)),
-            y_range=tuple(r.get("y_range", (-20.0, 20.0))),
-            y_samples=int(r.get("y_samples", 512)))
+        try:
+            config = ReconstructionConfig(
+                s=float(r.get("s", 1.0)),
+                mu_range=tuple(r.get("mu_range", (-8.0, 8.0))),
+                mu_samples=int(r.get("mu_samples", 801)))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad reconstruction header: {exc}") from exc
         return DensityMatrixGrid(grids["q"], values, config, warnings)
     return CharacteristicGrid(grids["a"], grids["b"], values, warnings)

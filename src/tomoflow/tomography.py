@@ -5,7 +5,8 @@ Conventions (hbar = 1, phase-space measure dq dp / 2pi):
     w(X, mu, nu, delta) = (1/2pi) Int W(q, p) delta(X - mu q - nu p - delta) dq dp
     chi(a, b)           = Int w(X, a, b, 0) exp(i X) dX
     W(q, p)             = (1/2pi) Int chi(a, b) exp(-i a q - i b p) da db
-    rho(q, q')          = (|s|/2pi) Int dmu Int dY w(Y, mu, (q - q')/s, 0)
+    rho(q, q')          = (1/2pi) Int chi(a, q - q') exp(-i a (q + q') / 2) da
+                        = (|s|/2pi) Int dmu Int dY w(Y, mu, (q - q')/s, 0)
                                     exp(i s Y) exp(-i s mu (q + q') / 2)
 
 The density-matrix integral is independent of the scale s != 0; keeping s
@@ -44,7 +45,10 @@ from .fields import (
 )
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_Y_GRID = uniform_grid(-12.0, 12.0, 1201)
+DEFAULT_Y_GRID = uniform_grid(-12.0, 12.0, 1201)  # Radon table default
+# Unit-direction abscissa of every callable source in chi and rho; the
+# catalog integrands are spectrally converged on it (docs/math.md section 8).
+CALLABLE_Y_GRID = np.linspace(-20.0, 20.0, 512)
 # Arc length l of every Radon line integral, in absolute phase-space units:
 # wide enough for the catalog states' Wigner functions to vanish at its
 # ends.  Its step 0.04 is the finest of the nested trapezoid levels, whose
@@ -63,7 +67,7 @@ _LINE_STRIDE = 8
 # the 0.04 sum.
 _SETTLE_RTOL = 1e-12
 _EPS = np.finfo(float).eps
-MU_EDGE_LIMIT = 1e-5  # largest |F| at the mu_range ends, relative to max |F|
+MU_EDGE_LIMIT = 1e-5  # largest |chi| at the mu_range ends, relative to max |chi|
 
 
 def wigner_field_sampler(field: WignerField):
@@ -259,23 +263,6 @@ class FieldMarginalSource(UnitSliceSource):
         self._build(phi_grid, table)
 
 
-def _unit_rows(source, phis, y):
-    """Unit-direction rows w(y, cos phi, sin phi, 0), one per angle in phis.
-
-    Table sources give their unit_slices rows, cubic-resampled (zero
-    outside the table) when y is not their own grid; callables are
-    evaluated at the unit directions.
-    """
-    if not hasattr(source, "unit_slices"):
-        return source(y[None, :], np.cos(phis)[:, None],
-                      np.sin(phis)[:, None], 0.0)
-    rows = source.unit_slices(phis)
-    if not np.array_equal(source.y_grid, y):
-        rows = CubicSpline(source.y_grid, rows, axis=1, extrapolate=False)(y)
-        rows = np.nan_to_num(rows, nan=0.0)
-    return rows
-
-
 def _fourier_rows(rows, freq, y):
     """Trapezoid sums sum_j w_j rows[c, j] exp(i freq[c] y_j) on a uniform y.
 
@@ -298,29 +285,46 @@ def _fourier_rows(rows, freq, y):
     return np.einsum("cb,cb->c", starts, sums[..., 0] + 1j * sums[..., 1])
 
 
+def _chi_table(marginal, a, b) -> np.ndarray:
+    """chi(a_i, b_j) on the product grid, one a-row at a time.
+
+    The one place that tells a table source (unit_slices rows on its own
+    y_grid) from a callable (evaluated at unit directions on
+    CALLABLE_Y_GRID).  At r = 0 atan2(0, 0) = 0 picks phi = 0, and chi is
+    the marginal normalization.
+    """
+    table = hasattr(marginal, "unit_slices")
+    y = marginal.y_grid if table else CALLABLE_Y_GRID
+    values = np.empty((a.size, b.size), dtype=complex)
+    for i, a_i in enumerate(a):
+        phis = np.arctan2(b, a_i)
+        if table:
+            rows = marginal.unit_slices(phis)
+        else:
+            rows = marginal(y[None, :], np.cos(phis)[:, None],
+                            np.sin(phis)[:, None], 0.0)
+        values[i] = _fourier_rows(rows, np.hypot(a_i, b), y)
+    return values
+
+
+def _outer_kernel(x, g) -> np.ndarray:
+    """exp(-i x_k g_j) times the trapezoid weight of g_j, shape (x, g)."""
+    return np.exp(-1j * np.outer(x, g)) * trapezoid_weights(g)
+
+
 def characteristic_from_marginal(marginal, a_grid: np.ndarray | None = None,
-                                 b_grid: np.ndarray | None = None,
-                                 y_grid: np.ndarray | None = None
+                                 b_grid: np.ndarray | None = None
                                  ) -> CharacteristicGrid:
     """chi(a, b) = Int w(X, a, b, 0) e^{iX} dX on a rectangular (a, b) grid.
 
     Integration uses the scaled abscissa X = r y, so the integrand is the
     unit-direction slice times exp(i r y) and the origin needs no special
-    case (chi(0, 0) is the marginal normalization).  Each a-row of unit rows
-    is summed by `_fourier_rows`; y_grid must be uniform.
+    case (chi(0, 0) is the marginal normalization).  y is a table source's
+    own y_grid, or CALLABLE_Y_GRID for a callable.
     """
     a_grid = uniform_grid(-10.0, 10.0, 201) if a_grid is None else np.asarray(a_grid, dtype=float)
     b_grid = uniform_grid(-10.0, 10.0, 201) if b_grid is None else np.asarray(b_grid, dtype=float)
-    if y_grid is None:
-        y_grid = getattr(marginal, "y_grid", DEFAULT_Y_GRID)
-    y_grid = np.asarray(y_grid, dtype=float)
-    check_uniform(y_grid, "y_grid")
-
-    values = np.empty((a_grid.size, b_grid.size), dtype=complex)
-    for i, a in enumerate(a_grid):
-        rows = _unit_rows(marginal, np.arctan2(b_grid, a), y_grid)
-        values[i] = _fourier_rows(rows, np.hypot(a, b_grid), y_grid)
-    return CharacteristicGrid(a_grid, b_grid, values)
+    return CharacteristicGrid(a_grid, b_grid, _chi_table(marginal, a_grid, b_grid))
 
 
 def wigner_from_characteristic(chi: CharacteristicGrid,
@@ -334,10 +338,8 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
     """
     q_grid = DEFAULT_PHASE_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     p_grid = DEFAULT_PHASE_GRID if p_grid is None else np.asarray(p_grid, dtype=float)
-    wa = trapezoid_weights(chi.a_grid)
-    wb = trapezoid_weights(chi.b_grid)
-    left = np.exp(-1j * np.outer(q_grid, chi.a_grid)) * wa[None, :]
-    right = np.exp(-1j * np.outer(chi.b_grid, p_grid)) * wb[:, None]
+    left = _outer_kernel(q_grid, chi.a_grid)
+    right = _outer_kernel(p_grid, chi.b_grid).T
     w_complex = left @ chi.values @ right / TWO_PI
     max_imag = float(np.max(np.abs(w_complex.imag)))
     warnings = ()
@@ -352,54 +354,37 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
                                  ) -> DensityMatrixGrid:
     """Reconstruct rho(q, q') on q_grid x q_grid from a marginal source.
 
-    The double integral is evaluated as an inner Fourier integral over the
-    scaled abscissa Y = r y (per direction cell, window config.y_range in
-    units of r, or a table source's own grid), summed one mu-row at a time
-    by `_fourier_rows`, followed by an outer mu quadrature.  Both
-    quadrature grids are symmetric, which makes the result hermitian to
-    rounding error for any marginal with the physical parity
-    w(X, -mu, -nu) = w(-X, mu, nu).  When the inner integral at the
-    mu_range ends exceeds MU_EDGE_LIMIT of its maximum, chi is truncated
-    there and the result carries a warning with the measured ratio.
+    rho(q, q') = (1/2pi) Int chi(a, q - q') e^{-i a (q + q')/2} da, with
+    chi from the core of `characteristic_from_marginal` on the a-grid
+    |s| mu (config.mu_samples points of config.mu_range); for s < 0 the
+    result is the conjugate transpose of the one for |s| (docs/math.md
+    section 4).  Both quadrature grids are symmetric, which makes the
+    result hermitian to rounding error for any marginal with the physical
+    parity w(X, -mu, -nu) = w(-X, mu, nu).  When chi at the mu_range ends
+    exceeds MU_EDGE_LIMIT of its maximum, chi is truncated there and the
+    result carries a warning with the measured ratio.
     """
     q_grid = uniform_grid(-5.0, 5.0, 101) if q_grid is None else np.asarray(q_grid, dtype=float)
     config = ReconstructionConfig() if config is None else config
-    s = config.s
     n = q_grid.size
-    mu = np.linspace(config.mu_range[0], config.mu_range[1], config.mu_samples)
-    # Table-backed sources already carry a scaled-abscissa grid; reuse it.
-    y_unit = getattr(marginal, "y_grid", None)
-    if y_unit is None:
-        y_unit = np.linspace(*config.y_range, config.y_samples)
-
+    a = abs(config.s) * np.linspace(*config.mu_range, config.mu_samples)
     # Distinct values of v = q - q' and u = q + q' on the product grid.
     v_vals = np.concatenate([q_grid - q_grid[-1], (q_grid - q_grid[0])[1:]])
     u_vals = np.concatenate([q_grid + q_grid[0], (q_grid + q_grid[-1])[1:]])
-    nu = v_vals / s
 
-    # Inner integral in scaled form: with Y = r y and the scaling law,
-    # F(mu, v) = Int w(Y, mu, v/s) e^{isY} dY
-    #          = Int w_unit(y, phi) e^{i s r y} dy,  phi = atan2(v/s, mu).
-    # The integrand is continuous through r = 0, where F is the marginal
-    # normalization for any approach angle (atan2(0, 0) = 0 picks phi = 0).
-    f_table = np.empty((mu.size, v_vals.size), dtype=complex)
-    for k in range(mu.size):
-        rows = _unit_rows(marginal, np.arctan2(nu, mu[k]), y_unit)
-        f_table[k] = _fourier_rows(rows, s * np.hypot(mu[k], nu), y_unit)
-    edge = np.max(np.abs(f_table[[0, -1]])) / np.max(np.abs(f_table))
+    chi = _chi_table(marginal, a, v_vals)
+    edge = np.max(np.abs(chi[[0, -1]])) / np.max(np.abs(chi))
     warnings = ()
     if edge > MU_EDGE_LIMIT:
         warnings = (f"chi truncated: the inner integral at the mu_range ends is "
                     f"{edge:.3g} of its maximum, above {MU_EDGE_LIMIT:g}",)
 
-    # Outer integral over mu, one u per column: rho_uv[u, v].
-    mu_w = trapezoid_weights(mu)
-    phase = np.exp(-0.5j * s * np.outer(u_vals, mu)) * mu_w[None, :]
-    rho_uv = phase @ f_table * (abs(s) / TWO_PI)
-
-    i_idx = np.arange(n)[:, None]
-    j_idx = np.arange(n)[None, :]
+    # Outer integral over a, one u per row: rho_uv[u, v].
+    rho_uv = _outer_kernel(u_vals / 2, a) @ chi * (1 / TWO_PI)
+    i_idx, j_idx = np.indices((n, n))
     rho = rho_uv[i_idx + j_idx, i_idx - j_idx + (n - 1)]
+    if config.s < 0:
+        rho = rho.conj().T
     return DensityMatrixGrid(q_grid, rho, config, warnings)
 
 

@@ -4,6 +4,7 @@ Everything here is computed from position-space wavefunctions by direct
 quadrature, with no reliance on the closed forms shipped in the package:
 
 * ``wigner_oracle``   integrates psi(q + y/2) conj(psi(q - y/2)) e^{-ipy} dy,
+* ``chi_oracle``      integrates psi(m + b/2) conj(psi(m - b/2)) e^{iam} dm,
 * ``marginal_oracle`` builds the amplitude of the rotated-and-squeezed
   quadrature mu*q + nu*p + delta via its integral kernel and squares it,
 * Fock-space helpers expand the catalog states over number states, which
@@ -66,6 +67,19 @@ def wigner_oracle(psi, q, p, half_width: float = 25.0, n: int = 4001):
                      * np.exp(-1j * p[idx] * y))
         out[idx] = np.trapezoid(integrand, y).real
     return out if out.size > 1 else float(out.reshape(-1)[0])
+
+
+def chi_oracle(psi, a, b, half_width: float = 25.0, n: int = 4001):
+    """chi(a, b) = Int psi(m + b/2) conj(psi(m - b/2)) e^{i a m} dm."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    m = np.linspace(-half_width, half_width, n)
+    out = np.empty(a.shape, dtype=complex)
+    for idx in np.ndindex(a.shape):
+        integrand = (psi(m + 0.5 * b[idx]) * np.conj(psi(m - 0.5 * b[idx]))
+                     * np.exp(1j * a[idx] * m))
+        out[idx] = np.trapezoid(integrand, m)
+    return out
 
 
 def marginal_oracle(psi, x_values, mu: float, nu: float, delta: float = 0.0,

@@ -91,6 +91,37 @@ def test_roundtrip_density_config(tmp_path):
     back = read_field(tmp_path / "d.csv")
     assert back.config == field.config
     assert np.array_equal(back.q_grid, field.q_grid)
+    header = json.loads(_lines(tmp_path / "d.csv")[0][len("#META "):])
+    assert sorted(header["reconstruction"]) == ["mu_range", "mu_samples", "s"]
+
+
+# A density matrix file as versions with a settable y grid wrote it: its
+# reconstruction block also carries y_range and y_samples.
+Y_GRID_ERA_DENSITY = """\
+#META {"axes": ["q", "q_conj"], "complex": true, "field_kind": "density_matrix", \
+"grids": {"q": [-1.0, 0.0, 1.0], "q_conj": [-1.0, 0.0, 1.0]}, "meta": {}, \
+"reconstruction": {"mu_range": [-10.0, 10.0], "mu_samples": 501, "s": -2.0, \
+"y_range": [-20.0, 20.0], "y_samples": 512}, "schema_version": 1, "warnings": []}
+q,q_conj,re_value,im_value
+-1.0,-1.0,1.0,0.0
+-1.0,0.0,0.5,0.25
+-1.0,1.0,0.0,0.0
+0.0,-1.0,0.5,-0.25
+0.0,0.0,2.0,0.0
+0.0,1.0,0.0,0.0
+1.0,-1.0,0.0,0.0
+1.0,0.0,0.0,0.0
+1.0,1.0,0.5,0.0
+"""
+
+
+def test_density_header_with_y_grid_keys_loads(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text(Y_GRID_ERA_DENSITY)
+    back = read_field(path)
+    assert back.config == ReconstructionConfig(s=-2.0, mu_range=(-10.0, 10.0),
+                                               mu_samples=501)
+    assert back.values[0, 1] == 0.5 + 0.25j and back.values[1, 1] == 2.0
 
 
 def test_meta_merge_and_tuplify(tmp_path):
@@ -204,10 +235,11 @@ def test_unknown_kind(tmp_path):
         read_field(path)
 
 
-def _with_header(tmp_path, edit):
-    """A small Wigner file whose #META header is replaced by edit(header)."""
-    path = tmp_path / "w.csv"
-    write_field(small_wigner(), path)
+def _with_header(tmp_path, edit, make=small_wigner, name="w.csv"):
+    """A small file (Wigner by default) whose #META header is replaced by
+    edit(header)."""
+    path = tmp_path / name
+    write_field(make(), path)
     lines = _lines(path)
     header = json.loads(lines[0][len("#META "):])
     lines[0] = "#META " + json.dumps(edit(header))
@@ -226,6 +258,27 @@ def test_header_without_grids(tmp_path):
     path = _with_header(tmp_path, lambda h: {k: v for k, v in h.items()
                                              if k != "grids"})
     with pytest.raises(ValueError, match=r"w\.csv: header has no grids"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("block", [
+    {"mu_range": [8.0, -8.0]},
+    {"mu_range": [-8.0, float("nan")]},
+    {"mu_range": [-8.0, 8.0, 3.0]},
+    {"mu_range": 8.0},
+    {"s": 0.0},
+    [],
+])
+def test_bad_reconstruction_header_names_file(tmp_path, block):
+    def edit(h):
+        if isinstance(block, dict):
+            h["reconstruction"].update(block)
+        else:
+            h["reconstruction"] = block
+        return h
+
+    path = _with_header(tmp_path, edit, small_density, "d.csv")
+    with pytest.raises(ValueError, match=r"d\.csv: bad reconstruction header"):
         read_field(path)
 
 

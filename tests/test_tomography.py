@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 
-from oracles import fock_coefficients, fock_moments, psi_coherent, psi_oddcat
+from oracles import (
+    chi_oracle,
+    fock_coefficients,
+    fock_moments,
+    psi_coherent,
+    psi_oddcat,
+)
 from tomoflow.fields import (
+    DensityMatrixGrid,
     ReconstructionConfig,
     TomographyParams,
     trapezoid_weights,
@@ -16,6 +22,7 @@ from tomoflow.fields import (
 from tomoflow.states import (
     EXCITED_FIRST,
     GROUND,
+    DynamicsKind,
     StateKind,
     StateSpec,
     marginal_eval,
@@ -24,6 +31,7 @@ from tomoflow.states import (
     wigner_evaluator,
 )
 from tomoflow.tomography import (
+    CALLABLE_Y_GRID,
     RadonMarginalEvaluator,
     _fourier_rows,
     wigner_field_sampler,
@@ -264,16 +272,24 @@ def test_fourier_rows_matches_dense_trapezoid(n):
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
-def dense_chi(marginal, a_grid, b_grid, y_grid):
+def oracle_y_grid(marginal):
+    """A table source's own y grid, else 512 points on [-20, 20]."""
+    if hasattr(marginal, "unit_slices"):
+        return marginal.y_grid
+    y = np.linspace(-20.0, 20.0, 512)
+    assert np.array_equal(y, CALLABLE_Y_GRID)
+    return y
+
+
+def dense_chi(marginal, a_grid, b_grid):
     """chi by one dense complex kernel per a-row (the kernel's reference)."""
+    y_grid = oracle_y_grid(marginal)
     values = np.empty((a_grid.size, b_grid.size), dtype=complex)
     for i, a in enumerate(a_grid):
         phi = np.arctan2(b_grid, a)
         r = np.hypot(a, b_grid)
         if hasattr(marginal, "unit_slices"):
-            rows = CubicSpline(marginal.y_grid, marginal.unit_slices(phi), axis=1,
-                               extrapolate=False)(y_grid)
-            rows = np.nan_to_num(rows, nan=0.0)
+            rows = marginal.unit_slices(phi)
         else:
             rows = marginal(y_grid[None, :], np.cos(phi)[:, None],
                             np.sin(phi)[:, None], 0.0)
@@ -283,12 +299,12 @@ def dense_chi(marginal, a_grid, b_grid, y_grid):
 
 
 def dense_rho(marginal, q_grid, config):
-    """rho by dense kernels per mu-row, evaluating callables at radius r."""
+    """rho by the double integral (6) with dense kernels per mu-row, at the
+    signed s, evaluating callables at radius r."""
     s, n = config.s, q_grid.size
     mu = np.linspace(*config.mu_range, config.mu_samples)
     table = hasattr(marginal, "unit_slices")
-    y = (marginal.y_grid if table
-         else np.linspace(*config.y_range, config.y_samples))
+    y = oracle_y_grid(marginal)
     v = np.concatenate([q_grid - q_grid[-1], (q_grid - q_grid[0])[1:]])
     u = np.concatenate([q_grid + q_grid[0], (q_grid + q_grid[-1])[1:]])
     nu = v / s
@@ -317,16 +333,12 @@ def test_characteristic_matches_dense_kernel(source, cat_radon_source):
                 else marginal_evaluator(CAT_TILTED))
     a = uniform_grid(-10.0, 10.0, 21)
     b = uniform_grid(-9.0, 9.0, 19)
-    # the table's own grid, a coarser one, and one that np.allclose would
-    # mistake for the table's grid (the rows must still be resampled)
-    for y in (uniform_grid(-12.0, 12.0, 1201), uniform_grid(-10.0, 10.0, 301),
-              uniform_grid(-12.00005, 12.00005, 1201)):
-        chi = characteristic_from_marginal(marginal, a, b, y)
-        assert np.max(np.abs(chi.values - dense_chi(marginal, a, b, y))) <= 1e-13
+    chi = characteristic_from_marginal(marginal, a, b)
+    assert np.max(np.abs(chi.values - dense_chi(marginal, a, b))) <= 1e-13
 
 
 @pytest.mark.parametrize("source", ["radon", "closed"])
-@pytest.mark.parametrize("s", [1.0, 2.0])
+@pytest.mark.parametrize("s", [1.0, 2.0, -2.0, 1.7, -0.6])
 def test_density_matrix_matches_dense_kernel(source, s, cat_radon_source):
     marginal = (cat_radon_source if source == "radon"
                 else marginal_evaluator(CAT_TILTED))
@@ -336,10 +348,36 @@ def test_density_matrix_matches_dense_kernel(source, s, cat_radon_source):
     assert np.max(np.abs(rho.values - dense_rho(marginal, q, config))) <= 1e-13
 
 
-def test_characteristic_rejects_non_uniform_y_grid():
-    y = np.concatenate([uniform_grid(-6.0, 0.0, 31), [0.1, 0.3, 0.6]])
-    with pytest.raises(ValueError, match="y_grid"):
-        characteristic_from_marginal(marginal_evaluator(GROUND), y_grid=y)
+@settings(max_examples=25, deadline=None)
+@given(s=st.floats(0.25, 4.0, **finite), negative=st.booleans(),
+       n=st.integers(9, 33), radius=st.floats(0.0, 1.5, **finite),
+       angle=st.floats(-4.0, 4.0, **finite))
+def test_density_matrix_property(s, negative, n, radius, angle):
+    state = StateSpec(StateKind.COHERENT, q0=radius * math.cos(angle),
+                      p0=radius * math.sin(angle))
+    marginal = marginal_evaluator(state)
+    q = uniform_grid(-4.0, 4.0, n)
+    config = ReconstructionConfig(s=-s if negative else s, mu_samples=101)
+    rho = density_matrix_from_marginal(marginal, q, config)
+    scale = np.max(np.abs(rho.values))
+    assert np.max(np.abs(rho.values - dense_rho(marginal, q, config))) <= 1e-13
+    assert rho.hermiticity_defect() <= 1e-12 * scale
+    flipped = density_matrix_from_marginal(
+        marginal, q, ReconstructionConfig(s=-config.s, mu_samples=101))
+    assert np.max(np.abs(flipped.values - rho.values.conj().T)) <= 1e-15 * scale
+
+
+def test_characteristic_of_freely_evolved_cat_matches_psi():
+    # At t = 2 the flowed directions (mu, nu + 2 mu) widen the unit rows
+    # past +-12, so a callable's y grid must reach further.
+    t = 2.0
+    marginal = marginal_evaluator(CAT_TILTED, t, DynamicsKind.FREE)
+    a = uniform_grid(-4.0, 4.0, 17)
+    b = uniform_grid(-4.0, 4.0, 17)
+    chi = characteristic_from_marginal(marginal, a, b)
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    want = chi_oracle(psi_oddcat(1.1, 0.9), aa, bb + aa * t)
+    assert np.max(np.abs(chi.values - want)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +512,40 @@ def test_density_matrix_scale_invariance():
         other = density_matrix_from_marginal(marginal_evaluator(CAT_AXIS), q,
                                              small_config(s=s))
         assert np.max(np.abs(other.values - base.values)) < 1e-4
+
+
+def thermal_marginal(nbar):
+    """Marginal of the thermal state with mean occupation nbar."""
+    var = 2.0 * nbar + 1.0
+
+    def w(x, mu, nu, delta=0.0):
+        r2 = var * (np.asarray(mu) ** 2 + np.asarray(nu) ** 2)
+        return np.exp(-(np.asarray(x) - delta) ** 2 / r2) / np.sqrt(np.pi * r2)
+
+    return w
+
+
+@pytest.mark.parametrize("nbar", [0.5, 2.0])
+def test_density_matrix_of_a_mixed_state(nbar):
+    var = 2.0 * nbar + 1.0
+    q = uniform_grid(-5.0, 5.0, 41)
+    rho = density_matrix_from_marginal(thermal_marginal(nbar), q,
+                                       small_config())
+    qq, qp = q[:, None], q[None, :]
+    want = np.exp(-(qq + qp) ** 2 / (4.0 * var) - var * (qq - qp) ** 2 / 4.0
+                  ) / math.sqrt(math.pi * var)
+    assert np.max(np.abs(rho.values - want)) <= 1e-13
+    # purity 1 / var, up to the cut of the q box at +-5
+    exact = DensityMatrixGrid(q, want.astype(complex))
+    assert rho.purity() == pytest.approx(exact.purity(), abs=1e-13)
+    assert rho.purity() == pytest.approx(1.0 / var, abs=1e-5)
+
+
+@pytest.mark.parametrize("mu_range", [(8.0, -8.0), (-8.0, math.nan),
+                                      (-8.0, 8.0, 3.0)])
+def test_reconstruction_config_refuses_bad_mu_range(mu_range):
+    with pytest.raises(ValueError, match="mu_range"):
+        ReconstructionConfig(mu_range=mu_range)
 
 
 def test_density_matrix_from_radon_table(cat_radon_source):
