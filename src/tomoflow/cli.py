@@ -4,9 +4,10 @@ Every command is deterministic for fixed flags; nothing reads the clock
 or draws random numbers, so reruns produce identical files.  Exit codes:
 0 success, 1 validation or check failure, 2 usage errors.
 
-Each command imports the scipy-backed layers (evolution, tomography,
-verify) itself, so a process loads only what its command uses:
-`sample-field`, `state-wigner` and `marginal` run without scipy.
+Each command imports the evolution, tomography and verify layers itself,
+so a process loads only what its command uses.  Only the evolution layer
+imports scipy: `evolve`, `reduce` and `check --suite evolution` load it,
+and every other command runs on numpy alone.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from .fields import (
     NonlocalPotentialError,
     PotentialSpec,
     check_uniform,
+    cubic_taps,
     grid_step,
     uniform_grid,
 )
@@ -308,22 +309,6 @@ class SolverConfig:
 _X_STAGE_POINTS = 1 << 16
 
 
-def _cubic_taps(coord, size: int):
-    """The four (tap index, cubic B-spline weight) pairs of index coordinates.
-
-    Reads the spline as map_coordinates(order=3, mode="nearest",
-    prefilter=False) does: the taps floor(c) - 1 .. floor(c) + 2 are
-    clamped into the axis, not the coordinate.
-    """
-    floor = np.floor(coord)
-    t = coord - floor
-    u = 1.0 - t
-    weights = (u * u * u / 6.0, (4.0 + t * t * (3.0 * t - 6.0)) / 6.0,
-               (4.0 + u * u * (3.0 * u - 6.0)) / 6.0, t * t * t / 6.0)
-    first = floor.astype(np.intp) - 1
-    return [(np.clip(first + k, 0, size - 1), w) for k, w in enumerate(weights)]
-
-
 @dataclass(frozen=True)
 class _SLPlan:
     """One backward step of size dt in separable form.
@@ -387,8 +372,8 @@ def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
     a = index(mu_d * inv, 0)
     b = index(nu_d * inv, 1)
     taps = [(ia * sizes[1] + ib, wa * wb)
-            for ia, wa in _cubic_taps(a, sizes[0])
-            for ib, wb in _cubic_taps(b, sizes[1])]
+            for ia, wa in cubic_taps(a, sizes[0])
+            for ib, wb in cubic_taps(b, sizes[1])]
     direction = csr_array(
         (np.stack([w for _, w in taps], axis=1).ravel(),
          np.stack([i for i, _ in taps], axis=1).ravel(),
@@ -445,11 +430,11 @@ def _resample(values: np.ndarray, plan: _SLPlan) -> np.ndarray:
                  - x0) / h_x
         row = n_x * np.arange(lo, lo + inv.shape[0])[:, None]
         out[cells] = inv * sum(w * along.take(tap + row)
-                               for tap, w in _cubic_taps(coord, n_x))
+                               for tap, w in cubic_taps(coord, n_x))
     out = out.reshape(-1)
     for x_coord, points, coords, inv in plan.edges:
         plane = sum(w * coeffs[:, :, tap]
-                    for tap, w in _cubic_taps(x_coord, n_x))
+                    for tap, w in cubic_taps(x_coord, n_x))
         out[points] = inv * map_coordinates(plane, coords, order=3,
                                             prefilter=False, mode="nearest")
     points, coords = plan.plain

@@ -1,5 +1,6 @@
 """Grid-backed containers shared by the tomography and evolution layers,
-and the polynomial potentials that drive the evolution.
+the cubic B-spline tap rule both layers read splines with, and the
+polynomial potentials that drive the evolution.
 
 Conventions used throughout the package (hbar = 1):
 
@@ -48,6 +49,22 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def cubic_taps(coord, size: int):
+    """The four (tap index, cubic B-spline weight) pairs of index coordinates.
+
+    Reads the spline as map_coordinates(order=3, mode="nearest",
+    prefilter=False) does: the taps floor(c) - 1 .. floor(c) + 2 are
+    clamped into the axis, not the coordinate.
+    """
+    floor = np.floor(coord)
+    t = coord - floor
+    u = 1.0 - t
+    weights = (u * u * u / 6.0, (4.0 + t * t * (3.0 * t - 6.0)) / 6.0,
+               (4.0 + u * u * (3.0 * u - 6.0)) / 6.0, t * t * t / 6.0)
+    first = floor.astype(np.intp) - 1
+    return [(np.clip(first + k, 0, size - 1), w) for k, w in enumerate(weights)]
 
 
 class NonlocalPotentialError(ValueError):
@@ -244,7 +261,8 @@ class ReconstructionConfig:
     """Quadrature plan for the density matrix as the outer transform of chi.
 
     The a-integral runs over a = |s| mu, mu on mu_samples points of
-    mu_range = (lo, hi), two finite numbers with lo < hi.  s is a free
+    mu_range = (lo, hi), two finite numbers with lo < hi.  mu_samples must
+    be integral; a float such as 501.0 is stored as the int.  s is a free
     rescaling of the kernel; any admissible input gives s-independent
     output, which is used as a consistency check.
     """
@@ -260,6 +278,11 @@ class ReconstructionConfig:
         if ends.shape != (2,) or not (np.all(np.isfinite(ends)) and ends[0] < ends[1]):
             raise ValueError(f"mu_range must be two finite numbers lo < hi, "
                              f"got {self.mu_range!r}")
+        n = self.mu_samples
+        if (isinstance(n, bool) or not isinstance(n, (int, float, np.integer, np.floating))
+                or not float(n).is_integer()):
+            raise ValueError(f"mu_samples must be an integer, got {n!r}")
+        object.__setattr__(self, "mu_samples", int(n))
         if self.mu_samples < 9:
             raise ValueError("sample counts too small")
 

@@ -281,7 +281,7 @@ def read_field(path):
             config = ReconstructionConfig(
                 s=float(r.get("s", 1.0)),
                 mu_range=tuple(r.get("mu_range", (-8.0, 8.0))),
-                mu_samples=int(r.get("mu_samples", 801)))
+                mu_samples=r.get("mu_samples", 801))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad reconstruction header: {exc}") from exc
         return DensityMatrixGrid(grids["q"], values, config, warnings)

@@ -18,6 +18,12 @@ interpolating `RadonMarginalEvaluator` both qualify.
 All scans of the direction plane use the exact scaling law
 w(X, mu, nu, 0) = (1/r) w(X/r, mu/r, nu/r, 0), r = |(mu, nu)|, so only unit
 directions are ever integrated and the r -> 0 region costs no accuracy.
+
+The module needs numpy only.  Its interpolants are uniform-grid cubic
+splines that give scipy's numbers to rounding: a periodic spline in the
+direction angle, a clamped-end cubic B-spline along y and across a
+MarginalField's direction plane, and a bilinear sampler for WignerFields
+(docs/math.md section 8).
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.ndimage import map_coordinates
 
 from .fields import (
     DEFAULT_PHASE_GRID,
@@ -39,6 +43,7 @@ from .fields import (
     TomographyParams,
     WignerField,
     check_uniform,
+    cubic_taps,
     grid_step,
     trapezoid_weights,
     uniform_grid,
@@ -68,21 +73,59 @@ _LINE_STRIDE = 8
 _SETTLE_RTOL = 1e-12
 _EPS = np.finfo(float).eps
 MU_EDGE_LIMIT = 1e-5  # largest |chi| at the mu_range ends, relative to max |chi|
+_FIELD_PAD = 12  # scipy.ndimage's edge pad for mode="nearest"
 
 
 def wigner_field_sampler(field: WignerField):
-    """Bilinear sampler for a gridded Wigner function; zero outside the box."""
+    """Bilinear sampler for a gridded Wigner function; zero outside the box.
+
+    The four products are summed in the order scipy's map_coordinates
+    (order=1, mode="constant") sums them, which keeps Radon tables of a
+    sampled field equal to that kernel's to rounding.
+    """
     q0, p0 = field.q_grid[0], field.p_grid[0]
     hq, hp = grid_step(field.q_grid), grid_step(field.p_grid)
+    nq, n_p = field.values.shape
+    values = field.values
 
     def sample(q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        coords = np.broadcast_arrays((q - q0) / hq, (p - p0) / hp)
-        return map_coordinates(field.values, np.stack(coords), order=1,
-                               mode="constant", cval=0.0)
+        cq, cp = np.broadcast_arrays((np.asarray(q, dtype=float) - q0) / hq,
+                                     (np.asarray(p, dtype=float) - p0) / hp)
+        inside = (cq >= 0.0) & (cq <= nq - 1) & (cp >= 0.0) & (cp <= n_p - 1)
+        cq = np.where(inside, cq, 0.0)
+        cp = np.where(inside, cp, 0.0)
+        iq = np.minimum(cq.astype(np.intp), nq - 2)
+        ip = np.minimum(cp.astype(np.intp), n_p - 2)
+        wq1, wp1 = cq - iq, cp - ip
+        wq0, wp0 = 1.0 - wq1, 1.0 - wp1
+        out = (values[iq, ip] * wq0 * wp0 + values[iq, ip + 1] * wq0 * wp1
+               + values[iq + 1, ip] * wq1 * wp0
+               + values[iq + 1, ip + 1] * wq1 * wp1)
+        return np.where(inside, out, 0.0)
 
     return sample
+
+
+def _prefilter(values, axis: int = 0) -> np.ndarray:
+    """Cubic B-spline coefficients of samples along one axis.
+
+    Solves (c[k-1] + 4 c[k] + c[k+1]) / 6 = f[k] with clamped ends,
+    c[-1] = c[0] and c[n] = c[n-1], the end condition of scipy.ndimage's
+    spline_filter(mode="nearest").  A Thomas sweep vectorized over the
+    other axes; its pivots depend on n only.
+    """
+    c = 6.0 * np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = c.shape[0]
+    pivots = np.empty(n)
+    pivots[0] = 5.0
+    for k in range(1, n):
+        pivots[k] = (5.0 if k == n - 1 else 4.0) - 1.0 / pivots[k - 1]
+    for k in range(1, n):
+        c[k] -= c[k - 1] / pivots[k - 1]
+    c[-1] /= pivots[-1]
+    for k in range(n - 2, -1, -1):
+        c[k] = (c[k] - c[k + 1]) / pivots[k]
+    return np.moveaxis(c, 0, axis)
 
 
 def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, np.ndarray]:
@@ -179,38 +222,54 @@ class UnitSliceSource:
     Subclasses fill a (n_phi, n_y) table of w(y, cos phi, sin phi, 0)
     rows; arbitrary (x, mu, nu, delta) queries reduce to it through the
     shift and scaling identities, interpolating with a periodic cubic
-    spline in phi and a cubic spline in y.  Queries with |X - delta| / r
-    outside the y table return 0.
+    spline in phi and a cubic B-spline in y with clamped ends
+    (docs/math.md section 8).  Queries with |X - delta| / r outside the
+    y table return 0.
     """
 
     def _build(self, phi_grid: np.ndarray, table: np.ndarray):
         if not np.all(np.isfinite(table)):
             raise ValueError(f"{type(self).__name__}: non-finite unit-slice table")
-        phi_ext = np.concatenate([phi_grid, [TWO_PI]])
-        table_ext = np.vstack([table, table[:1]])
+        # Second differences m = h^2 d2w/dphi2 of the periodic spline solve
+        # the circulant system m[k-1] + 4 m[k] + m[k+1] = 6 (w[k+1] - 2 w[k]
+        # + w[k-1]), whose eigenvalues are 4 + 2 cos(2 pi j / n).
+        n = phi_grid.size
+        ahead = np.roll(table, -1, 0)
+        rhs = 6.0 * (ahead - 2.0 * table + np.roll(table, 1, 0))
+        eig = 4.0 + 2.0 * np.cos(TWO_PI / n * np.arange(n // 2 + 1))
+        m = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n, axis=0)
+        m_next = np.roll(m, -1, 0)
         self.phi_grid = phi_grid
-        self._phi_spline = CubicSpline(phi_ext, table_ext, axis=0,
-                                       bc_type="periodic")
+        self._phi_step = TWO_PI / n
+        # Each interval's cubic in t = (phi - phi_k) / h, highest power first.
+        self._phi_coeffs = np.stack(
+            [(m_next - m) / 6.0, m / 2.0, ahead - table - (2.0 * m + m_next) / 6.0,
+             table], axis=1)
 
     def unit_slices(self, phis) -> np.ndarray:
         """Rows w(y, cos phi, sin phi, 0) on self.y_grid, one per angle."""
-        return self._phi_spline(np.mod(np.asarray(phis, dtype=float), TWO_PI))
+        phi = np.mod(np.asarray(phis, dtype=float), TWO_PI)
+        k = np.searchsorted(self.phi_grid, phi, side="right") - 1
+        t = (phi - self.phi_grid[k]) / self._phi_step
+        powers = t[..., None, None] ** np.array([3.0, 2.0, 1.0, 0.0])
+        return (powers @ self._phi_coeffs[k])[..., 0, :]
 
     def __call__(self, x, mu, nu, delta=0.0):
-        x = np.asarray(x, dtype=float)
-        mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-        if mu_arr.size > 1 or np.ndim(mu) > 0:
-            raise ValueError("this source evaluates one direction per call")
-        mu = float(mu_arr[0])
-        nu = float(np.asarray(nu).reshape(()))
-        r = math.hypot(mu, nu)
-        if r == 0.0:
+        mu, nu = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                     np.asarray(nu, dtype=float))
+        r = np.hypot(mu, nu)
+        if np.any(r == 0.0):
             raise ValueError("degenerate direction: mu and nu both zero")
-        row = self.unit_slices(math.atan2(nu, mu))
-        y = (x - delta) / r
-        spline = CubicSpline(self.y_grid, row, extrapolate=False)
-        vals = np.nan_to_num(spline(y), nan=0.0)
-        return vals / r
+        phis, which = np.unique(np.arctan2(nu, mu), return_inverse=True)
+        coeffs = _prefilter(self.unit_slices(phis), axis=-1)
+        y = (np.asarray(x, dtype=float) - delta) / r
+        y, which = np.broadcast_arrays(y, which.reshape(r.shape))
+        y_grid = self.y_grid
+        inside = (y >= y_grid[0]) & (y <= y_grid[-1])
+        coord = np.where(inside, (y - y_grid[0]) / grid_step(y_grid), 0.0)
+        vals = sum(w * coeffs[which, tap]
+                   for tap, w in cubic_taps(coord, y_grid.size))
+        return np.where(inside, vals, 0.0) / r
 
 
 class RadonMarginalEvaluator(UnitSliceSource):
@@ -251,14 +310,17 @@ class FieldMarginalSource(UnitSliceSource):
         radius = float(0.75 * reach)
         self.y_grid = field.x_grid / radius
         phi_grid = np.linspace(0.0, TWO_PI, 360, endpoint=False)
-        mu0, nu0 = field.mu_grid[0], field.nu_grid[0]
-        coords = np.stack([
-            (radius * np.cos(phi_grid) - mu0) / grid_step(field.mu_grid),
-            (radius * np.sin(phi_grid) - nu0) / grid_step(field.nu_grid)])
-        table = np.empty((phi_grid.size, field.x_grid.size))
-        for k in range(field.x_grid.size):
-            table[:, k] = map_coordinates(field.values[:, :, k], coords,
-                                          order=3, mode="nearest")
+        # map_coordinates(order=3, mode="nearest") edge-pads by _FIELD_PAD
+        # before its prefilter; the pad moves the spline near the box edges.
+        pad = ((_FIELD_PAD, _FIELD_PAD),) * 2 + ((0, 0),)
+        coeffs = _prefilter(_prefilter(np.pad(field.values, pad, mode="edge"),
+                                       axis=0), axis=1)
+        taps_mu = cubic_taps(_FIELD_PAD + (radius * np.cos(phi_grid) - field.mu_grid[0])
+                             / grid_step(field.mu_grid), coeffs.shape[0])
+        taps_nu = cubic_taps(_FIELD_PAD + (radius * np.sin(phi_grid) - field.nu_grid[0])
+                             / grid_step(field.nu_grid), coeffs.shape[1])
+        table = sum((wa * wb)[:, None] * coeffs[ia, ib]
+                    for ia, wa in taps_mu for ib, wb in taps_nu)
         table *= radius
         self._build(phi_grid, table)
 

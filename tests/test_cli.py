@@ -16,7 +16,7 @@ import pytest
 import tomoflow
 import tomoflow.cli as cli
 from tomoflow.cli import main
-from tomoflow.fields import MarginalField, WignerField, uniform_grid
+from tomoflow.fields import DensityMatrixGrid, MarginalField, WignerField, uniform_grid
 from tomoflow.io import read_field
 from tomoflow.states import DynamicsKind, StateKind, StateSpec, sample_marginal_field
 from tomoflow.verify import CheckResult
@@ -298,7 +298,7 @@ def scipy_modules_after(code: str) -> list[str]:
     proc = subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()  # the probe prints last
 
 
 def test_cli_import_and_sample_field_load_no_scipy(tmp_path, small_config):
@@ -309,6 +309,27 @@ def test_cli_import_and_sample_field_load_no_scipy(tmp_path, small_config):
     assert scipy_modules_after(
         f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
     assert isinstance(read_field(out), MarginalField)
+
+
+@pytest.mark.parametrize("command, kind", [("invert", WignerField),
+                                           ("density-matrix", DensityMatrixGrid)])
+def test_inversion_commands_load_no_scipy(tmp_path, ground_field, small_config,
+                                          command, kind):
+    out = tmp_path / "out.csv"
+    argv = [command, "--in", ground_field, "--config", small_config,
+            "--out", str(out)]
+    assert scipy_modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert isinstance(read_field(out), kind)
+
+
+def test_check_roundtrip_loads_no_scipy(tmp_path):
+    report = tmp_path / "r.json"
+    argv = ["check", "--suite", "roundtrip", "--state", "ground",
+            "--report", str(report)]
+    assert scipy_modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert json.loads(report.read_text())["all_passed"] is True
 
 
 def test_evolve_loads_no_interpolation_module(tmp_path, ground_field):

@@ -124,6 +124,24 @@ def test_density_header_with_y_grid_keys_loads(tmp_path):
     assert back.values[0, 1] == 0.5 + 0.25j and back.values[1, 1] == 2.0
 
 
+def test_density_header_with_integral_float_mu_samples_loads(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text(Y_GRID_ERA_DENSITY.replace('"mu_samples": 501',
+                                               '"mu_samples": 501.0'))
+    back = read_field(path)
+    assert back.config.mu_samples == 501
+    assert type(back.config.mu_samples) is int
+
+
+def test_density_config_with_numpy_integer_mu_samples_round_trips(tmp_path):
+    # The config stores mu_samples as an int, so the header stays JSON.
+    field = small_density()
+    config = ReconstructionConfig(mu_samples=np.int64(501))
+    write_field(DensityMatrixGrid(field.q_grid, field.values, config),
+                tmp_path / "d.csv")
+    assert read_field(tmp_path / "d.csv").config == config
+
+
 def test_meta_merge_and_tuplify(tmp_path):
     field = small_marginal_field()
     write_field(field, tmp_path / "f.csv", meta={"command": "evolve"})
@@ -268,6 +286,8 @@ def test_header_without_grids(tmp_path):
     {"mu_range": 8.0},
     {"s": 0.0},
     [],
+    {"mu_samples": 900.9},
+    {"mu_samples": "801"},
 ])
 def test_bad_reconstruction_header_names_file(tmp_path, block):
     def edit(h):

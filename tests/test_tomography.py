@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.ndimage import map_coordinates
 
 from oracles import (
     chi_oracle,
@@ -27,12 +29,15 @@ from tomoflow.states import (
     StateSpec,
     marginal_eval,
     marginal_evaluator,
+    sample_marginal_field,
     sample_wigner_field,
     wigner_evaluator,
 )
 from tomoflow.tomography import (
     CALLABLE_Y_GRID,
+    FieldMarginalSource,
     RadonMarginalEvaluator,
+    UnitSliceSource,
     _fourier_rows,
     wigner_field_sampler,
     characteristic_from_marginal,
@@ -230,11 +235,22 @@ def test_radon_evaluator_matches_closed_form(cat_radon_source):
 
 
 def test_radon_evaluator_zero_outside_table(cat_radon_source):
-    out = cat_radon_source(np.array([-25.0, 25.0]), 1.0, 0.0)
+    out = cat_radon_source(np.array([-25.0, 25.0, np.nan]), 1.0, 0.0)
     assert np.all(out == 0.0)
 
 
-def test_radon_evaluator_rejects_vector_direction(cat_radon_source):
+def test_unit_slice_source_broadcasts_over_directions(cat_radon_source):
+    x = uniform_grid(-7.0, 7.0, 141)
+    mu = np.array([1.0, -0.35, 0.2, 1.0, 0.0])[:, None]
+    nu = np.array([0.0, 0.6, -1.3, 0.0, -0.4])[:, None]
+    delta = np.array([0.0, 0.3, -0.8, 0.5, 0.0])[:, None]
+    got = cat_radon_source(x, mu, nu, delta)
+    want = np.array([cat_radon_source(x, m, n, d) for m, n, d
+                     in zip(mu.ravel(), nu.ravel(), delta.ravel())])
+    assert got.shape == (5, x.size)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="degenerate direction"):
+        cat_radon_source(x, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         cat_radon_source(np.zeros(3), np.array([1.0, 2.0]), 0.0)
 
@@ -253,6 +269,122 @@ def test_radon_evaluator_rejects_non_finite_table():
                        match="RadonMarginalEvaluator: non-finite"):
         RadonMarginalEvaluator(broken, n_phi=8,
                                y_grid=uniform_grid(-4.0, 4.0, 41))
+
+
+# ---------------------------------------------------------------------------
+# the numpy interpolation kernels against the scipy routines they replace
+
+
+class TableSource(UnitSliceSource):
+    """A unit-slice source over a given (n_phi, n_y) table."""
+
+    def __init__(self, table, y_grid):
+        self.y_grid = y_grid
+        self._build(np.linspace(0.0, 2.0 * math.pi, table.shape[0],
+                                endpoint=False), table)
+
+
+@pytest.fixture(scope="module")
+def tilted_table_source():
+    y = uniform_grid(-12.0, 12.0, 401)
+    phis = np.linspace(0.0, 2.0 * math.pi, 90, endpoint=False)
+    table = fixed_grid_line_integrals(wigner_evaluator(CAT_TILTED), phis, y)
+    return TableSource(table, y), table
+
+
+def test_phi_spline_matches_periodic_cubic_spline(tilted_table_source):
+    source, table = tilted_table_source
+    phi = source.phi_grid
+    oracle = CubicSpline(np.append(phi, 2.0 * math.pi),
+                         np.vstack([table, table[:1]]), axis=0,
+                         bc_type="periodic")
+    assert np.array_equal(source.unit_slices(phi), oracle(phi))
+    step = phi[1]
+    rng = np.random.default_rng(3)
+    off = np.concatenate([phi + 0.37 * step, -phi - 0.61 * step,
+                          phi + 2.0 * math.pi + 0.5 * step,
+                          rng.uniform(-20.0, 20.0, 200)])
+    want = oracle(np.mod(off, 2.0 * math.pi))
+    assert (np.max(np.abs(source.unit_slices(off) - want))
+            <= 1e-14 * np.max(np.abs(want)))
+    # one angle gives one row
+    assert source.unit_slices(phi[3] + 0.2 * step).shape == (table.shape[1],)
+
+
+def index_coords(grid, values):
+    """Index coordinates of values on a uniform grid, as map_coordinates reads them."""
+    return (values - grid[0]) / ((grid[-1] - grid[0]) / (grid.size - 1))
+
+
+def field_table_oracle(field):
+    """FieldMarginalSource's table as map_coordinates reads it, one X at a time."""
+    reach = min(field.mu_grid[-1], -field.mu_grid[0],
+                field.nu_grid[-1], -field.nu_grid[0])
+    radius = 0.75 * reach
+    phi = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+    coords = np.stack([index_coords(field.mu_grid, radius * np.cos(phi)),
+                       index_coords(field.nu_grid, radius * np.sin(phi))])
+    table = np.empty((phi.size, field.x_grid.size))
+    for k in range(field.x_grid.size):
+        table[:, k] = map_coordinates(field.values[:, :, k], coords, order=3,
+                                      mode="nearest")
+    return table * radius
+
+
+@pytest.mark.parametrize("mu_grid, nu_grid", [
+    (uniform_grid(-1.5, 1.5, 41), uniform_grid(-1.5, 1.5, 41)),
+    (uniform_grid(-1.5, 1.5, 33), uniform_grid(-1.2, 2.0, 57)),
+], ids=["square", "asymmetric"])
+def test_field_source_table_matches_map_coordinates(mu_grid, nu_grid):
+    field = sample_marginal_field(CAT_TILTED, mu_grid, nu_grid,
+                                  uniform_grid(-8.0, 8.0, 161))
+    source = FieldMarginalSource(field)
+    want = field_table_oracle(field)
+    got = source.unit_slices(source.phi_grid)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_bilinear_sampler_matches_map_coordinates():
+    q_grid = uniform_grid(-6.0, 6.0, 161)
+    p_grid = uniform_grid(-5.0, 7.0, 121)
+    field = sample_wigner_field(CAT_TILTED, q_grid, p_grid)
+    rng = np.random.default_rng(5)
+    q = rng.uniform(-7.0, 7.0, 20000)
+    p = rng.uniform(-6.0, 8.0, 20000)
+    # points on each edge of the box, and just beyond it
+    q[:40] = np.repeat([q_grid[0], q_grid[-1]], 20)
+    p[:40] = rng.uniform(p_grid[0], p_grid[-1], 40)
+    p[40:80] = np.repeat([p_grid[0], p_grid[-1]], 20)
+    q[40:80] = rng.uniform(q_grid[0], q_grid[-1], 40)
+    q[80:84] = [q_grid[0] - 1e-12, q_grid[-1] + 1e-12, q_grid[0], 0.1]
+    p[80:84] = [0.1, 0.1, p_grid[-1] + 1e-12, p_grid[0] - 1e-12]
+    got = wigner_field_sampler(field)(q, p)
+    coords = np.stack([index_coords(q_grid, q), index_coords(p_grid, p)])
+    want = map_coordinates(field.values, coords, order=1, mode="constant",
+                           cval=0.0)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # Summed in scipy's order, almost every value is bit-identical (0.8 of
+    # them when the two weights are multiplied first).
+    assert np.mean(got == want) >= 0.99
+    outside = ((q < q_grid[0]) | (q > q_grid[-1])
+               | (p < p_grid[0]) | (p > p_grid[-1]))
+    assert outside[80:84].all() and not outside[:80].any()
+    assert np.all(got[outside] == 0.0)
+
+
+def test_y_spline_matches_not_a_knot_cubic_spline(tilted_table_source):
+    source, _ = tilted_table_source
+    x = uniform_grid(-6.0, 6.0, 301)
+    for phi in np.linspace(0.1, 2.0 * math.pi + 0.1, 7, endpoint=False):
+        for r in (1.0, 0.7, 0.3):
+            mu, nu = r * math.cos(phi), r * math.sin(phi)
+            row = source.unit_slices(math.atan2(nu, mu))
+            # |x| / r <= 6 / 0.3 = 20 leaves the [-12, 12] table: those
+            # queries are 0 on both sides
+            want = np.nan_to_num(CubicSpline(source.y_grid, row,
+                                             extrapolate=False)(x / r)) / r
+            got = source(x, mu, nu)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +678,18 @@ def test_density_matrix_of_a_mixed_state(nbar):
 def test_reconstruction_config_refuses_bad_mu_range(mu_range):
     with pytest.raises(ValueError, match="mu_range"):
         ReconstructionConfig(mu_range=mu_range)
+
+
+@pytest.mark.parametrize("mu_samples", [50.5, math.nan, True, "801"])
+def test_reconstruction_config_refuses_non_integral_mu_samples(mu_samples):
+    with pytest.raises(ValueError, match="mu_samples must be an integer"):
+        ReconstructionConfig(mu_samples=mu_samples)
+
+
+def test_reconstruction_config_takes_integral_float_mu_samples():
+    config = ReconstructionConfig(mu_samples=501.0)
+    assert config.mu_samples == 501 and type(config.mu_samples) is int
+    assert config == ReconstructionConfig(mu_samples=501)
 
 
 def test_density_matrix_from_radon_table(cat_radon_source):
