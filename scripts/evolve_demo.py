@@ -37,7 +37,6 @@ def main() -> int:
     ap.add_argument("--times", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     ap.add_argument("--n-dir", type=int, default=65)
     ap.add_argument("--n-x", type=int, default=257)
-    ap.add_argument("--dt", type=float, default=0.01)
     ap.add_argument("--out-dir", default=None,
                     help="write each snapshot as a CSV field here")
     args = ap.parse_args()
@@ -47,10 +46,10 @@ def main() -> int:
     d_grid = uniform_grid(-1.5, 1.5, args.n_dir)
     x_grid = uniform_grid(-8.0, 8.0, args.n_x)
     initial = sample_marginal_field(state, d_grid, d_grid, x_grid)
-    config = SolverConfig(dt=args.dt)
+    config = SolverConfig()
 
     print(f"state={args.state} dyn={args.dyn} grid={args.n_dir}x{args.n_dir}"
-          f"x{args.n_x} dt={args.dt}")
+          f"x{args.n_x}")
     print(f"{'t':>6}  {'max |solver - exact|':>22}  {'resolvable cells':>17}")
 
     snapshots = evolve_pde(initial, coeffs, config, sorted(args.times))

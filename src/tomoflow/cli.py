@@ -136,12 +136,10 @@ def cmd_evolve(args) -> int:
     if args.t == 0.0:
         result = field
     else:
-        # char: one dt spans the run, so one exact backtrace and resample
-        dt = args.t if args.solver == "char" else args.dt
-        result, = evolve_pde(field, coeffs, SolverConfig(dt=dt), [args.t])
+        result, = evolve_pde(field, coeffs, SolverConfig(), [args.t])
     write_field(result, args.out, meta={
         "command": "evolve", "solver": args.solver, "t": args.t,
-        "dt": args.dt, "potential": coeffs.potential.coefficients})
+        "potential": coeffs.potential.coefficients})
     return 0
 
 
@@ -378,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dyn", type=_potential_arg, required=True,
                    help='free | harmonic | linear:<slope> | "c0,c1,c2"')
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--solver", choices=["char", "pde"], default="char")
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--solver", choices=["char", "pde"], default="char",
+                   help="both run one exact backtrace and resample")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evolve)
 

@@ -20,13 +20,14 @@ X by +c1 (nu t + mu t^2 / 2) going backwards, which reproduces uniformly
 accelerated packets exactly.
 
 The grid solver `evolve_pde` offers two schemes.  SemiLagrangian traces
-the affine flow back one step exactly and resamples by cubic spline,
-rescaling every lookup to a fixed reference annulus of |(mu, nu)|
-through the exact scaling identity; this sidesteps both box outflow (the
-flow may leave any finite (mu, nu) box) and the 1/r sharpening of the
-marginal near the degenerate direction.  Upwind is a plain first-order
-directional-difference scheme with a CFL guard, kept as an independent
-cross-check and for convergence studies.
+each snapshot's affine flow back to t = 0 exactly and resamples the
+initial field there once by cubic spline, rescaling every lookup to a
+fixed reference annulus of |(mu, nu)| through the exact scaling
+identity; this sidesteps both box outflow (the flow may leave any finite
+(mu, nu) box) and the 1/r sharpening of the marginal near the degenerate
+direction.  Upwind is a plain first-order directional-difference scheme
+with a CFL guard, kept as an independent cross-check and for convergence
+studies.
 """
 
 from __future__ import annotations
@@ -61,20 +62,6 @@ DEFAULT_EVOLUTION_X_GRID = uniform_grid(-8.0, 8.0, 257)
 # default X resolution (the slice narrows like r, and 0.5 spans eight
 # X-cells); solver output there is excluded from comparisons.
 DEFAULT_VALID_RADIUS = 0.5
-
-# Adaptive remap cadence.  The backward characteristic map composes
-# exactly across dt steps (the generator is affine), and each grid
-# resample costs one spline interpolation error, so the SemiLagrangian
-# scheme resamples only at snapshots and when a window's direction map
-# would stretch some unit vector by more than the soft factor: rotations
-# run snapshot to snapshot in one window, shears remap before the grid
-# data decorrelates.  A window already at the soft limit may still run
-# through to the next snapshot within the hard factor; flushing twice in
-# quick succession (a full window plus a sliver) reads the freshly
-# stored, most sheared field a second time and costs more than the
-# longer window does.
-_REMAP_STRETCH = 1.3
-_REMAP_HARD_STRETCH = 1.6
 
 # Reference annulus of the SemiLagrangian scaled-frame lookups.  A thin
 # band high in the direction box minimizes the arc spacing h/r that sets
@@ -292,9 +279,9 @@ class Scheme(str, enum.Enum):
 class SolverConfig:
     """Grid-solver plan for evolve_pde: the scheme and its time step.
 
-    The SemiLagrangian scheme resamples at snapshots and at the adaptive
-    remap cadence, whose window boundaries fall on multiples of dt past
-    the last snapshot; the upwind scheme steps by dt under a CFL guard.
+    The SemiLagrangian scheme resamples the initial field once per
+    snapshot and does not use dt; the upwind scheme steps by dt under a
+    CFL guard.
     """
 
     scheme: Scheme = Scheme.SEMILAGRANGIAN
@@ -311,9 +298,9 @@ _X_STAGE_POINTS = 1 << 16
 
 @dataclass(frozen=True)
 class _SLPlan:
-    """One backward step of size dt in separable form.
+    """The backward map over one span t in separable form.
 
-    Lookup (cell, k) reads the tricubic spline of the stored field at
+    Lookup (cell, k) reads the tricubic spline of the initial field at
     inv * (mu_d, nu_d, x_d) and weights the value by inv, where
     (mu_d, nu_d) is the cell's backtraced direction, x_d = x_back * x_k +
     shift[cell], and inv the scaled-frame factor.  Where inv is the cell's
@@ -335,9 +322,9 @@ class _SLPlan:
 
 
 def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
-                         dt: float) -> _SLPlan:
-    """Taps, lookup classes and outflow of one backward step of size dt."""
-    back = expm(-gen * dt)
+                         t: float) -> _SLPlan:
+    """Taps, lookup classes and outflow of the backward map over span t."""
+    back = expm(-gen * t)
     grids = (field.mu_grid, field.nu_grid, field.x_grid)
     sizes = tuple(g.size for g in grids)
 
@@ -405,18 +392,11 @@ def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
                    tuple(edges), (lookups[on], coords), n_out / x_d.size)
 
 
-def _resample(values: np.ndarray, plan: _SLPlan) -> np.ndarray:
-    """One SemiLagrangian resample: the cubic spline of ``values`` read at
-    the plan's lookups, each weighted by its factor inv.
-
-    The spline repeats edge values beyond the box: the evolved field is
-    genuinely nonzero at the X edges once the flow has inflated its
-    support, and a zero extension there would mis-evaluate the spline near
-    the edge every step, an error that compounds along the X-invariant
-    flow.
-    """
-    coeffs = spline_filter(values, order=3, mode="nearest")
-    n_x = values.shape[2]
+def _resample(coeffs: np.ndarray, plan: _SLPlan) -> np.ndarray:
+    """One SemiLagrangian resample: the cubic spline with prefiltered
+    coefficients ``coeffs`` read at the plan's lookups, each weighted by
+    its factor inv."""
+    n_x = coeffs.shape[2]
     rows = coeffs.reshape(-1, n_x)
     # 16-tap direction stage: each cell's spline row at its own direction.
     along = (plan.direction @ rows).ravel()
@@ -441,7 +421,7 @@ def _resample(values: np.ndarray, plan: _SLPlan) -> np.ndarray:
     if points.size:
         out[points] = map_coordinates(coeffs, coords, order=3,
                                       prefilter=False, mode="nearest")
-    return out.reshape(values.shape)
+    return out.reshape(coeffs.shape)
 
 
 def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray):
@@ -503,10 +483,12 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     """Advance a marginal field on its grid; exact affine backtracing.
 
     Returns the list of fields at ``times`` (finite, nondecreasing and
-    >= 0; the last entry is the end of integration).  Snapshot instants
-    are hit exactly with a partial step, which costs the SemiLagrangian
-    scheme nothing.  Each snapshot's meta["sl_windows"] lists the lengths
-    of the SemiLagrangian windows resampled since t = 0.
+    >= 0).  The SemiLagrangian scheme computes each snapshot at t > 0 as
+    one resample of the initial field at its exact backtrace e^{-At} z,
+    so snapshots do not depend on each other; the upwind scheme steps by
+    dt from snapshot to snapshot and hits each instant with a partial
+    step.  A snapshot's warnings are the initial field's plus its own
+    outflow and mass drift.
     """
     gen = coeffs.generator_matrix()
     snapshot_times = [float(t) for t in times]
@@ -516,57 +498,28 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
             b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be nondecreasing and >= 0")
 
-    values = initial.values.astype(float)
-    out = []
-    warnings = set(initial.warnings)
-    # A window is keyed by its full steps and partial step, so windows of
-    # equal length share one plan whatever order their steps came in.
-    plan_cache: dict[tuple[int, float], _SLPlan] = {}
-    windows: list[float] = []
-
-    def sl_step(steps: int, partial: float):
-        nonlocal values
-        length = steps * config.dt + partial
-        plan = plan_cache.get((steps, partial))
-        if plan is None:
-            plan = _semilagrangian_plan(initial, gen, length)
-            plan_cache[(steps, partial)] = plan
-        if plan.out_frac > 1e-3:
-            warnings.add(f"boundary outflow: {plan.out_frac:.2%} of backtraced "
-                         "points leave the box")
-        values = _resample(values, plan)
-        windows.append(length)
-
+    values = initial.values
+    initial_mass = float(np.sum(np.abs(values)))
     if config.scheme == Scheme.UPWIND:
         _check_cfl(initial, gen, config.dt)
-    initial_mass = float(np.sum(np.abs(initial.values)))
-
-    def stretch(span: float) -> float:
-        return float(np.linalg.norm(expm(-gen * span)[1:, 1:], 2))
-
-    def must_flush(span_next: float, span_to_target: float) -> bool:
-        return (stretch(span_next) > _REMAP_STRETCH
-                and stretch(span_to_target) > _REMAP_HARD_STRETCH)
-
+    else:
+        # Edge values repeat beyond the box, as the clamped taps read them.
+        spline = spline_filter(values, order=3, mode="nearest")
+    out = []
     t_now = 0.0
     for target in snapshot_times:
-        steps, partial = _split_span(target - t_now, config.dt)
-        if config.scheme == Scheme.SEMILAGRANGIAN:
-            held = 0  # full steps in the open window
-            for k in range(steps + (partial > 0.0)):
-                step = config.dt if k < steps else partial
-                rest = (steps - k) * config.dt + partial
-                if held and must_flush(held * config.dt + step,
-                                       held * config.dt + rest):
-                    sl_step(held, 0.0)
-                    held = 0
-                if k < steps:
-                    held += 1
-            if held or partial:
-                sl_step(held, partial)
-        else:
+        warnings = set(initial.warnings)
+        if config.scheme == Scheme.UPWIND:
+            steps, partial = _split_span(target - t_now, config.dt)
             for step in [config.dt] * steps + ([partial] if partial else []):
                 values = values + step * _upwind_rhs(values, initial, gen)
+        elif target > 0.0:
+            plan = _semilagrangian_plan(initial, gen, target)
+            if plan.out_frac > 1e-3:
+                warnings.add(f"boundary outflow: {plan.out_frac:.2%} of "
+                             "backtraced points leave the box")
+            values = _resample(spline, plan)
+            del plan  # one plan (about 35 MB on 65x65x257) alive at a time
         t_now = target
         if initial_mass > 0.0:
             drift = abs(float(np.sum(np.abs(values))) - initial_mass) / initial_mass
@@ -575,8 +528,7 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                              "(boundary outflow or under-resolution)")
         meta = dict(initial.meta)
         meta.update({"time": t_now, "scheme": config.scheme.value,
-                     "potential": coeffs.potential.coefficients,
-                     "sl_windows": list(windows)})
+                     "potential": coeffs.potential.coefficients})
         out.append(MarginalField(initial.mu_grid, initial.nu_grid,
                                  initial.x_grid, values.astype(float),
                                  tuple(sorted(warnings)), meta))

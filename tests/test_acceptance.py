@@ -158,7 +158,7 @@ def test_criterion_04_commuting_square():
     ok = worst_char <= 1e-6 and worst_pde <= 1e-3
     _line(4, ok, "4 states x {free,harmonic} x t in {0.3, 1.0, pi}: "
           f"characteristics worst {worst_char:.2e} <= 1e-6; grid solver "
-          f"worst {worst_pde:.2e} <= 1e-3 (65x65x257, dt=0.01)")
+          f"worst {worst_pde:.2e} <= 1e-3 (65x65x257)")
     assert worst_char <= 1e-6
     assert worst_pde <= 1e-3
 
