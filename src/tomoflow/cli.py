@@ -138,7 +138,7 @@ def cmd_evolve(args) -> int:
     else:
         result, = evolve_pde(field, coeffs, SolverConfig(), [args.t])
     write_field(result, args.out, meta={
-        "command": "evolve", "solver": args.solver, "t": args.t,
+        "command": "evolve", "t": args.t,
         "potential": coeffs.potential.coefficients})
     return 0
 
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='free | harmonic | linear:<slope> | "c0,c1,c2"')
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--solver", choices=["char", "pde"], default="char",
-                   help="both run one exact backtrace and resample")
+                   help="both run one backtrace and resample; not recorded")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evolve)
 

@@ -21,13 +21,13 @@ accelerated packets exactly.
 
 The grid solver `evolve_pde` offers two schemes.  SemiLagrangian traces
 each snapshot's affine flow back to t = 0 exactly and resamples the
-initial field there once by cubic spline, rescaling every lookup to a
-fixed reference annulus of |(mu, nu)| through the exact scaling
-identity; this sidesteps both box outflow (the flow may leave any finite
-(mu, nu) box) and the 1/r sharpening of the marginal near the degenerate
-direction.  Upwind is a plain first-order directional-difference scheme
-with a CFL guard, kept as an independent cross-check and for convergence
-studies.
+initial field there once by cubic spline (one `_resample` call), scaling
+every lookup to a fixed reference annulus of |(mu, nu)| through the
+exact scaling identity; this sidesteps both box outflow (the flow may
+leave any finite (mu, nu) box) and the 1/r sharpening of the marginal
+near the degenerate direction.  Upwind is a plain first-order
+directional-difference scheme with a CFL guard, kept as an independent
+cross-check and for convergence studies.
 """
 
 from __future__ import annotations
@@ -292,41 +292,27 @@ class SolverConfig:
             raise ValueError("dt must be positive and finite")
 
 
-# Lookups per chunk of the X stage; bounds the transient tap arrays.
+# Lookups per chunk of cells; bounds the transient per-lookup arrays.
 _X_STAGE_POINTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class _SLPlan:
-    """The backward map over one span t in separable form.
+def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
+              t: float) -> tuple[np.ndarray, float]:
+    """One SemiLagrangian resample over span t, and its outflow fraction.
 
-    Lookup (cell, k) reads the tricubic spline of the initial field at
-    inv * (mu_d, nu_d, x_d) and weights the value by inv, where
-    (mu_d, nu_d) is the cell's backtraced direction, x_d = x_back * x_k +
-    shift[cell], and inv the scaled-frame factor.  Where inv is the cell's
-    own factor, the direction is fixed per cell: `direction` holds the 16
-    taps of every cell, and only a 4-tap cubic along X remains per lookup.
-    The X-box cap moves the other lookups either onto X = +-x_edge, a
-    2-D read of the spline's plane there (`edges`), or to inv = 1, a
-    plain 3-D read (`plain`).
+    Lookup (cell, k) reads the cubic spline with prefiltered coefficients
+    ``coeffs`` at inv * (mu_d, nu_d, x_d) and weights the value by inv,
+    where (mu_d, nu_d) is the cell's backtraced direction, x_d = x_back *
+    x_k + shift[cell], and inv the scaled-frame factor.  Where inv is the
+    cell's own factor, the direction is fixed per cell: a 16-tap direction
+    stage reads every cell's spline row once, and only a 4-tap cubic along
+    X remains per lookup.  The X-box cap moves the other lookups either
+    onto X = +-x_edge, a 2-D read of the spline's plane there, or to
+    inv = 1, a plain 3-D read.
     """
-
-    direction: csr_array          # (cells, cells) direction-stage taps
-    inv: np.ndarray               # (cells,) each cell's own factor
-    shift: np.ndarray             # (cells,) X offset of the backtrace
-    x_back: float
-    x_grid: np.ndarray
-    edges: tuple                  # (X index coordinate, lookups, (2, n) coords, inv)
-    plain: tuple                  # (lookups, (3, n) coords)
-    out_frac: float
-
-
-def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
-                         t: float) -> _SLPlan:
-    """Taps, lookup classes and outflow of the backward map over span t."""
     back = expm(-gen * t)
     grids = (field.mu_grid, field.nu_grid, field.x_grid)
-    sizes = tuple(g.size for g in grids)
+    sizes = coeffs.shape
 
     def index(value, axis):
         return (value - grids[axis][0]) / grid_step(grids[axis])
@@ -344,17 +330,10 @@ def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
     mu_d = (back[1, 1] * mu + back[1, 2] * nu).ravel()
     nu_d = (back[2, 1] * mu + back[2, 2] * nu).ravel()
     shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
-    x_d = back[0, 0] * field.x_grid + shift[:, None]
     x_edge = min(-field.x_grid[0], field.x_grid[-1])
     r_d = np.hypot(mu_d, nu_d)
     r_ref = np.clip(r_d, *_R_REF_RANGE)
     inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
-    # Inflating a lookup (inv > 1) also inflates its X coordinate; cap
-    # the inflation so no lookup leaves the X box, falling back toward
-    # a plain (unscaled) read rather than a boundary substitute.
-    with np.errstate(divide="ignore"):
-        cap = np.maximum(1.0, x_edge / np.abs(x_d))
-    capped = inv[:, None] > cap
 
     a = index(mu_d * inv, 0)
     b = index(nu_d * inv, 1)
@@ -365,16 +344,37 @@ def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
         (np.stack([w for _, w in taps], axis=1).ravel(),
          np.stack([i for i, _ in taps], axis=1).ravel(),
          np.arange(0, 16 * a.size + 1, 16)), shape=(a.size, a.size))
-    n_out = np.count_nonzero(~capped & outside(
-        a[:, None], b[:, None], index(x_d * inv[:, None], 2)))
+    n_x = sizes[2]
+    rows = coeffs.reshape(-1, n_x)
+    # 16-tap direction stage: each cell's spline row at its own direction.
+    along = (direction @ rows).ravel()
+    out = np.empty_like(rows)
+    n_out = 0
+    picked = []
+    chunk = max(1, _X_STAGE_POINTS // n_x)
+    for lo in range(0, rows.shape[0], chunk):
+        cells = slice(lo, lo + chunk)
+        x_d = back[0, 0] * field.x_grid + shift[cells, None]
+        # Inflating a lookup (inv > 1) also inflates its X coordinate; cap
+        # the inflation so no lookup leaves the X box, falling back toward
+        # a plain (unscaled) read rather than a boundary substitute.
+        with np.errstate(divide="ignore"):
+            cap = np.maximum(1.0, x_edge / np.abs(x_d))
+        capped = inv[cells, None] > cap
+        coord = index(x_d * inv[cells, None], 2)
+        n_out += np.count_nonzero(~capped & outside(
+            a[cells, None], b[cells, None], coord))
+        row = n_x * np.arange(lo, lo + coord.shape[0])[:, None]
+        out[cells] = inv[cells, None] * sum(w * along.take(tap + row)
+                                            for tap, w in cubic_taps(coord, n_x))
+        picked.append((np.flatnonzero(capped) + lo * n_x, cap[capped],
+                       x_d[capped]))
 
     # Capped at x_edge / |x_d| > 1, a lookup lands on X = +-x_edge exactly
     # and only its direction varies; capped at 1 it is a plain read.
-    lookups = np.flatnonzero(capped)
-    scale = cap.ravel()[lookups]
-    x_c = x_d.ravel()[lookups]
-    cell = lookups // sizes[2]
-    edges = []
+    lookups, scale, x_c = (np.concatenate(part) for part in zip(*picked))
+    cell = lookups // n_x
+    out = out.reshape(-1)
     for side in (-1.0, 1.0):
         on = (scale > 1.0) & (np.sign(x_c) == side)
         if on.any():
@@ -382,50 +382,28 @@ def _semilagrangian_plan(field: MarginalField, gen: np.ndarray,
                                index(nu_d[cell[on]] * scale[on], 1)))
             n_out += np.count_nonzero(
                 outside(*coords, index(x_c[on] * scale[on], 2)))
-            edges.append((index(side * x_edge, 2), lookups[on], coords,
-                          scale[on]))
+            plane = sum(w * coeffs[:, :, tap]
+                        for tap, w in cubic_taps(index(side * x_edge, 2), n_x))
+            out[lookups[on]] = scale[on] * map_coordinates(
+                plane, coords, order=3, prefilter=False, mode="nearest")
     on = scale == 1.0
     coords = np.stack((index(mu_d[cell[on]], 0), index(nu_d[cell[on]], 1),
                        index(x_c[on], 2)))
     n_out += np.count_nonzero(outside(*coords))
-    return _SLPlan(direction, inv, shift, back[0, 0], field.x_grid,
-                   tuple(edges), (lookups[on], coords), n_out / x_d.size)
-
-
-def _resample(coeffs: np.ndarray, plan: _SLPlan) -> np.ndarray:
-    """One SemiLagrangian resample: the cubic spline with prefiltered
-    coefficients ``coeffs`` read at the plan's lookups, each weighted by
-    its factor inv."""
-    n_x = coeffs.shape[2]
-    rows = coeffs.reshape(-1, n_x)
-    # 16-tap direction stage: each cell's spline row at its own direction.
-    along = (plan.direction @ rows).ravel()
-    out = np.empty_like(rows)
-    x0, h_x = plan.x_grid[0], grid_step(plan.x_grid)
-    chunk = max(1, _X_STAGE_POINTS // n_x)
-    for lo in range(0, rows.shape[0], chunk):
-        cells = slice(lo, lo + chunk)
-        inv = plan.inv[cells, None]
-        coord = ((plan.x_back * plan.x_grid + plan.shift[cells, None]) * inv
-                 - x0) / h_x
-        row = n_x * np.arange(lo, lo + inv.shape[0])[:, None]
-        out[cells] = inv * sum(w * along.take(tap + row)
-                               for tap, w in cubic_taps(coord, n_x))
-    out = out.reshape(-1)
-    for x_coord, points, coords, inv in plan.edges:
-        plane = sum(w * coeffs[:, :, tap]
-                    for tap, w in cubic_taps(x_coord, n_x))
-        out[points] = inv * map_coordinates(plane, coords, order=3,
-                                            prefilter=False, mode="nearest")
-    points, coords = plan.plain
-    if points.size:
-        out[points] = map_coordinates(coeffs, coords, order=3,
-                                      prefilter=False, mode="nearest")
-    return out.reshape(coeffs.shape)
+    if on.any():
+        out[lookups[on]] = map_coordinates(coeffs, coords, order=3,
+                                           prefilter=False, mode="nearest")
+    return out.reshape(coeffs.shape), n_out / out.size
 
 
 def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray):
-    """-(V . grad w) with first-order directional differences, clamped edges."""
+    """-(V . grad w) with first-order directional differences, clamped edges.
+
+    The velocity has one value per (mu, nu) cell, sliced on those axes,
+    and its sign picks the upstream side: d[i] = w[i+1] - w[i] is the
+    backward difference at i + 1 where it is positive and the forward one
+    at i elsewhere; the clamped edge's own difference is zero.
+    """
     grids = (field.mu_grid, field.nu_grid, field.x_grid)
     mu = field.mu_grid[:, None, None]
     nu = field.nu_grid[None, :, None]
@@ -437,17 +415,13 @@ def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray):
     for axis, (grid, vel) in enumerate(zip(grids, velocities)):
         if np.all(vel == 0.0):
             continue
-        h = grid_step(grid)
-        pad = [(0, 0)] * 3
-        pad[axis] = (1, 1)
-        ext = np.pad(values, pad, mode="edge")
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, -2)
-        sl_hi[axis] = slice(2, None)
-        backward = (values - ext[tuple(sl_lo)]) / h
-        forward = (ext[tuple(sl_hi)] - values) / h
-        rhs -= vel * np.where(vel > 0.0, backward, forward)
+        diff = np.diff(values, axis=axis)
+        diff /= grid_step(grid)
+        for side, part in ((slice(1, None), np.where(vel > 0.0, vel, 0.0)),
+                           (slice(None, -1), np.where(vel > 0.0, 0.0, vel))):
+            at = [slice(None)] * 3
+            at[axis] = side
+            rhs[tuple(at)] -= part[tuple(at[:2])] * diff
     return rhs
 
 
@@ -514,12 +488,10 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
             for step in [config.dt] * steps + ([partial] if partial else []):
                 values = values + step * _upwind_rhs(values, initial, gen)
         elif target > 0.0:
-            plan = _semilagrangian_plan(initial, gen, target)
-            if plan.out_frac > 1e-3:
-                warnings.add(f"boundary outflow: {plan.out_frac:.2%} of "
+            values, out_frac = _resample(spline, initial, gen, target)
+            if out_frac > 1e-3:
+                warnings.add(f"boundary outflow: {out_frac:.2%} of "
                              "backtraced points leave the box")
-            values = _resample(spline, plan)
-            del plan  # one plan (about 35 MB on 65x65x257) alive at a time
         t_now = target
         if initial_mass > 0.0:
             drift = abs(float(np.sum(np.abs(values))) - initial_mass) / initial_mass

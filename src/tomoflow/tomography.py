@@ -128,7 +128,7 @@ def _prefilter(values, axis: int = 0) -> np.ndarray:
     return np.moveaxis(c, 0, axis)
 
 
-def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, np.ndarray]:
+def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, ...]:
     """Unit-direction marginal rows, one per angle in phis:
 
         (1/2pi) Int W(y cos phi - l sin phi, y sin phi + l cos phi) dl
@@ -141,14 +141,15 @@ def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, np.ndarray]:
     grid.  A WignerField is sampled bilinearly, which the convergence
     argument does not cover, so its rows use the full grid.
     ``y`` is one abscissa row shared by all angles or one row per angle.
-    Returns the (angle, y) table and the line step each row ended at.
+    Returns the (angle, y) table, the line step each row ended at, and each
+    row's largest line-end |W| over its largest value.
     """
     field = isinstance(wigner, WignerField)
     sample = wigner_field_sampler(wigner) if field else wigner
     first = 1 if field else _LINE_STRIDE
     y = np.broadcast_to(y, (len(phis), np.shape(y)[-1]))
     table = np.empty(y.shape)
-    steps = np.empty(len(phis))
+    steps, edges = np.empty((2, len(phis)))
     for k, phi in enumerate(phis):
         c, s = math.cos(phi), math.sin(phi)
 
@@ -161,7 +162,9 @@ def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, np.ndarray]:
         h = stride * grid_step(_LINE_GRID)
         ends = values[:, [0, -1]]
         row = h * (values.sum(axis=1) - 0.5 * ends.sum(axis=1))
-        decayed = np.max(np.abs(ends)) <= _EPS * np.max(np.abs(row))
+        edge, peak = np.max(np.abs(ends)), np.max(np.abs(row))
+        decayed = edge <= _EPS * peak
+        edges[k] = edge / peak if edge > 0.0 else 0.0
         while stride > 1:
             stride //= 2
             h *= 0.5
@@ -173,7 +176,7 @@ def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, np.ndarray]:
                 break
         table[k] = row / TWO_PI
         steps[k] = h
-    return table, steps
+    return table, steps, edges
 
 
 def radon_marginal(wigner, params: TomographyParams,
@@ -188,8 +191,8 @@ def radon_marginal(wigner, params: TomographyParams,
     r = params.r
     if r == 0.0:
         raise ValueError("degenerate direction: mu and nu both zero")
-    table, _ = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
-                               (x_grid - params.delta) / r)
+    table = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
+                            (x_grid - params.delta) / r)[0]
     return MarginalSlice(params, x_grid, table[0] / r)
 
 
@@ -210,7 +213,7 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     phis = np.arctan2(nu_grid[None, :], mu_grid[:, None]).ravel()
     cells = r > 0.0
     values = np.zeros((r.size, x_grid.size))
-    table, _ = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])
+    table = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])[0]
     values[cells] = table / r[cells, None]
     return MarginalField(mu_grid, nu_grid, x_grid,
                          values.reshape(mu_grid.size, nu_grid.size, -1))
@@ -282,15 +285,23 @@ class RadonMarginalEvaluator(UnitSliceSource):
         if n_phi < 8:
             raise ValueError("n_phi too small for stable interpolation")
         phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-        table, steps = _line_integrals(wigner, phi_grid, self.y_grid)
+        table, steps, edges = _line_integrals(wigner, phi_grid, self.y_grid)
         steps.flags.writeable = False
+        edges.flags.writeable = False
         self._line_steps = steps
+        self._line_edges = edges
         self._build(phi_grid, table)
 
     @property
     def line_steps(self) -> np.ndarray:
         """Line step each angle's row settled at (read-only, one per angle)."""
         return self._line_steps
+
+    @property
+    def line_edges(self) -> np.ndarray:
+        """Largest |W| at the line ends over the row's largest value
+        (read-only, one per angle); above machine epsilon the window cuts W."""
+        return self._line_edges
 
 
 class FieldMarginalSource(UnitSliceSource):

@@ -161,8 +161,9 @@ def roundtrip_report(state: StateSpec, *,
     ``marginal_source`` overrides the marginal family (any callable
     w(x, mu, nu, delta)); the default is the closed-form evaluator backed
     by a Radon table of the state's Wigner function, exercising the full
-    projection+inversion path; the largest line step of that table is
-    reported as "line_step" in the wigner-roundtrip context.
+    projection+inversion path; the largest line step and line-end value
+    of that table are reported as "line_step" and "line_edge" in the
+    wigner-roundtrip context.
     """
     if config is None:
         config = ReconstructionConfig()
@@ -170,6 +171,7 @@ def roundtrip_report(state: StateSpec, *,
     if marginal_source is None:
         marginal_source = RadonMarginalEvaluator(wigner_evaluator(state))
         plan["line_step"] = float(np.max(marginal_source.line_steps))
+        plan["line_edge"] = float(np.max(marginal_source.line_edges))
 
     results = []
     x_grid = uniform_grid(-10.0, 10.0, 1001)

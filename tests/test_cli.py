@@ -152,7 +152,8 @@ def test_evolve_char_matches_analytic(tmp_path, ground_field):
     mask = (np.hypot(mu, nu) >= 0.5)[:, :, None]
     err = float(np.where(mask, np.abs(field.values - ref.values), 0.0).max())
     assert err <= 1e-3
-    assert field.meta["solver"] == "char"
+    # --solver selects nothing, so the header does not record it
+    assert field.meta["command"] == "evolve" and "solver" not in field.meta
 
 
 def test_evolve_pde_agrees_with_char(tmp_path, ground_field):

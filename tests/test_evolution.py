@@ -479,6 +479,41 @@ def test_upwind_short_time_smoke():
     assert np.abs(err).max() <= 5e-2
 
 
+def reference_upwind_rhs(values, field, gen):
+    """The donor-cell right-hand side with edge padding and a full-size
+    select of the upstream difference, cell by cell."""
+    grids = (field.mu_grid, field.nu_grid, field.x_grid)
+    mu = field.mu_grid[:, None, None]
+    nu = field.nu_grid[None, :, None]
+    velocities = (gen[1, 1] * mu + gen[1, 2] * nu,
+                  gen[2, 1] * mu + gen[2, 2] * nu,
+                  gen[0, 1] * mu + gen[0, 2] * nu)
+    rhs = np.zeros_like(values)
+    for axis, (grid, vel) in enumerate(zip(grids, velocities)):
+        pad = [(0, 0)] * 3
+        pad[axis] = (1, 1)
+        ext = np.pad(values, pad, mode="edge")
+        lo, hi = [slice(None)] * 3, [slice(None)] * 3
+        lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+        backward = (values - ext[tuple(lo)]) / grid_step(grid)
+        forward = (ext[tuple(hi)] - values) / grid_step(grid)
+        rhs -= vel * np.where(vel > 0.0, backward, forward)
+    return rhs
+
+
+@pytest.mark.parametrize("potential", ["free", "harmonic", "linear:0.5",
+                                       "0.1,-0.2,0.8"])
+def test_upwind_rhs_matches_padded_reference(potential):
+    # same differences and products, so the values must agree exactly
+    f0 = sample_marginal_field(StateSpec(StateKind.ODD_CAT, q0=1.1, p0=0.9),
+                               uniform_grid(-1.5, 1.5, 33),
+                               uniform_grid(-1.5, 1.5, 31),
+                               uniform_grid(-6.0, 8.0, 129))
+    gen = reduce_equation(PotentialSpec.from_string(potential)).generator_matrix()
+    assert np.array_equal(evolution._upwind_rhs(f0.values, f0, gen),
+                          reference_upwind_rhs(f0.values, f0, gen))
+
+
 def test_resolvable_mask_flags_cells_swept_below_radius():
     f0 = sample_marginal_field(GROUND, **SHORT_GRIDS)
     free = reduce_equation(PotentialSpec.free())
@@ -504,13 +539,13 @@ def test_one_plan_per_positive_snapshot(monkeypatch):
                                uniform_grid(-6.0, 6.0, 65))
     coeffs = reduce_equation(PotentialSpec.free())
     calls = []
-    build = evolution._semilagrangian_plan
+    resample = evolution._resample
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
-        return build(*args, **kwargs)
+        calls.append(args[3])
+        return resample(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_semilagrangian_plan", counted)
+    monkeypatch.setattr(evolution, "_resample", counted)
     for j in np.linspace(0.98, 1.02, 21):
         calls.clear()
         evolve_pde(f0, coeffs, SolverConfig(), [0.0, j, 2.0 * j])
@@ -523,7 +558,9 @@ def test_one_plan_per_positive_snapshot(monkeypatch):
 
 def reference_resample(field, gen, dt):
     """One resample as a 64-tap tricubic map_coordinates gather; returns
-    the values and the lookups' index coordinates (3, ...)."""
+    the values, the lookups' index coordinates (3, ...) and their X reach
+    inv |x_d| / x_edge where inv > 1 (0 elsewhere): the X-box cap moves the
+    lookups whose reach exceeds 1."""
     back = expm(-gen * dt)
     x = field.x_grid[None, None, :]
     mu = field.mu_grid[:, None, None]
@@ -537,13 +574,14 @@ def reference_resample(field, gen, dt):
     x_edge = min(-field.x_grid[0], field.x_grid[-1])
     with np.errstate(divide="ignore"):
         x_cap = np.where(np.abs(x_d) > 0.0, x_edge / np.abs(x_d), np.inf)
+    reach = np.where(inv > 1.0, inv * np.abs(x_d) / x_edge, 0.0)
     inv = np.minimum(inv, np.maximum(1.0, x_cap))
     coords = np.stack([(v * inv - g[0]) / grid_step(g) for v, g in (
         (mu_d, field.mu_grid), (nu_d, field.nu_grid), (x_d, field.x_grid))])
     coeffs = spline_filter(field.values, order=3, mode="nearest")
     values = inv * map_coordinates(coeffs, coords, order=3, prefilter=False,
                                    mode="nearest")
-    return values, coords
+    return values, coords, reach
 
 
 RESAMPLE_CASES = {
@@ -563,19 +601,54 @@ def test_separable_resample_matches_tricubic_gather(case):
     field = sample_marginal_field(CAT_AXIS, DEFAULT_MU_GRID,
                                   DEFAULT_NU_GRID, x_grid)
     gen = reduce_equation(potential).generator_matrix()
-    want, coords = reference_resample(field, gen, dt)
-    plan = evolution._semilagrangian_plan(field, gen, dt)
-    got = evolution._resample(
-        spline_filter(field.values, order=3, mode="nearest"), plan)
+    want, coords, _ = reference_resample(field, gen, dt)
+    got, out_frac = evolution._resample(
+        spline_filter(field.values, order=3, mode="nearest"), field, gen, dt)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     last = np.array(field.values.shape)[:, None] - 1.0
     flat = coords.reshape(3, -1)
     outside = ((flat < 0.0) | (flat > last)).any(axis=0)
     # lookups within rounding of the box edge may count either way
     at_edge = ((np.abs(flat) < 1e-9) | (np.abs(flat - last) < 1e-9)).any(axis=0)
-    assert plan.out_frac == pytest.approx(outside.mean(), abs=at_edge.mean())
+    assert out_frac == pytest.approx(outside.mean(), abs=at_edge.mean())
     if case == "x-outflow":
         assert (flat[2] < 0.0).any() and (flat[2] > last[2]).any()
+
+
+@pytest.mark.parametrize("case", ["x-outflow", "asymmetric-x"])
+def test_wrapped_kernel_names_see_every_capped_lookup(case, monkeypatch):
+    # The benchmark's tracer times the resample by wrapping the module-level
+    # names evolution.spline_filter and evolution.map_coordinates; the
+    # prefilter runs once per call and the gathers read the capped lookups.
+    potential, t, x_grid = RESAMPLE_CASES[case]
+    field = sample_marginal_field(CAT_AXIS, DEFAULT_MU_GRID,
+                                  DEFAULT_NU_GRID, x_grid)
+    coeffs = reduce_equation(potential)
+    times = [0.5 * t, t]
+    plain = evolve_pde(field, coeffs, SolverConfig(), times)
+    prefilters, points = [], []
+
+    def wrapped_filter(*args, **kwargs):
+        prefilters.append(args[0].shape)
+        return spline_filter(*args, **kwargs)
+
+    def wrapped_gather(*args, **kwargs):
+        points.append(np.asarray(args[1])[0].size)
+        return map_coordinates(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "spline_filter", wrapped_filter)
+    monkeypatch.setattr(evolution, "map_coordinates", wrapped_gather)
+    traced = evolve_pde(field, coeffs, SolverConfig(), times)
+    assert prefilters == [field.values.shape]
+    reach = np.stack([reference_resample(field, coeffs.generator_matrix(), s)[2]
+                      for s in times])
+    # a reach within rounding of 1 is a tie that either side may take
+    tied = np.count_nonzero(np.abs(reach - 1.0) <= 1e-12)
+    capped = np.count_nonzero(reach > 1.0)
+    assert capped > 0 and abs(sum(points) - capped) <= tied
+    for a, b in zip(plain, traced):
+        assert np.array_equal(a.values, b.values)
+        assert a.warnings == b.warnings
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from tomoflow.states import (
     EXCITED_FIRST,
     GROUND,
     DynamicsKind,
+    CATALOG,
     StateKind,
     StateSpec,
     cat_normalization,
@@ -87,6 +88,34 @@ def test_cat_wigner_origin_is_minus_two():
     # bound -2 at the origin, independent of displacement.
     for state in (CAT_AXIS, CAT_TILTED, StateSpec(StateKind.ODD_CAT, 0.3, 0.0)):
         assert wigner_eval(state, (0.0, 0.0)) == pytest.approx(-2.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(0.1, 4.0, **finite),
+       angle=st.floats(-math.pi, math.pi, **finite))
+@example(radius=0.1, angle=0.0)
+def test_odd_cat_wigner_origin_is_minus_two(radius, angle):
+    # Parity: W(0, 0) = -2 <psi|P|psi> = -2 for every odd state.  The
+    # absolute floor covers the cancellation of the normalization 1/(2 s^2)
+    # at small displacement s.
+    state = StateSpec(StateKind.ODD_CAT, q0=radius * math.cos(angle),
+                      p0=radius * math.sin(angle))
+    assert wigner_eval(state, (0.0, 0.0)) == pytest.approx(-2.0, rel=0.0,
+                                                           abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)),
+       r=st.floats(0.1, 3.0, **finite),
+       angle=st.floats(-math.pi, math.pi, **finite),
+       delta=st.floats(-3.0, 3.0, **finite))
+def test_catalog_marginal_slices_have_unit_mass(name, r, angle, delta):
+    # The window holds 12 widths r of every catalog state on each side of
+    # delta; an absolute floor, since the mass is compared with 1.
+    x = uniform_grid(delta - 12.0 * r, delta + 12.0 * r, 2001)
+    params = TomographyParams(r * math.cos(angle), r * math.sin(angle), delta)
+    s = marginal_slice(CATALOG[name], params, x)
+    assert s.normalization() == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
 def test_cat_origin_against_independent_quadrature():

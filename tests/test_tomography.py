@@ -22,6 +22,7 @@ from tomoflow.fields import (
     uniform_grid,
 )
 from tomoflow.states import (
+    CATALOG,
     EXCITED_FIRST,
     GROUND,
     DynamicsKind,
@@ -200,6 +201,23 @@ def test_radon_line_steps_are_read_only():
         source.line_steps = np.zeros(8)
     with pytest.raises(ValueError):
         source.line_steps[0] = 1.0
+
+
+def test_radon_line_edges_show_where_the_window_cuts():
+    # The odd cat at (5, 0) has not decayed at the ends of l in [-8, 8]
+    # along the angles that cross its components; the catalog states have.
+    y = uniform_grid(-12.0, 12.0, 161)
+    far = StateSpec(StateKind.ODD_CAT, q0=5.0, p0=0.0)
+    source = RadonMarginalEvaluator(wigner_evaluator(far), n_phi=8, y_grid=y)
+    assert np.max(source.line_edges) > 1e-6
+    for state in CATALOG.values():
+        source = RadonMarginalEvaluator(wigner_evaluator(state), n_phi=8,
+                                        y_grid=y)
+        assert np.max(source.line_edges) <= np.finfo(float).eps
+    with pytest.raises(AttributeError):
+        source.line_edges = np.zeros(8)
+    with pytest.raises(ValueError):
+        source.line_edges[0] = 1.0
 
 
 @settings(max_examples=25, deadline=None)

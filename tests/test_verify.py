@@ -119,6 +119,7 @@ def test_roundtrip_report_radon_path():
         assert res.passed, (res.name, res.measured, res.threshold)
     roundtrip = results[names.index("wigner-roundtrip")]
     assert roundtrip.context["line_step"] == 0.16
+    assert roundtrip.context["line_edge"] <= np.finfo(float).eps
 
 
 def test_roundtrip_report_analytic_source():
@@ -129,6 +130,7 @@ def test_roundtrip_report_analytic_source():
         assert res.passed, (res.name, res.measured, res.threshold)
     assert results[1].name == "wigner-roundtrip"
     assert "line_step" not in results[1].context
+    assert "line_edge" not in results[1].context
 
 
 def test_roundtrip_report_stops_at_denormalized_source():
