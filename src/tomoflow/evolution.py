@@ -63,6 +63,9 @@ DEFAULT_EVOLUTION_X_GRID = uniform_grid(-8.0, 8.0, 257)
 # X-cells); solver output there is excluded from comparisons.
 DEFAULT_VALID_RADIUS = 0.5
 
+# Times in [0, t] at which resolvable_mask checks the backtraced radius.
+_MASK_SAMPLES = 257
+
 # Reference annulus of the SemiLagrangian scaled-frame lookups.  A thin
 # band high in the direction box minimizes the arc spacing h/r that sets
 # the band's own error accumulation, but its top edge must stay several
@@ -244,8 +247,7 @@ def evolve_wigner_reference(state, dyn, t: float):
 
 
 def resolvable_mask(field: MarginalField, coeffs: PDECoefficients, t: float,
-                    r_min: float = DEFAULT_VALID_RADIUS,
-                    samples: int = 257) -> np.ndarray:
+                    r_min: float = DEFAULT_VALID_RADIUS) -> np.ndarray:
     """Cells whose backtraced direction stays resolvable up to time t.
 
     The slice at direction radius r has X-width proportional to r, so data
@@ -262,7 +264,7 @@ def resolvable_mask(field: MarginalField, coeffs: PDECoefficients, t: float,
     mu = field.mu_grid[:, None]
     nu = field.nu_grid[None, :]
     ok = np.ones(np.broadcast_shapes(mu.shape, nu.shape), dtype=bool)
-    for s in np.linspace(0.0, t, samples):
+    for s in np.linspace(0.0, t, _MASK_SAMPLES):
         back = expm(-gen * s)
         r_s = np.hypot(back[1, 1] * mu + back[1, 2] * nu,
                        back[2, 1] * mu + back[2, 2] * nu)

@@ -123,6 +123,29 @@ class PotentialSpec:
         return deg
 
 
+class _GridField:
+    """Base of the gridded fields, with their one geometry check.
+
+    Each subclass declares AXES: one (file axis name, grid attribute) pair
+    per axis of values, in row-major order; rho(q, q') repeats q_grid.
+    """
+
+    def __post_init__(self):
+        for _, attr in self.AXES:
+            check_uniform(getattr(self, attr), attr)
+        shape = tuple(getattr(self, attr).size for _, attr in self.AXES)
+        if self.values.shape != shape:
+            raise ValueError(f"values shape {self.values.shape} does not "
+                             f"match grids {shape}")
+
+
+def field_axes(field) -> list[tuple[str, np.ndarray]]:
+    """(file axis name, grid) pairs of a gridded field, in row-major order."""
+    if not isinstance(field, _GridField):
+        raise TypeError(f"{type(field).__name__} carries no grid axes")
+    return [(name, getattr(field, attr)) for name, attr in field.AXES]
+
+
 # Default evaluation grids.
 DEFAULT_X_GRID = uniform_grid(-10.0, 10.0, 1024)
 DEFAULT_PHASE_GRID = uniform_grid(-6.0, 6.0, 241)
@@ -152,20 +175,16 @@ class TomographyParams:
 
 
 @dataclass(frozen=True)
-class WignerField:
+class WignerField(_GridField):
     """Wigner function samples on a rectangular (q, p) grid."""
+
+    AXES = (("q", "q_grid"), ("p", "p_grid"))
 
     q_grid: np.ndarray
     p_grid: np.ndarray
     values: np.ndarray
     warnings: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_uniform(self.q_grid, "q_grid")
-        check_uniform(self.p_grid, "p_grid")
-        if self.values.shape != (self.q_grid.size, self.p_grid.size):
-            raise ValueError("values shape does not match grids")
 
     def normalization(self) -> float:
         """Trapezoid estimate of integral W dq dp / (2*pi)."""
@@ -174,18 +193,16 @@ class WignerField:
 
 
 @dataclass(frozen=True)
-class MarginalSlice:
+class MarginalSlice(_GridField):
     """One marginal w(X) at fixed (mu, nu, delta)."""
+
+    AXES = (("x", "x_grid"),)
 
     params: TomographyParams
     x_grid: np.ndarray
     values: np.ndarray
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        check_uniform(self.x_grid, "x_grid")
-        if self.values.shape != self.x_grid.shape:
-            raise ValueError("values shape does not match x_grid")
+    meta: dict = field(default_factory=dict)
 
     def normalization(self) -> float:
         return float(np.trapezoid(self.values, self.x_grid))
@@ -195,7 +212,7 @@ class MarginalSlice:
 
 
 @dataclass(frozen=True)
-class MarginalField:
+class MarginalField(_GridField):
     """Marginal samples w(X; mu, nu) at delta = 0 on a rectangular grid.
 
     values has shape (len(mu_grid), len(nu_grid), len(x_grid)).  The cell
@@ -203,20 +220,14 @@ class MarginalField:
     degenerates there) and is excluded by `valid_mask`.
     """
 
+    AXES = (("mu", "mu_grid"), ("nu", "nu_grid"), ("x", "x_grid"))
+
     mu_grid: np.ndarray
     nu_grid: np.ndarray
     x_grid: np.ndarray
     values: np.ndarray
     warnings: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_uniform(self.mu_grid, "mu_grid")
-        check_uniform(self.nu_grid, "nu_grid")
-        check_uniform(self.x_grid, "x_grid")
-        expected = (self.mu_grid.size, self.nu_grid.size, self.x_grid.size)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
 
     def radius(self) -> np.ndarray:
         """|(mu, nu)| per cell, shape (n_mu, n_nu)."""
@@ -232,23 +243,20 @@ class MarginalField:
 
 
 @dataclass(frozen=True)
-class CharacteristicGrid:
+class CharacteristicGrid(_GridField):
     """Symmetric-ordered characteristic function chi(a, b) on a grid.
 
     chi(a, b) is the expectation of exp(i*(a*q + b*p)); chi(0, 0) = 1 and
     chi(-a, -b) = conj(chi(a, b)) for any physical input.
     """
 
+    AXES = (("a", "a_grid"), ("b", "b_grid"))
+
     a_grid: np.ndarray
     b_grid: np.ndarray
     values: np.ndarray
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        check_uniform(self.a_grid, "a_grid")
-        check_uniform(self.b_grid, "b_grid")
-        if self.values.shape != (self.a_grid.size, self.b_grid.size):
-            raise ValueError("values shape does not match grids")
+    meta: dict = field(default_factory=dict)
 
     def hermitian_defect(self) -> float:
         """max | chi(-a,-b) - conj chi(a,b) | over the grid (symmetric grids)."""
@@ -288,19 +296,16 @@ class ReconstructionConfig:
 
 
 @dataclass(frozen=True)
-class DensityMatrixGrid:
+class DensityMatrixGrid(_GridField):
     """Position-representation density matrix rho(q, q') on a square grid."""
+
+    AXES = (("q", "q_grid"), ("q_conj", "q_grid"))
 
     q_grid: np.ndarray
     values: np.ndarray
     config: ReconstructionConfig = field(default_factory=ReconstructionConfig)
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        check_uniform(self.q_grid, "q_grid")
-        n = self.q_grid.size
-        if self.values.shape != (n, n):
-            raise ValueError("values must be square over q_grid")
+    meta: dict = field(default_factory=dict)
 
     def trace(self) -> float:
         return float(np.real(np.trapezoid(np.diag(self.values), self.q_grid)))

@@ -26,6 +26,7 @@ from .fields import (
     ReconstructionConfig,
     TomographyParams,
     WignerField,
+    field_axes,
 )
 
 SCHEMA_VERSION = 1
@@ -42,23 +43,6 @@ _META_PREFIX = "#META "
 
 # Rows per write: the body is never held whole (about 60 bytes a row).
 _BLOCK_ROWS = 4096
-
-
-def _axes(field):
-    """(column name, grid) pairs in row-major output order."""
-    if isinstance(field, WignerField):
-        return [("q", field.q_grid), ("p", field.p_grid)]
-    if isinstance(field, MarginalSlice):
-        return [("x", field.x_grid)]
-    if isinstance(field, MarginalField):
-        return [("mu", field.mu_grid), ("nu", field.nu_grid),
-                ("x", field.x_grid)]
-    if isinstance(field, DensityMatrixGrid):
-        # square geometry; rows index q, columns its conjugate argument
-        return [("q", field.q_grid), ("q_conj", field.q_grid)]
-    if isinstance(field, CharacteristicGrid):
-        return [("a", field.a_grid), ("b", field.b_grid)]
-    raise TypeError(f"cannot serialize {type(field).__name__}")
 
 
 def _tuplify(obj):
@@ -86,24 +70,21 @@ def write_field(field, path, meta: dict | None = None) -> None:
     kind = FIELD_KINDS.get(type(field))
     if kind is None:
         raise TypeError(f"cannot serialize {type(field).__name__}")
-    axes = _axes(field)
+    axes = field_axes(field)
+    names = [name for name, _ in axes]
     values = np.asarray(field.values)
-    if values.shape != tuple(g.size for _, g in axes):
-        raise ValueError(f"values shape {values.shape} does not match grids")
     if not np.all(np.isfinite(values)):
         raise ValueError("field contains non-finite values")
     is_complex = bool(np.iscomplexobj(values))
 
-    merged = dict(getattr(field, "meta", {}) or {})
-    merged.update(meta or {})
     header = {
         "schema_version": SCHEMA_VERSION,
         "field_kind": kind,
-        "axes": [name for name, _ in axes],
+        "axes": names,
         "grids": {name: [float(v) for v in grid] for name, grid in axes},
         "complex": is_complex,
         "warnings": list(field.warnings),
-        "meta": _jsonable(merged),
+        "meta": _jsonable({**field.meta, **(meta or {})}),
     }
     if isinstance(field, MarginalSlice):
         p = field.params
@@ -114,13 +95,12 @@ def write_field(field, path, meta: dict | None = None) -> None:
             "s": c.s, "mu_range": list(c.mu_range), "mu_samples": c.mu_samples,
         }
 
-    names = [n for n, _ in axes]
-    names += ["re_value", "im_value"] if is_complex else ["value"]
     columns = ([values.real.ravel(), values.imag.ravel()] if is_complex
                else [values.ravel()])
     with open(path, "w") as fh:
         fh.write(_META_PREFIX + json.dumps(header, sort_keys=True) + "\n")
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(names + (["re_value", "im_value"] if is_complex
+                                   else ["value"])) + "\n")
         for block in _body_blocks([g for _, g in axes], columns):
             fh.write(block)
 
@@ -202,7 +182,8 @@ def read_field(path):
     """Load a field written by write_field.
 
     Non-finite values are refused, and so are rows whose coordinates are
-    not their point of the header grids (swapped, reordered or edited)."""
+    not their point of the header grids (swapped, reordered or edited) and
+    headers whose axes are not the kind's own AXES, in its order."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith(_META_PREFIX):
@@ -222,15 +203,29 @@ def read_field(path):
         kind = header.get("field_kind")
         if kind not in FIELD_KINDS.values():
             raise ValueError(f"{path}: unknown field_kind {kind!r}")
+        cls = next(c for c, k in FIELD_KINDS.items() if k == kind)
+        warnings = header.get("warnings", [])
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise ValueError(f"{path}: header warnings are not a list of strings")
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: header meta is not a JSON object")
         header_grids = header.get("grids")
         if not isinstance(header_grids, dict):
             raise ValueError(f"{path}: header has no grids")
-        axis_names = header.get("axes", list(header_grids))
-        missing = [name for name in axis_names if name not in header_grids]
-        if missing:
-            raise ValueError(f"{path}: axes {missing} have no header grid")
-        grids = {name: np.asarray(header_grids[name], dtype=float)
-                 for name in axis_names}
+        axis_names = [name for name, _ in cls.AXES]
+        if header.get("axes") != axis_names:
+            raise ValueError(f"{path}: header axes {header.get('axes')!r} are "
+                             f"not {kind}'s {axis_names}")
+        grids = {}
+        for name, attr in cls.AXES:
+            if name not in header_grids:
+                raise ValueError(f"{path}: axes {[name]} have no header grid")
+            grid = np.asarray(header_grids[name], dtype=float)
+            if not np.array_equal(grids.setdefault(attr, grid), grid):
+                raise ValueError(f"{path}: header grid {name!r} differs from "
+                                 f"the other axis on {attr}")
+        axis_grids = [grids[attr] for _, attr in cls.AXES]
         is_complex = bool(header.get("complex"))
         names = fh.readline().rstrip("\n").split(",")
         expected = axis_names + (["re_value", "im_value"] if is_complex
@@ -246,7 +241,7 @@ def read_field(path):
             _scan_body(path, len(expected))
             raise
 
-    shape = tuple(g.size for g in grids.values())
+    shape = tuple(g.size for g in axis_grids)
     n_rows = int(np.prod(shape))
     if data.shape[0] != n_rows:
         raise ValueError(f"{path}: {data.shape[0]} data rows, header "
@@ -254,35 +249,31 @@ def read_field(path):
     if data.shape[1] != len(expected):
         raise ValueError(f"{path}: {data.shape[1]} columns, expected "
                          f"{len(expected)}")
-    _check_coordinates(path, data, list(grids.values()))
-    if is_complex:
-        values = (data[:, -2] + 1j * data[:, -1]).reshape(shape)
-    else:
-        values = data[:, -1].reshape(shape)
-    warnings = tuple(header.get("warnings", ()))
-    meta = _tuplify(header.get("meta", {}))
+    _check_coordinates(path, data, axis_grids)
+    # a view of the value columns: re + 1j * im would turn a -0.0 real part
+    # into 0.0
+    values = np.ascontiguousarray(data[:, len(shape):]).view(
+        complex if is_complex else float).reshape(shape)
 
-    if kind == "wigner":
-        return WignerField(grids["q"], grids["p"], values, warnings, meta)
-    if kind == "marginal_slice":
+    extras = {}
+    if cls is MarginalSlice:
         p = header.get("params", {})
-        params = TomographyParams(float(p.get("mu", 1.0)),
-                                  float(p.get("nu", 0.0)),
-                                  float(p.get("delta", 0.0)))
-        return MarginalSlice(params, grids["x"], values, warnings)
-    if kind == "marginal_field":
-        return MarginalField(grids["mu"], grids["nu"], grids["x"], values,
-                             warnings, meta)
-    if kind == "density_matrix":
+        extras["params"] = TomographyParams(float(p.get("mu", 1.0)),
+                                            float(p.get("nu", 0.0)),
+                                            float(p.get("delta", 0.0)))
+    if cls is DensityMatrixGrid:
         # Older files also carry y_range and y_samples, which no setting
         # reads any more; they are ignored.
         r = header.get("reconstruction", {})
         try:
-            config = ReconstructionConfig(
+            extras["config"] = ReconstructionConfig(
                 s=float(r.get("s", 1.0)),
                 mu_range=tuple(r.get("mu_range", (-8.0, 8.0))),
                 mu_samples=r.get("mu_samples", 801))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad reconstruction header: {exc}") from exc
-        return DensityMatrixGrid(grids["q"], values, config, warnings)
-    return CharacteristicGrid(grids["a"], grids["b"], values, warnings)
+    try:
+        return cls(values=values, warnings=tuple(warnings),
+                   meta=_tuplify(meta), **grids, **extras)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -274,7 +274,6 @@ def sample_marginal_field(state: StateSpec, mu_grid: np.ndarray,
     evaluate = marginal_evaluator(state, t, dyn)
     mu = mu_grid[:, None, None]
     nu = nu_grid[None, :, None]
-    values = np.zeros((mu_grid.size, nu_grid.size, x_grid.size))
     ok = (mu * mu + nu * nu) > 0.0
     safe_mu = np.where(ok, mu, 1.0)
     values = np.where(ok, evaluate(x_grid[None, None, :], safe_mu, nu), 0.0)

@@ -19,6 +19,7 @@ from .fields import (
     MarginalSlice,
     ReconstructionConfig,
     TomographyParams,
+    field_axes,
     uniform_grid,
 )
 from .states import StateSpec, marginal_slice, sample_wigner_field, wigner_evaluator
@@ -110,38 +111,25 @@ def check_positivity(values, floor: float = DEFAULT_TOLERANCES.positivity_floor
                        {"n_points": int(arr.size)})
 
 
-def _grids_of(obj) -> list[tuple[str, np.ndarray]]:
-    """Grid arrays of a field dataclass, in declaration order."""
-    grids = []
-    for f in dataclasses.fields(obj):
-        if f.name.endswith("_grid"):
-            grids.append((f.name, getattr(obj, f.name)))
-    if not grids:
-        raise TypeError(f"{type(obj).__name__} carries no grids to compare on")
-    return grids
-
-
 def compare_fields(a, b) -> ComparisonReport:
     """Max-abs and Euclidean difference of two fields on identical grids.
 
     Works for any pair of the gridded field types (Wigner, marginal,
     characteristic, density matrix); the argmax location is reported in
-    grid coordinates, one per axis.
+    grid coordinates, one per axis of values.
     """
     if type(a) is not type(b):
         raise ValueError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    grids_a, grids_b = _grids_of(a), _grids_of(b)
-    for (name, ga), (_, gb) in zip(grids_a, grids_b):
-        if ga.shape != gb.shape or not np.array_equal(ga, gb):
-            raise ValueError(f"grid mismatch on {name}")
+    axes = field_axes(a)
+    for _, attr in a.AXES:
+        if not np.array_equal(getattr(a, attr), getattr(b, attr)):
+            raise ValueError(f"grid mismatch on {attr}")
     diff = np.abs(np.asarray(a.values) - np.asarray(b.values))
-    flat_idx = int(np.argmax(diff)) if diff.size else 0
-    idx = np.unravel_index(flat_idx, diff.shape) if diff.size else ()
-    location = tuple(float(g[i]) for (_, g), i in zip(grids_a, idx))
+    idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
     return ComparisonReport(
-        max_abs=float(diff.max()) if diff.size else 0.0,
+        max_abs=float(diff.max()),
         l2=float(np.sqrt(np.sum(diff * diff))),
-        argmax_location=location,
+        argmax_location=tuple(float(g[i]) for (_, g), i in zip(axes, idx)),
         n_points=int(diff.size),
     )
 

@@ -204,6 +204,20 @@ def test_evolve_rejects_non_finite_time(tmp_path, ground_field, capsys,
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_evolve_refuses_a_header_meta_that_is_not_an_object(tmp_path, capsys,
+                                                            ground_field):
+    path = pathlib.Path(ground_field)
+    head, body = path.read_text().split("\n", 1)
+    header = json.loads(head[len("#META "):])
+    header["meta"] = [1, 2]
+    path.write_text("#META " + json.dumps(header) + "\n" + body)
+    assert main(["evolve", "--in", ground_field, "--dyn", "free", "--t", "1",
+                 "--out", str(tmp_path / "e.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "header meta is not a JSON object" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_invert_recovers_wigner(tmp_path, ground_field, small_config):
     out = tmp_path / "wi.csv"
     assert main(["invert", "--in", ground_field, "--config", small_config,
@@ -273,6 +287,18 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "d/dX" in proc.stdout
+
+
+def test_evolve_demo_script_writes_readable_snapshots(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "evolve_demo.py"),
+         "--n-dir", "17", "--n-x", "65", "--times", "0.3", "1.0",
+         "--out-dir", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    times = sorted(read_field(path).meta["time"]
+                   for path in tmp_path.glob("*.csv"))
+    assert times == [0.3, 1.0]
 
 
 def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):

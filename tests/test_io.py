@@ -1,9 +1,13 @@
 """File format: header + CSV body, lossless for finite float64 fields."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tomoflow import io
 from tomoflow.fields import (
@@ -14,6 +18,7 @@ from tomoflow.fields import (
     ReconstructionConfig,
     TomographyParams,
     WignerField,
+    field_axes,
     uniform_grid,
 )
 from tomoflow.io import read_field, write_field
@@ -462,3 +467,211 @@ def test_unmodified_coordinates_pass_bit_for_bit(tmp_path):
     write_field(field, tmp_path / "w.csv")
     back = read_field(tmp_path / "w.csv")
     assert np.array_equal(back.q_grid, q) and np.array_equal(back.p_grid, p)
+
+
+# -- each kind's axes are its own ------------------------------------------
+
+def p_major_wigner_file(path, field):
+    """field as a Wigner file laid out p-major: axes ["p", "q"] and
+    p,q,value columns, every row's coordinates consistent."""
+    write_field(WignerField(field.p_grid, field.q_grid, field.values.T), path)
+    lines = _lines(path)
+    header = json.loads(lines[0][len("#META "):])
+    header["axes"] = ["p", "q"]
+    header["grids"] = {"p": header["grids"]["q"], "q": header["grids"]["p"]}
+    lines[0] = "#META " + json.dumps(header)
+    lines[1] = "p,q,value"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n_p", [17, 13])
+def test_wigner_file_with_foreign_axis_order_is_refused(tmp_path, n_p):
+    # with equal grid sizes such a file used to load transposed
+    q = uniform_grid(-2.0, 2.0, 17)
+    p = uniform_grid(-1.5, 1.5, n_p)
+    path = tmp_path / "w.csv"
+    p_major_wigner_file(path, WignerField(q, p, RNG.standard_normal((17, n_p))))
+    with pytest.raises(ValueError, match=r"w\.csv: header axes \['p', 'q'\] "
+                                         r"are not wigner's \['q', 'p'\]"):
+        read_field(path)
+
+
+def test_density_file_whose_q_conj_differs_from_q_is_refused(tmp_path):
+    path = tmp_path / "d.csv"
+    write_field(small_density(), path)
+    lines = _lines(path)
+    header = json.loads(lines[0][len("#META "):])
+    q_conj = [2.0 * v for v in header["grids"]["q_conj"]]
+    header["grids"]["q_conj"] = q_conj
+    lines[0] = "#META " + json.dumps(header)
+    for row in range(len(q_conj) ** 2):
+        parts = lines[2 + row].split(",")
+        parts[1] = repr(q_conj[row % len(q_conj)])
+        lines[2 + row] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"d\.csv: header grid 'q_conj' "
+                                         r"differs from the other axis on q_grid"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_meta_round_trips_for_every_kind(kind, tmp_path):
+    field = FIELDS[kind]()
+    write_field(field, tmp_path / "f.csv",
+                meta={"command": "density-matrix", "s": -2.0})
+    back = read_field(tmp_path / "f.csv")
+    assert back.meta == {**field.meta, "command": "density-matrix", "s": -2.0}
+
+
+@pytest.mark.parametrize("meta", [[1, 2], "abc", 3.0, None])
+def test_header_meta_must_be_an_object(tmp_path, meta):
+    path = _with_header(tmp_path, lambda h: {**h, "meta": meta})
+    with pytest.raises(ValueError,
+                       match=r"w\.csv: header meta is not a JSON object"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("warnings", ["abc", ["ok", 3], {"a": "b"}, None])
+def test_header_warnings_must_be_a_list_of_strings(tmp_path, warnings):
+    path = _with_header(tmp_path, lambda h: {**h, "warnings": warnings})
+    with pytest.raises(ValueError, match=r"w\.csv: header warnings are not "
+                                         r"a list of strings"):
+        read_field(path)
+
+
+# -- properties over random fields and random edits -------------------------
+
+SPECIAL_VALUES = [1e300, -1e300, 5e-324, -0.0]
+VALUE = st.one_of(st.sampled_from(SPECIAL_VALUES),
+                  st.floats(allow_nan=False, allow_infinity=False))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), FINITE,
+                      st.text(max_size=6))
+# JSON arrays come back as tuples, so the drawn meta holds tuples
+JSON_VALUE = st.recursive(
+    JSON_LEAF, lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def random_fields(draw):
+    """A field of any kind, 2-6 points per axis, random warnings and meta."""
+    def grid():
+        lo = draw(st.floats(-1e3, 1e3))
+        width = draw(st.floats(1e-3, 1e3))
+        return uniform_grid(lo, lo + width, draw(st.integers(2, 6)))
+
+    def values(shape, complex_):
+        real = draw(hnp.arrays(float, shape, elements=VALUE))
+        if not complex_:
+            return real
+        return real + 1j * draw(hnp.arrays(float, shape, elements=VALUE))
+
+    common = dict(warnings=tuple(draw(st.lists(st.text(max_size=8), max_size=3))),
+                  meta=draw(st.dictionaries(st.text(max_size=6), JSON_VALUE,
+                                            max_size=4)))
+    kind = draw(st.sampled_from(sorted(io.FIELD_KINDS.values())))
+    if kind == "wigner":
+        q, p = grid(), grid()
+        return WignerField(q, p, values((q.size, p.size), False), **common)
+    if kind == "marginal_slice":
+        x = grid()
+        params = TomographyParams(draw(FINITE), draw(FINITE), draw(FINITE))
+        return MarginalSlice(params, x, values(x.size, False), **common)
+    if kind == "marginal_field":
+        mu, nu, x = grid(), grid(), grid()
+        return MarginalField(mu, nu, x, values((mu.size, nu.size, x.size), False),
+                             **common)
+    if kind == "characteristic":
+        a, b = grid(), grid()
+        return CharacteristicGrid(a, b, values((a.size, b.size), True), **common)
+    q = grid()
+    lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    config = ReconstructionConfig(
+        s=draw(FINITE.filter(lambda v: v != 0.0)), mu_range=(lo, hi),
+        mu_samples=draw(st.integers(9, 10 ** 6)))
+    return DensityMatrixGrid(q, values((q.size, q.size), True), config, **common)
+
+
+def bits(obj):
+    """obj in a form whose == is bit-exact: floats by hex (so -0.0 is not
+    0.0), containers by type, dict items sorted."""
+    if isinstance(obj, float):
+        return ("float", obj.hex())
+    if isinstance(obj, dict):
+        return ("dict", sorted((k, bits(v)) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, [bits(v) for v in obj])
+    return (type(obj).__name__, obj)
+
+
+def array_bits(arr):
+    arr = np.asarray(arr)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=random_fields())
+def test_write_read_round_trip_is_bit_exact(tmp_path, field):
+    path = tmp_path / "f.csv"
+    write_field(field, path)
+    back = read_field(path)
+    assert type(back) is type(field)
+    assert array_bits(back.values) == array_bits(field.values)
+    for (name, grid), (_, grid_back) in zip(field_axes(field), field_axes(back)):
+        assert array_bits(grid_back) == array_bits(grid), name
+    assert back.warnings == field.warnings
+    assert bits(back.meta) == bits(field.meta)
+    if isinstance(field, MarginalSlice):
+        assert bits(dataclasses.astuple(back.params)) == \
+            bits(dataclasses.astuple(field.params))
+    if isinstance(field, DensityMatrixGrid):
+        assert bits(dataclasses.astuple(back.config)) == \
+            bits(dataclasses.astuple(field.config))
+
+
+# One edit of a data row's fields; n_axes leading fields are coordinates.
+def cut_field(parts, n_axes, data):
+    k = data.draw(st.integers(0, len(parts) - 1))
+    return parts[:k] + parts[k + 1:]
+
+
+def bad_token(parts, n_axes, data):
+    k = data.draw(st.integers(0, len(parts) - 1))
+    return parts[:k] + [data.draw(st.sampled_from(["abc", "nan", "inf"]))] \
+        + parts[k + 1:]
+
+
+def nudge_coordinate(parts, n_axes, data):
+    k = data.draw(st.integers(0, n_axes - 1))
+    toward = data.draw(st.sampled_from([-np.inf, np.inf]))
+    return parts[:k] + [repr(float(np.nextafter(float(parts[k]), toward)))] \
+        + parts[k + 1:]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=random_fields(),
+       edit=st.sampled_from(["cut", "token", "swap", "ulp"]), data=st.data())
+def test_every_single_row_edit_names_its_line(tmp_path, field, edit, data):
+    path = tmp_path / "f.csv"
+    write_field(field, path)
+    lines = _lines(path)
+    n_rows = len(lines) - 2
+    row = data.draw(st.integers(0, n_rows - 1))
+    line = row + 3
+    if edit == "swap":
+        other = data.draw(st.integers(0, n_rows - 1).filter(lambda r: r != row))
+        lines[2 + row], lines[2 + other] = lines[2 + other], lines[2 + row]
+        line = min(row, other) + 3
+    else:
+        edit_row = {"cut": cut_field, "token": bad_token,
+                    "ulp": nudge_coordinate}[edit]
+        lines[2 + row] = ",".join(edit_row(lines[2 + row].split(","),
+                                           len(field.AXES), data))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"f\.csv: line {line}: "):
+        read_field(path)

@@ -95,6 +95,17 @@ def test_compare_fields_density_matrices():
     assert report.max_abs == pytest.approx(0.5)
 
 
+def test_compare_fields_locates_an_off_diagonal_density_difference():
+    q = uniform_grid(-2.0, 2.0, 9)
+    values = np.eye(9, dtype=complex)
+    other = values.copy()
+    other[2, 7] += 0.25j
+    report = compare_fields(DensityMatrixGrid(q, values),
+                            DensityMatrixGrid(q, other))
+    assert report.max_abs == pytest.approx(0.25)
+    assert report.argmax_location == (q[2], q[7])
+
+
 def test_slice_checks_annotates_state():
     for res in slice_checks(EXCITED, TomographyParams(0.6, -0.8, 0.3)):
         assert res.passed
