@@ -5,9 +5,7 @@ or draws random numbers, so reruns produce identical files.  Exit codes:
 0 success, 1 validation or check failure, 2 usage errors.
 
 Each command imports the evolution, tomography and verify layers itself,
-so a process loads only what its command uses.  Only the evolution layer
-imports scipy: `evolve`, `reduce` and `check --suite evolution` load it,
-and every other command runs on numpy alone.
+so a process loads only what its command uses; every layer needs numpy only.
 """
 
 from __future__ import annotations

@@ -27,27 +27,24 @@ exact scaling identity; this sidesteps both box outflow (the flow may
 leave any finite (mu, nu) box) and the 1/r sharpening of the marginal
 near the degenerate direction.  Upwind is a plain first-order
 directional-difference scheme with a CFL guard, kept as an independent
-cross-check and for convergence studies.
+cross-check and for convergence studies.  The module needs numpy only; its
+splines are the tomography layer's (`fields._prefilter`, `fields.cubic_taps`).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.ndimage import map_coordinates, spline_filter
-from scipy.sparse import csr_array
 
-# PotentialSpec and NonlocalPotentialError live in the numpy-only fields
-# module, so the CLI can parse --dyn without scipy; they stay importable here.
 from .fields import (
     MarginalField,
     NonlocalPotentialError,
     PotentialSpec,
-    check_uniform,
+    _prefilter,
     cubic_taps,
     grid_step,
     uniform_grid,
@@ -76,6 +73,20 @@ _R_REF_RANGE = (1.2, 1.3)
 # Largest CFL number the upwind scheme accepts; donor-cell differencing
 # is stable up to 1.
 _MAX_CFL = 0.9
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: the Taylor series of b = a / 2^s to b^15 / 15!,
+    with ||b||_1 <= 1/2 so the first term left out is below 1e-18, squared
+    s times (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 3)."""
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1] + 1)
+    term = out = np.eye(a.shape[0])
+    for k in range(1, 16):
+        term = term @ a / (k * 2.0 ** s)
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 @dataclass(frozen=True)
@@ -298,6 +309,30 @@ class SolverConfig:
 _X_STAGE_POINTS = 1 << 16
 
 
+# The two spline kernels keep scipy.ndimage's names and (array, coordinates)
+# arguments and are looked up at call time: perfbench/tracing.py times the
+# prefilter and the capped lookups by wrapping these module attributes.
+def spline_filter(values: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients along every axis, clamped ends."""
+    for axis in range(values.ndim):
+        values = _prefilter(values, axis)
+    return np.ascontiguousarray(values)
+
+
+def map_coordinates(coeffs: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The cubic B-spline of ``coeffs`` at index coordinates ``coords`` (one
+    row per axis), taps clamped into the box; sums the last axis innermost."""
+    flat = coeffs.ravel()
+    steps = np.cumprod((1,) + coeffs.shape[:0:-1])[::-1]
+    taps = [cubic_taps(coord, size) for coord, size in zip(coords, coeffs.shape)]
+    out = 0.0
+    for outer in itertools.product(*taps[:-1]):
+        base = sum(step * tap for step, (tap, _) in zip(steps, outer))
+        inner = sum(w * flat.take(base + tap) for tap, w in taps[-1])
+        out = out + math.prod(w for _, w in outer) * inner
+    return out
+
+
 def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
               t: float) -> tuple[np.ndarray, float]:
     """One SemiLagrangian resample over span t, and its outflow fraction.
@@ -342,14 +377,16 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
     taps = [(ia * sizes[1] + ib, wa * wb)
             for ia, wa in cubic_taps(a, sizes[0])
             for ib, wb in cubic_taps(b, sizes[1])]
-    direction = csr_array(
-        (np.stack([w for _, w in taps], axis=1).ravel(),
-         np.stack([i for i, _ in taps], axis=1).ravel(),
-         np.arange(0, 16 * a.size + 1, 16)), shape=(a.size, a.size))
+    tap_rows, tap_weights = (np.stack(part, axis=1) for part in zip(*taps))
     n_x = sizes[2]
     rows = coeffs.reshape(-1, n_x)
-    # 16-tap direction stage: each cell's spline row at its own direction.
-    along = (direction @ rows).ravel()
+    # 16-tap direction stage: each cell's spline row at its own direction,
+    # 16 cells' 16 gathered rows at a time.
+    along = np.empty_like(rows)
+    for lo in range(0, a.size, 16):
+        cells = slice(lo, lo + 16)
+        along[cells] = (tap_weights[cells, None, :]
+                        @ rows[tap_rows[cells]])[:, 0]
     out = np.empty_like(rows)
     n_out = 0
     picked = []
@@ -386,15 +423,13 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
                 outside(*coords, index(x_c[on] * scale[on], 2)))
             plane = sum(w * coeffs[:, :, tap]
                         for tap, w in cubic_taps(index(side * x_edge, 2), n_x))
-            out[lookups[on]] = scale[on] * map_coordinates(
-                plane, coords, order=3, prefilter=False, mode="nearest")
+            out[lookups[on]] = scale[on] * map_coordinates(plane, coords)
     on = scale == 1.0
     coords = np.stack((index(mu_d[cell[on]], 0), index(nu_d[cell[on]], 1),
                        index(x_c[on], 2)))
     n_out += np.count_nonzero(outside(*coords))
     if on.any():
-        out[lookups[on]] = map_coordinates(coeffs, coords, order=3,
-                                           prefilter=False, mode="nearest")
+        out[lookups[on]] = map_coordinates(coeffs, coords)
     return out.reshape(coeffs.shape), n_out / out.size
 
 
@@ -480,7 +515,7 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
         _check_cfl(initial, gen, config.dt)
     else:
         # Edge values repeat beyond the box, as the clamped taps read them.
-        spline = spline_filter(values, order=3, mode="nearest")
+        spline = spline_filter(values)
     out = []
     t_now = 0.0
     for target in snapshot_times:

@@ -1,6 +1,6 @@
 """Grid-backed containers shared by the tomography and evolution layers,
-the cubic B-spline tap rule both layers read splines with, and the
-polynomial potentials that drive the evolution.
+the cubic B-spline prefilter and tap rule both layers read splines with,
+and the polynomial potentials that drive the evolution.
 
 Conventions used throughout the package (hbar = 1):
 
@@ -65,6 +65,29 @@ def cubic_taps(coord, size: int):
                (4.0 + u * u * (3.0 * u - 6.0)) / 6.0, t * t * t / 6.0)
     first = floor.astype(np.intp) - 1
     return [(np.clip(first + k, 0, size - 1), w) for k, w in enumerate(weights)]
+
+
+def _prefilter(values, axis: int = 0) -> np.ndarray:
+    """Cubic B-spline coefficients of samples along one axis.
+
+    Solves (c[k-1] + 4 c[k] + c[k+1]) / 6 = f[k] with clamped ends,
+    c[-1] = c[0] and c[n] = c[n-1], as scipy.ndimage's spline_filter(
+    mode="nearest") does on axes of 13 or more points (on shorter ones it
+    misses its samples).  A Thomas sweep vectorized over the other axes;
+    its pivots depend on n only.
+    """
+    c = 6.0 * np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = c.shape[0]
+    pivots = np.empty(n)
+    pivots[0] = 5.0
+    for k in range(1, n):
+        pivots[k] = (5.0 if k == n - 1 else 4.0) - 1.0 / pivots[k - 1]
+    for k in range(1, n):
+        c[k] -= c[k - 1] / pivots[k - 1]
+    c[-1] /= pivots[-1]
+    for k in range(n - 2, -1, -1):
+        c[k] = (c[k] - c[k + 1]) / pivots[k]
+    return np.moveaxis(c, 0, axis)
 
 
 class NonlocalPotentialError(ValueError):
@@ -166,8 +189,8 @@ class TomographyParams:
 
     def __post_init__(self):
         vals = (self.mu, self.nu, self.delta)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("tomography parameters must be finite")
+        if not all(np.isfinite(v) and not isinstance(v, bool) for v in vals):
+            raise ValueError("tomography parameters must be finite numbers")
 
     @property
     def r(self) -> float:

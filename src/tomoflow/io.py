@@ -12,6 +12,7 @@ tuples.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import operator
@@ -41,6 +42,12 @@ FIELD_KINDS = {
 
 _META_PREFIX = "#META "
 
+# Kinds whose header carries one more block: (key, field attribute, type).
+_HEADER_BLOCKS = {
+    MarginalSlice: ("params", "params", TomographyParams),
+    DensityMatrixGrid: ("reconstruction", "config", ReconstructionConfig),
+}
+
 # Rows per write: the body is never held whole (about 60 bytes a row).
 _BLOCK_ROWS = 4096
 
@@ -66,10 +73,13 @@ def _jsonable(obj):
 
 
 def write_field(field, path, meta: dict | None = None) -> None:
-    """Persist a field; ``meta`` is merged over the field's own metadata."""
+    """Persist a field; ``meta`` is merged over the field's own metadata.
+    A field whose header cannot be serialized leaves no file behind."""
     kind = FIELD_KINDS.get(type(field))
     if kind is None:
         raise TypeError(f"cannot serialize {type(field).__name__}")
+    if not all(isinstance(w, str) for w in field.warnings):
+        raise ValueError(f"field warnings must be strings, got {field.warnings!r}")
     axes = field_axes(field)
     names = [name for name, _ in axes]
     values = np.asarray(field.values)
@@ -86,19 +96,15 @@ def write_field(field, path, meta: dict | None = None) -> None:
         "warnings": list(field.warnings),
         "meta": _jsonable({**field.meta, **(meta or {})}),
     }
-    if isinstance(field, MarginalSlice):
-        p = field.params
-        header["params"] = {"mu": p.mu, "nu": p.nu, "delta": p.delta}
-    if isinstance(field, DensityMatrixGrid):
-        c = field.config
-        header["reconstruction"] = {
-            "s": c.s, "mu_range": list(c.mu_range), "mu_samples": c.mu_samples,
-        }
+    if type(field) in _HEADER_BLOCKS:
+        key, attr, _ = _HEADER_BLOCKS[type(field)]
+        header[key] = dataclasses.asdict(getattr(field, attr))
 
     columns = ([values.real.ravel(), values.imag.ravel()] if is_complex
                else [values.ravel()])
+    first_line = _META_PREFIX + json.dumps(header, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        fh.write(_META_PREFIX + json.dumps(header, sort_keys=True) + "\n")
+        fh.write(first_line)
         fh.write(",".join(names + (["re_value", "im_value"] if is_complex
                                    else ["value"])) + "\n")
         for block in _body_blocks([g for _, g in axes], columns):
@@ -221,7 +227,10 @@ def read_field(path):
         for name, attr in cls.AXES:
             if name not in header_grids:
                 raise ValueError(f"{path}: axes {[name]} have no header grid")
-            grid = np.asarray(header_grids[name], dtype=float)
+            try:
+                grid = np.asarray(header_grids[name], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: bad header grid {name!r}: {exc}") from None
             if not np.array_equal(grids.setdefault(attr, grid), grid):
                 raise ValueError(f"{path}: header grid {name!r} differs from "
                                  f"the other axis on {attr}")
@@ -256,22 +265,18 @@ def read_field(path):
         complex if is_complex else float).reshape(shape)
 
     extras = {}
-    if cls is MarginalSlice:
-        p = header.get("params", {})
-        extras["params"] = TomographyParams(float(p.get("mu", 1.0)),
-                                            float(p.get("nu", 0.0)),
-                                            float(p.get("delta", 0.0)))
-    if cls is DensityMatrixGrid:
-        # Older files also carry y_range and y_samples, which no setting
-        # reads any more; they are ignored.
-        r = header.get("reconstruction", {})
+    if cls in _HEADER_BLOCKS:
+        key, attr, build = _HEADER_BLOCKS[cls]
+        block = header.get(key)
         try:
-            extras["config"] = ReconstructionConfig(
-                s=float(r.get("s", 1.0)),
-                mu_range=tuple(r.get("mu_range", (-8.0, 8.0))),
-                mu_samples=r.get("mu_samples", 801))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad reconstruction header: {exc}") from exc
+            if not isinstance(block, dict):
+                raise TypeError("not a JSON object")
+            # Older density files also carry y_range and y_samples, which
+            # no setting reads any more; they are ignored.
+            extras[attr] = build(**{k: v for k, v in _tuplify(block).items()
+                                    if k not in ("y_range", "y_samples")})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad {key} header: {exc}") from None
     try:
         return cls(values=values, warnings=tuple(warnings),
                    meta=_tuplify(meta), **grids, **extras)

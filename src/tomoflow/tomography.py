@@ -42,6 +42,7 @@ from .fields import (
     ReconstructionConfig,
     TomographyParams,
     WignerField,
+    _prefilter,
     check_uniform,
     cubic_taps,
     grid_step,
@@ -104,28 +105,6 @@ def wigner_field_sampler(field: WignerField):
         return np.where(inside, out, 0.0)
 
     return sample
-
-
-def _prefilter(values, axis: int = 0) -> np.ndarray:
-    """Cubic B-spline coefficients of samples along one axis.
-
-    Solves (c[k-1] + 4 c[k] + c[k+1]) / 6 = f[k] with clamped ends,
-    c[-1] = c[0] and c[n] = c[n-1], the end condition of scipy.ndimage's
-    spline_filter(mode="nearest").  A Thomas sweep vectorized over the
-    other axes; its pivots depend on n only.
-    """
-    c = 6.0 * np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = c.shape[0]
-    pivots = np.empty(n)
-    pivots[0] = 5.0
-    for k in range(1, n):
-        pivots[k] = (5.0 if k == n - 1 else 4.0) - 1.0 / pivots[k - 1]
-    for k in range(1, n):
-        c[k] -= c[k - 1] / pivots[k - 1]
-    c[-1] /= pivots[-1]
-    for k in range(n - 2, -1, -1):
-        c[k] = (c[k] - c[k + 1]) / pivots[k]
-    return np.moveaxis(c, 0, axis)
 
 
 def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, ...]:

@@ -4,6 +4,7 @@ Each command writes real files into tmp_path; assertions read them back
 through the public io module, so these also exercise format stability.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -361,7 +362,31 @@ def test_check_roundtrip_loads_no_scipy(tmp_path):
 def test_evolve_loads_no_interpolation_module(tmp_path, ground_field):
     argv = ["evolve", "--in", ground_field, "--dyn", "free", "--t", "0.5",
             "--out", str(tmp_path / "e.csv")]
-    loaded = scipy_modules_after(
-        f"from tomoflow.cli import main\nassert main({argv!r}) == 0")
-    assert "scipy.ndimage" in loaded
-    assert "scipy.interpolate" not in loaded
+    assert scipy_modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+
+
+def test_reduce_and_evolution_check_load_no_scipy(tmp_path):
+    report = tmp_path / "r.json"
+    for argv in (["reduce", "--potential", "harmonic"],
+                 ["check", "--suite", "evolution", "--state", "ground",
+                  "--report", str(report)]):
+        assert scipy_modules_after(
+            f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert json.loads(report.read_text())["all_passed"] is True
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: no module of the package imports it,
+    # at module level or inside a function.
+    package = pathlib.Path(tomoflow.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], \
+                f"{path.name}:{node.lineno} imports scipy"

@@ -307,6 +307,57 @@ def test_bad_reconstruction_header_names_file(tmp_path, block):
         read_field(path)
 
 
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _set(key, value):
+    return lambda h: {**h, key: value}
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set("params", []), "bad params header"),
+    (_set("params", {"mu": "a", "nu": 0.0}), "bad params header"),
+    (_set("params", {"mu": 1.0}), "bad params header"),
+    (_set("params", {"mu": 1.0, "nu": 0.0, "phase": 2.0}), "bad params header"),
+    (_set("params", {"mu": True, "nu": False}), "bad params header"),
+    (_drop("params"), "bad params header"),
+    (_set("grids", {"x": "abc"}), "bad header grid 'x'"),
+    (_set("grids", {"x": [0.0, "a"]}), "bad header grid 'x'"),
+], ids=["list", "string", "no-nu", "extra-key", "bool", "missing",
+        "grid-string", "grid-entry"])
+def test_bad_slice_header_names_file(tmp_path, edit, match):
+    path = _with_header(tmp_path, edit, small_slice, "s.csv")
+    with pytest.raises(ValueError, match=rf"s\.csv: {match}"):
+        read_field(path)
+
+
+def test_missing_reconstruction_header_names_file(tmp_path):
+    path = _with_header(tmp_path, _drop("reconstruction"), small_density, "d.csv")
+    with pytest.raises(ValueError, match=r"d\.csv: bad reconstruction header"):
+        read_field(path)
+
+
+def test_unserializable_meta_leaves_no_file(tmp_path):
+    path = tmp_path / "m.csv"
+    field = dataclasses.replace(small_slice(), meta={"a": {1, 2}})
+    with pytest.raises(TypeError, match="set"):
+        write_field(field, path)
+    assert not path.exists()
+    # nor does it truncate a file already there
+    path.write_text("kept")
+    with pytest.raises(TypeError):
+        write_field(field, path)
+    assert path.read_text() == "kept"
+
+
+def test_write_refuses_non_string_warnings(tmp_path):
+    path = tmp_path / "w.csv"
+    with pytest.raises(ValueError, match="warnings must be strings"):
+        write_field(dataclasses.replace(small_slice(), warnings=(1,)), path)
+    assert not path.exists()
+
+
 def test_axis_without_grid(tmp_path):
     def drop_p(h):
         del h["grids"]["p"]
