@@ -28,7 +28,8 @@ leave any finite (mu, nu) box) and the 1/r sharpening of the marginal
 near the degenerate direction.  Upwind is a plain first-order
 directional-difference scheme with a CFL guard, kept as an independent
 cross-check and for convergence studies.  The module needs numpy only; its
-splines are the tomography layer's (`fields._prefilter`, `fields.cubic_taps`).
+splines are the tomography layer's (`fields._prefilter`, `fields.cubic_taps`),
+its hot reads the same taps from edge-padded rows (`fields.padded_taps`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .fields import (
     _prefilter,
     cubic_taps,
     grid_step,
+    padded_taps,
     uniform_grid,
 )
 from .states import DynamicsKind, StateSpec, wigner_evaluator
@@ -305,8 +307,8 @@ class SolverConfig:
             raise ValueError("dt must be positive and finite")
 
 
-# Lookups per chunk of cells; bounds the transient per-lookup arrays.
-_X_STAGE_POINTS = 1 << 16
+# Lookups per chunk of cells: the X stage's buffers stay in the L2 cache.
+_X_STAGE_POINTS = 1 << 14
 
 
 # The two spline kernels keep scipy.ndimage's names and (array, coordinates)
@@ -321,15 +323,21 @@ def spline_filter(values: np.ndarray) -> np.ndarray:
 
 def map_coordinates(coeffs: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The cubic B-spline of ``coeffs`` at index coordinates ``coords`` (one
-    row per axis), taps clamped into the box; sums the last axis innermost."""
-    flat = coeffs.ravel()
-    steps = np.cumprod((1,) + coeffs.shape[:0:-1])[::-1]
-    taps = [cubic_taps(coord, size) for coord, size in zip(coords, coeffs.shape)]
+    row per axis), clamped ends, read from a copy padded by edge values
+    (`fields.padded_taps`); sums the last axis innermost."""
+    padded = np.pad(coeffs, ((2, 3),) * coeffs.ndim, mode="edge")
+    steps = np.cumprod((1,) + padded.shape[:0:-1])[::-1]
+    first = np.empty(np.shape(coords), np.intp)
+    weights = np.empty((coeffs.ndim, 4) + first.shape[1:])
+    for axis, size in enumerate(coeffs.shape):
+        padded_taps(np.array(coords[axis], dtype=float), size, first[axis],
+                    weights[axis])
+    base, flat = steps @ first, padded.ravel()
     out = 0.0
-    for outer in itertools.product(*taps[:-1]):
-        base = sum(step * tap for step, (tap, _) in zip(steps, outer))
-        inner = sum(w * flat.take(base + tap) for tap, w in taps[-1])
-        out = out + math.prod(w for _, w in outer) * inner
+    for outer in itertools.product(range(4), repeat=coeffs.ndim - 1):
+        at = flat[sum(step * k for step, k in zip(steps, outer)):]
+        inner = sum(w * at[k:].take(base) for k, w in enumerate(weights[-1]))
+        out = out + math.prod(w[k] for w, k in zip(weights, outer)) * inner
     return out
 
 
@@ -342,10 +350,10 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
     where (mu_d, nu_d) is the cell's backtraced direction, x_d = x_back *
     x_k + shift[cell], and inv the scaled-frame factor.  Where inv is the
     cell's own factor, the direction is fixed per cell: a 16-tap direction
-    stage reads every cell's spline row once, and only a 4-tap cubic along
-    X remains per lookup.  The X-box cap moves the other lookups either
-    onto X = +-x_edge, a 2-D read of the spline's plane there, or to
-    inv = 1, a plain 3-D read.
+    stage reads every cell's spline row once, edge-padded, and only a 4-tap
+    cubic along X remains per lookup, into buffers made once per call.
+    The X-box cap moves the other lookups either onto X = +-x_edge, a 2-D
+    read of the spline's plane there, or to inv = 1, a plain 3-D read.
     """
     back = expm(-gen * t)
     grids = (field.mu_grid, field.nu_grid, field.x_grid)
@@ -382,15 +390,17 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
     rows = coeffs.reshape(-1, n_x)
     # 16-tap direction stage: each cell's spline row at its own direction,
     # 16 cells' 16 gathered rows at a time.
-    along = np.empty_like(rows)
+    along = np.empty((rows.shape[0], n_x + 5))
     for lo in range(0, a.size, 16):
         cells = slice(lo, lo + 16)
-        along[cells] = (tap_weights[cells, None, :]
-                        @ rows[tap_rows[cells]])[:, 0]
+        along[cells, 2:-3] = (tap_weights[cells, None, :]
+                              @ rows[tap_rows[cells]])[:, 0]
+    along[:, :2], along[:, -3:] = along[:, 2:3], along[:, -4:-3]
     out = np.empty_like(rows)
     n_out = 0
     picked = []
     chunk = max(1, _X_STAGE_POINTS // n_x)
+    first, buffers = np.empty((chunk, n_x), np.intp), np.empty((5, chunk, n_x))
     for lo in range(0, rows.shape[0], chunk):
         cells = slice(lo, lo + chunk)
         x_d = back[0, 0] * field.x_grid + shift[cells, None]
@@ -403,15 +413,24 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
         coord = index(x_d * inv[cells, None], 2)
         n_out += np.count_nonzero(~capped & outside(
             a[cells, None], b[cells, None], coord))
-        row = n_x * np.arange(lo, lo + coord.shape[0])[:, None]
-        out[cells] = inv[cells, None] * sum(w * along.take(tap + row)
-                                            for tap, w in cubic_taps(coord, n_x))
         picked.append((np.flatnonzero(capped) + lo * n_x, cap[capped],
                        x_d[capped]))
+        m = len(coord)
+        start = padded_taps(coord, n_x, first[:m], buffers[1:, :m])
+        start += (n_x + 5) * np.arange(m)[:, None]
+        tap, value, flat = buffers[0, :m], out[cells], along[cells].ravel()
+        value[...] = 0.0
+        for k, w in enumerate(buffers[1:, :m]):
+            # The indices are in range; mode="clip" only spares take a buffer.
+            value += np.multiply(w, np.take(flat[k:], start, out=tap,
+                                            mode="clip"), out=tap)
+        value *= inv[cells, None]
+    del along, flat, buffers, first, start, tap, w
 
     # Capped at x_edge / |x_d| > 1, a lookup lands on X = +-x_edge exactly
     # and only its direction varies; capped at 1 it is a plain read.
     lookups, scale, x_c = (np.concatenate(part) for part in zip(*picked))
+    del picked
     cell = lookups // n_x
     out = out.reshape(-1)
     for side in (-1.0, 1.0):
@@ -538,7 +557,9 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
         meta = dict(initial.meta)
         meta.update({"time": t_now, "scheme": config.scheme.value,
                      "potential": coeffs.potential.coefficients})
+        # A snapshot owns its values: copy the initial ones or a repeated time's.
+        shared = values is initial.values or bool(out) and values is out[-1].values
         out.append(MarginalField(initial.mu_grid, initial.nu_grid,
-                                 initial.x_grid, values.astype(float),
+                                 initial.x_grid, values.astype(float, copy=shared),
                                  tuple(sorted(warnings)), meta))
     return out

@@ -56,15 +56,33 @@ def cubic_taps(coord, size: int):
 
     Reads the spline as map_coordinates(order=3, mode="nearest",
     prefilter=False) does: the taps floor(c) - 1 .. floor(c) + 2 are
-    clamped into the axis, not the coordinate.
+    clamped into the axis (`padded_taps` clips the coordinate first).
     """
-    floor = np.floor(coord)
-    t = coord - floor
-    u = 1.0 - t
-    weights = (u * u * u / 6.0, (4.0 + t * t * (3.0 * t - 6.0)) / 6.0,
-               (4.0 + u * u * (3.0 * u - 6.0)) / 6.0, t * t * t / 6.0)
-    first = floor.astype(np.intp) - 1
+    coord = np.array(coord, dtype=float)
+    weights = np.empty((4,) + coord.shape)
+    first = padded_taps(coord, size, np.empty(coord.shape, np.intp), weights) - 2
     return [(np.clip(first + k, 0, size - 1), w) for k, w in enumerate(weights)]
+
+
+def padded_taps(coord, size: int, first, weights):
+    """The clamped taps of index coordinates with no clamp, on the axis of
+    size points padded by edge values, 2 before and 3 after.  Clips coord
+    in place into [-1, size], where every clamped tap reads the edge, and
+    overwrites it with its fraction; writes the padded index floor + 1 of
+    the first tap into first (returned) and the four weights into weights.
+    """
+    np.clip(coord, -1.0, size, out=coord)
+    t = np.subtract(coord, np.floor(coord, out=first, casting="unsafe"), out=coord)
+    w0, w1, w2, w3 = (weights[k, ...] for k in range(4))
+    # w0 = u^3/6, w1 = (4 + t^2 (3t - 6))/6, w2 likewise in u = 1 - t (held
+    # in w1 until the pass over t), w3 = t^3/6.
+    for s, cube, mid in ((np.subtract(1.0, t, out=w1), w0, w2), (t, w3, w1)):
+        np.multiply(np.subtract(np.multiply(s, 3.0, out=mid), 6.0, out=mid),
+                    np.multiply(s, s, out=cube), out=mid)
+        np.divide(np.add(mid, 4.0, out=mid), 6.0, out=mid)
+        np.divide(np.multiply(cube, s, out=cube), 6.0, out=cube)
+    first += 1
+    return first
 
 
 def _prefilter(values, axis: int = 0) -> np.ndarray:
@@ -73,13 +91,14 @@ def _prefilter(values, axis: int = 0) -> np.ndarray:
     Solves (c[k-1] + 4 c[k] + c[k+1]) / 6 = f[k] with clamped ends,
     c[-1] = c[0] and c[n] = c[n-1], as scipy.ndimage's spline_filter(
     mode="nearest") does on axes of 13 or more points (on shorter ones it
-    misses its samples).  A Thomas sweep vectorized over the other axes;
-    its pivots depend on n only.
+    misses its samples).  A Thomas sweep over a contiguous copy, moved
+    axis first; its pivots depend on n only (one point: c[0] = f[0]).
     """
-    c = 6.0 * np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    c = np.multiply(6.0, np.moveaxis(np.asarray(values, dtype=float), axis, 0),
+                    order="C")
     n = c.shape[0]
     pivots = np.empty(n)
-    pivots[0] = 5.0
+    pivots[0] = 6.0 if n == 1 else 5.0
     for k in range(1, n):
         pivots[k] = (5.0 if k == n - 1 else 4.0) - 1.0 / pivots[k - 1]
     for k in range(1, n):
