@@ -331,13 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quadrature-marginal tomography toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_state_flags(p):
-        p.add_argument("--state", required=True, choices=sorted(
+    def add_state_flags(p, required=True):
+        p.add_argument("--state", required=required, choices=sorted(
             k.value for k in StateKind))
-        p.add_argument("--q0", type=float, default=None,
-                       help="displacement, defaults to the catalog value")
-        p.add_argument("--p0", type=float, default=None,
-                       help="displacement, defaults to the catalog value")
+        for flag in ("--q0", "--p0"):
+            p.add_argument(flag, type=float, default=None, help="displacement: either"
+                           " flag replaces the catalog's (q0, p0), the one left out is 0")
 
     def add_time_flags(p):
         p.add_argument("--t", type=float, default=0.0)
@@ -404,12 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=["roundtrip", "evolution", "paper-examples"])
-    p.add_argument("--state", default=None, choices=sorted(
-        k.value for k in StateKind))
-    p.add_argument("--q0", type=float, default=None,
-                   help="displacement, defaults to the catalog value")
-    p.add_argument("--p0", type=float, default=None,
-                   help="displacement, defaults to the catalog value")
+    add_state_flags(p, required=False)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_check)
     return parser

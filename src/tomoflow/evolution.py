@@ -28,8 +28,8 @@ leave any finite (mu, nu) box) and the 1/r sharpening of the marginal
 near the degenerate direction.  Upwind is a plain first-order
 directional-difference scheme with a CFL guard, kept as an independent
 cross-check and for convergence studies.  The module needs numpy only; its
-splines are the tomography layer's (`fields._prefilter`, `fields.cubic_taps`),
-its hot reads the same taps from edge-padded rows (`fields.padded_taps`).
+splines are the tomography layer's: `fields._prefilter` coefficients, padded
+by edge values once per call and read by `fields.padded_taps`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .fields import (
     NonlocalPotentialError,
     PotentialSpec,
     _prefilter,
+    bicubic_rows,
     cubic_taps,
     grid_step,
     padded_taps,
@@ -318,21 +319,20 @@ def spline_filter(values: np.ndarray) -> np.ndarray:
     """Cubic B-spline coefficients along every axis, clamped ends."""
     for axis in range(values.ndim):
         values = _prefilter(values, axis)
-    return np.ascontiguousarray(values)
+    return values
 
 
 def map_coordinates(coeffs: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The cubic B-spline of ``coeffs`` at index coordinates ``coords`` (one
-    row per axis), clamped ends, read from a copy padded by edge values
-    (`fields.padded_taps`); sums the last axis innermost."""
-    padded = np.pad(coeffs, ((2, 3),) * coeffs.ndim, mode="edge")
-    steps = np.cumprod((1,) + padded.shape[:0:-1])[::-1]
+    """The cubic B-spline of edge-padded coefficients ``coeffs`` at index
+    coordinates ``coords`` (one row per axis) of the unpadded box, clamped
+    ends (`fields.padded_taps`); sums the last axis innermost."""
+    steps = np.cumprod((1,) + coeffs.shape[:0:-1])[::-1]
     first = np.empty(np.shape(coords), np.intp)
     weights = np.empty((coeffs.ndim, 4) + first.shape[1:])
     for axis, size in enumerate(coeffs.shape):
-        padded_taps(np.array(coords[axis], dtype=float), size, first[axis],
+        padded_taps(np.array(coords[axis], dtype=float), size - 5, first[axis],
                     weights[axis])
-    base, flat = steps @ first, padded.ravel()
+    base, flat = steps @ first, coeffs.ravel()
     out = 0.0
     for outer in itertools.product(range(4), repeat=coeffs.ndim - 1):
         at = flat[sum(step * k for step, k in zip(steps, outer)):]
@@ -345,19 +345,19 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
               t: float) -> tuple[np.ndarray, float]:
     """One SemiLagrangian resample over span t, and its outflow fraction.
 
-    Lookup (cell, k) reads the cubic spline with prefiltered coefficients
+    Lookup (cell, k) reads the cubic spline with edge-padded coefficients
     ``coeffs`` at inv * (mu_d, nu_d, x_d) and weights the value by inv,
     where (mu_d, nu_d) is the cell's backtraced direction, x_d = x_back *
     x_k + shift[cell], and inv the scaled-frame factor.  Where inv is the
-    cell's own factor, the direction is fixed per cell: a 16-tap direction
-    stage reads every cell's spline row once, edge-padded, and only a 4-tap
-    cubic along X remains per lookup, into buffers made once per call.
+    cell's own factor, the direction is fixed per cell: `fields.bicubic_rows`
+    reads every cell's padded spline row once, and only a 4-tap cubic along
+    X remains per lookup, into buffers made once per call.
     The X-box cap moves the other lookups either onto X = +-x_edge, a 2-D
     read of the spline's plane there, or to inv = 1, a plain 3-D read.
     """
     back = expm(-gen * t)
     grids = (field.mu_grid, field.nu_grid, field.x_grid)
-    sizes = coeffs.shape
+    sizes = field.values.shape
 
     def index(value, axis):
         return (value - grids[axis][0]) / grid_step(grids[axis])
@@ -380,34 +380,21 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
     r_ref = np.clip(r_d, *_R_REF_RANGE)
     inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
 
-    a = index(mu_d * inv, 0)
-    b = index(nu_d * inv, 1)
-    taps = [(ia * sizes[1] + ib, wa * wb)
-            for ia, wa in cubic_taps(a, sizes[0])
-            for ib, wb in cubic_taps(b, sizes[1])]
-    tap_rows, tap_weights = (np.stack(part, axis=1) for part in zip(*taps))
+    a, b = index(mu_d * inv, 0), index(nu_d * inv, 1)
     n_x = sizes[2]
-    rows = coeffs.reshape(-1, n_x)
-    # 16-tap direction stage: each cell's spline row at its own direction,
-    # 16 cells' 16 gathered rows at a time.
-    along = np.empty((rows.shape[0], n_x + 5))
-    for lo in range(0, a.size, 16):
-        cells = slice(lo, lo + 16)
-        along[cells, 2:-3] = (tap_weights[cells, None, :]
-                              @ rows[tap_rows[cells]])[:, 0]
-    along[:, :2], along[:, -3:] = along[:, 2:3], along[:, -4:-3]
-    out = np.empty_like(rows)
+    along = bicubic_rows(coeffs, a, b)
+    out = np.empty((a.size, n_x))
     n_out = 0
     picked = []
     chunk = max(1, _X_STAGE_POINTS // n_x)
     first, buffers = np.empty((chunk, n_x), np.intp), np.empty((5, chunk, n_x))
-    for lo in range(0, rows.shape[0], chunk):
+    for lo in range(0, a.size, chunk):
         cells = slice(lo, lo + chunk)
         x_d = back[0, 0] * field.x_grid + shift[cells, None]
-        # Inflating a lookup (inv > 1) also inflates its X coordinate; cap
-        # the inflation so no lookup leaves the X box, falling back toward
-        # a plain (unscaled) read rather than a boundary substitute.
-        with np.errstate(divide="ignore"):
+        # Inflating a lookup (inv > 1) also inflates its X coordinate; cap it
+        # so no lookup leaves the X box, falling back toward a plain read (at
+        # x_d = 0, or subnormal, no cap) rather than a boundary substitute.
+        with np.errstate(divide="ignore", over="ignore"):
             cap = np.maximum(1.0, x_edge / np.abs(x_d))
         capped = inv[cells, None] > cap
         coord = index(x_d * inv[cells, None], 2)
@@ -449,7 +436,7 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
     n_out += np.count_nonzero(outside(*coords))
     if on.any():
         out[lookups[on]] = map_coordinates(coeffs, coords)
-    return out.reshape(coeffs.shape), n_out / out.size
+    return out.reshape(sizes), n_out / out.size
 
 
 def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray):
@@ -534,7 +521,7 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
         _check_cfl(initial, gen, config.dt)
     else:
         # Edge values repeat beyond the box, as the clamped taps read them.
-        spline = spline_filter(values)
+        spline = np.pad(spline_filter(values), ((2, 3),) * 3, mode="edge")
     out = []
     t_now = 0.0
     for target in snapshot_times:

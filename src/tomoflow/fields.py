@@ -1,6 +1,6 @@
 """Grid-backed containers shared by the tomography and evolution layers,
-the cubic B-spline prefilter and tap rule both layers read splines with,
-and the polynomial potentials that drive the evolution.
+the cubic B-spline prefilter and the padded-coefficient reads both layers
+share (`padded_taps`), and the polynomial potentials that drive evolution.
 
 Conventions used throughout the package (hbar = 1):
 
@@ -52,24 +52,21 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def cubic_taps(coord, size: int):
-    """The four (tap index, cubic B-spline weight) pairs of index coordinates.
-
-    Reads the spline as map_coordinates(order=3, mode="nearest",
-    prefilter=False) does: the taps floor(c) - 1 .. floor(c) + 2 are
-    clamped into the axis (`padded_taps` clips the coordinate first).
-    """
+    """The four (tap index, cubic B-spline weight) pairs of index coordinates
+    on an axis of size points, as indices into its padded coefficients
+    (`padded_taps`)."""
     coord = np.array(coord, dtype=float)
     weights = np.empty((4,) + coord.shape)
-    first = padded_taps(coord, size, np.empty(coord.shape, np.intp), weights) - 2
-    return [(np.clip(first + k, 0, size - 1), w) for k, w in enumerate(weights)]
+    first = padded_taps(coord, size, np.empty(coord.shape, np.intp), weights)
+    return [(first + k, w) for k, w in enumerate(weights)]
 
 
 def padded_taps(coord, size: int, first, weights):
-    """The clamped taps of index coordinates with no clamp, on the axis of
-    size points padded by edge values, 2 before and 3 after.  Clips coord
-    in place into [-1, size], where every clamped tap reads the edge, and
-    overwrites it with its fraction; writes the padded index floor + 1 of
-    the first tap into first (returned) and the four weights into weights.
+    """The clamped taps of index coordinates on an axis of size points whose
+    coefficients are padded by edge values, 2 before and 3 after.  Clips
+    coord in place into [-1, size], where every clamped tap reads the edge,
+    and overwrites it with its fraction; writes the padded index floor + 1
+    of the first tap into first (returned) and the four weights into weights.
     """
     np.clip(coord, -1.0, size, out=coord)
     t = np.subtract(coord, np.floor(coord, out=first, casting="unsafe"), out=coord)
@@ -83,6 +80,22 @@ def padded_taps(coord, size: int, first, weights):
         np.divide(np.multiply(cube, s, out=cube), 6.0, out=cube)
     first += 1
     return first
+
+
+def bicubic_rows(coeffs: np.ndarray, a, b) -> np.ndarray:
+    """The spline of coefficients padded on their first two axes, read there
+    at index coordinates (a, b): one row per point, carrying the trailing
+    axes.  Each point sums its 16 gathered rows, 16 points at a time."""
+    n_a, n_b = coeffs.shape[:2]
+    taps = [(ia * n_b + ib, wa * wb) for ia, wa in cubic_taps(a, n_a - 5)
+            for ib, wb in cubic_taps(b, n_b - 5)]
+    tap_rows, tap_weights = (np.stack(part, axis=1) for part in zip(*taps))
+    rows = coeffs.reshape(n_a * n_b, -1)
+    out = np.empty((len(tap_rows), rows.shape[1]))
+    for lo in range(0, len(out), 16):
+        points = slice(lo, lo + 16)
+        out[points] = (tap_weights[points, None, :] @ rows[tap_rows[points]])[:, 0]
+    return out.reshape(out.shape[:1] + coeffs.shape[2:])
 
 
 def _prefilter(values, axis: int = 0) -> np.ndarray:

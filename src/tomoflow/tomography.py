@@ -19,11 +19,11 @@ All scans of the direction plane use the exact scaling law
 w(X, mu, nu, 0) = (1/r) w(X/r, mu/r, nu/r, 0), r = |(mu, nu)|, so only unit
 directions are ever integrated and the r -> 0 region costs no accuracy.
 
-The module needs numpy only.  Its interpolants are uniform-grid cubic
-splines that give scipy's numbers to rounding: a periodic spline in the
-direction angle, a clamped-end cubic B-spline along y and across a
-MarginalField's direction plane, and a bilinear sampler for WignerFields
-(docs/math.md section 8).
+The module needs numpy only; scipy is a test oracle.  Its interpolants are
+uniform-grid: a periodic cubic spline in the direction angle, clamped-end
+cubic B-splines along y and across a MarginalField's direction plane, read
+from edge-padded coefficients as the evolution layer's are, and a bilinear
+sampler for WignerFields (docs/math.md section 8).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .fields import (
     TomographyParams,
     WignerField,
     _prefilter,
+    bicubic_rows,
     check_uniform,
     cubic_taps,
     grid_step,
@@ -73,8 +74,7 @@ _LINE_STRIDE = 8
 # the 0.04 sum.
 _SETTLE_RTOL = 1e-12
 _EPS = np.finfo(float).eps
-MU_EDGE_LIMIT = 1e-5  # largest |chi| at the mu_range ends, relative to max |chi|
-_FIELD_PAD = 12  # scipy.ndimage's edge pad for mode="nearest"
+MU_EDGE_LIMIT = 1e-5  # largest |chi| on a window's ends, relative to max |chi|
 
 
 def wigner_field_sampler(field: WignerField):
@@ -243,7 +243,8 @@ class UnitSliceSource:
         if np.any(r == 0.0):
             raise ValueError("degenerate direction: mu and nu both zero")
         phis, which = np.unique(np.arctan2(nu, mu), return_inverse=True)
-        coeffs = _prefilter(self.unit_slices(phis), axis=-1)
+        coeffs = np.pad(_prefilter(self.unit_slices(phis), axis=-1),
+                        ((0, 0), (2, 3)), mode="edge")
         y = (np.asarray(x, dtype=float) - delta) / r
         y, which = np.broadcast_arrays(y, which.reshape(r.shape))
         y_grid = self.y_grid
@@ -300,18 +301,11 @@ class FieldMarginalSource(UnitSliceSource):
         radius = float(0.75 * reach)
         self.y_grid = field.x_grid / radius
         phi_grid = np.linspace(0.0, TWO_PI, 360, endpoint=False)
-        # map_coordinates(order=3, mode="nearest") edge-pads by _FIELD_PAD
-        # before its prefilter; the pad moves the spline near the box edges.
-        pad = ((_FIELD_PAD, _FIELD_PAD),) * 2 + ((0, 0),)
-        coeffs = _prefilter(_prefilter(np.pad(field.values, pad, mode="edge"),
-                                       axis=0), axis=1)
-        taps_mu = cubic_taps(_FIELD_PAD + (radius * np.cos(phi_grid) - field.mu_grid[0])
-                             / grid_step(field.mu_grid), coeffs.shape[0])
-        taps_nu = cubic_taps(_FIELD_PAD + (radius * np.sin(phi_grid) - field.nu_grid[0])
-                             / grid_step(field.nu_grid), coeffs.shape[1])
-        table = sum((wa * wb)[:, None] * coeffs[ia, ib]
-                    for ia, wa in taps_mu for ib, wb in taps_nu)
-        table *= radius
+        coeffs = np.pad(_prefilter(_prefilter(field.values, axis=0), axis=1),
+                        ((2, 3), (2, 3), (0, 0)), mode="edge")
+        a, b = ((radius * trig(phi_grid) - grid[0]) / grid_step(grid)
+                for trig, grid in ((np.cos, field.mu_grid), (np.sin, field.nu_grid)))
+        table = radius * bicubic_rows(coeffs, a, b)
         self._build(phi_grid, table)
 
 
@@ -359,6 +353,12 @@ def _chi_table(marginal, a, b) -> np.ndarray:
     return values
 
 
+def _truncated(edge: float, where: str) -> tuple[str, ...]:
+    """The warning of a chi whose window ends reach edge of max |chi|."""
+    return () if edge <= MU_EDGE_LIMIT else (
+        f"chi truncated: {where} is {edge:.3g} of its maximum, above {MU_EDGE_LIMIT:g}",)
+
+
 def _outer_kernel(x, g) -> np.ndarray:
     """exp(-i x_k g_j) times the trapezoid weight of g_j, shape (x, g)."""
     return np.exp(-1j * np.outer(x, g)) * trapezoid_weights(g)
@@ -372,11 +372,17 @@ def characteristic_from_marginal(marginal, a_grid: np.ndarray | None = None,
     Integration uses the scaled abscissa X = r y, so the integrand is the
     unit-direction slice times exp(i r y) and the origin needs no special
     case (chi(0, 0) is the marginal normalization).  y is a table source's
-    own y_grid, or CALLABLE_Y_GRID for a callable.
+    own y_grid, or CALLABLE_Y_GRID for a callable.  The largest |chi| on
+    the window's edges over max |chi| is recorded in meta["edge"]; above
+    MU_EDGE_LIMIT the window cuts chi and the result carries a warning.
     """
     a_grid = uniform_grid(-10.0, 10.0, 201) if a_grid is None else np.asarray(a_grid, dtype=float)
     b_grid = uniform_grid(-10.0, 10.0, 201) if b_grid is None else np.asarray(b_grid, dtype=float)
-    return CharacteristicGrid(a_grid, b_grid, _chi_table(marginal, a_grid, b_grid))
+    chi = _chi_table(marginal, a_grid, b_grid)
+    size = np.abs(chi)
+    edge = float(max(size[[0, -1]].max(), size[:, [0, -1]].max()) / size.max())
+    warnings = _truncated(edge, "|chi| on the window edges")
+    return CharacteristicGrid(a_grid, b_grid, chi, warnings, {"edge": edge})
 
 
 def wigner_from_characteristic(chi: CharacteristicGrid,
@@ -386,7 +392,7 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
 
     The imaginary residue of the double integral (zero for an exact chi of
     a physical state) is recorded in meta["max_imag"] and raised as a
-    warning when it exceeds 1e-6.
+    warning when it exceeds 1e-6; chi's own warnings are carried over.
     """
     q_grid = DEFAULT_PHASE_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     p_grid = DEFAULT_PHASE_GRID if p_grid is None else np.asarray(p_grid, dtype=float)
@@ -394,9 +400,9 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
     right = _outer_kernel(p_grid, chi.b_grid).T
     w_complex = left @ chi.values @ right / TWO_PI
     max_imag = float(np.max(np.abs(w_complex.imag)))
-    warnings = ()
+    warnings = chi.warnings
     if max_imag > 1e-6:
-        warnings = (f"imaginary residue {max_imag:.3g} exceeds 1e-6",)
+        warnings += (f"imaginary residue {max_imag:.3g} exceeds 1e-6",)
     return WignerField(q_grid, p_grid, np.ascontiguousarray(w_complex.real),
                        warnings, {"max_imag": max_imag})
 
@@ -426,10 +432,7 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
 
     chi = _chi_table(marginal, a, v_vals)
     edge = np.max(np.abs(chi[[0, -1]])) / np.max(np.abs(chi))
-    warnings = ()
-    if edge > MU_EDGE_LIMIT:
-        warnings = (f"chi truncated: the inner integral at the mu_range ends is "
-                    f"{edge:.3g} of its maximum, above {MU_EDGE_LIMIT:g}",)
+    warnings = _truncated(edge, "the inner integral at the mu_range ends")
 
     # Outer integral over a, one u per row: rho_uv[u, v].
     rho_uv = _outer_kernel(u_vals / 2, a) @ chi * (1 / TWO_PI)

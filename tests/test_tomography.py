@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter
 
 from oracles import (
     chi_oracle,
@@ -14,6 +14,7 @@ from oracles import (
     psi_coherent,
     psi_oddcat,
 )
+from tomoflow.evolution import evolve_characteristics
 from tomoflow.fields import (
     DensityMatrixGrid,
     ReconstructionConfig,
@@ -335,7 +336,8 @@ def index_coords(grid, values):
 
 
 def field_table_oracle(field):
-    """FieldMarginalSource's table as map_coordinates reads it, one X at a time."""
+    """FieldMarginalSource's table as scipy reads the clamped-end spline of
+    the unpadded direction plane, one X at a time."""
     reach = min(field.mu_grid[-1], -field.mu_grid[0],
                 field.nu_grid[-1], -field.nu_grid[0])
     radius = 0.75 * reach
@@ -344,7 +346,8 @@ def field_table_oracle(field):
                        index_coords(field.nu_grid, radius * np.sin(phi))])
     table = np.empty((phi.size, field.x_grid.size))
     for k in range(field.x_grid.size):
-        table[:, k] = map_coordinates(field.values[:, :, k], coords, order=3,
+        coeffs = spline_filter(field.values[:, :, k], order=3, mode="nearest")
+        table[:, k] = map_coordinates(coeffs, coords, order=3, prefilter=False,
                                       mode="nearest")
     return table * radius
 
@@ -652,6 +655,36 @@ def test_density_matrix_warns_when_mu_range_truncates():
     on_axis = density_matrix_from_marginal(marginal_evaluator(CAT_AXIS), q,
                                            small_config())
     assert on_axis.warnings == ()
+
+
+# A 41-point grid keeps the default window, a, b in [-10, 10], and its edges.
+CHI_WINDOW = uniform_grid(-10.0, 10.0, 41)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_chi_warns_when_its_window_cuts_an_evolved_source(t):
+    # Free motion shears chi along b = -a t, so the window cuts the evolved
+    # odd cat: |chi| on its edges is 9.3e-4 (t = 1) and 4.4e-2 (t = 2) of
+    # the maximum, and W from the default grid is off by 3.9e-4 and 2.5e-2.
+    source = evolve_characteristics(marginal_evaluator(CATALOG["oddcat"]),
+                                    DynamicsKind.FREE, t)
+    chi = characteristic_from_marginal(source, CHI_WINDOW, CHI_WINDOW)
+    size = np.abs(chi.values)
+    edge = max(size[[0, -1]].max(), size[:, [0, -1]].max()) / size.max()
+    assert chi.meta["edge"] == edge > 5e-4
+    assert len(chi.warnings) == 1
+    assert f"{edge:.3g}" in chi.warnings[0] and "1e-05" in chi.warnings[0]
+    assert chi.warnings[0] in wigner_from_characteristic(chi).warnings
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_chi_of_a_static_catalog_state_stays_inside_its_window(name):
+    # The largest edge ratio of the catalog is the odd cat's, 1.5e-6.
+    chi = characteristic_from_marginal(marginal_evaluator(CATALOG[name]),
+                                       CHI_WINDOW, CHI_WINDOW)
+    assert chi.meta["edge"] <= 2e-6
+    assert chi.warnings == ()
+    assert wigner_from_characteristic(chi).warnings == ()
 
 
 def test_density_matrix_scale_invariance():
