@@ -41,8 +41,15 @@ def main() -> int:
     mass = float(np.trapezoid(np.asarray(source(x, 1.0, 0.0, 0.0)), x))
     print(f"projected (1, 0) marginal mass: {mass:.8f}")
 
+    # chi and rho take the half-turn parity w(X; -mu, -nu) = w(-X; mu, nu)
+    # for granted; only the source can break it.
+    phis = np.linspace(0.0, np.pi, 4, endpoint=False)[:, None]
+    mirrored = source(-x, np.cos(phis), np.sin(phis), 0.0)
+    flipped = source(x, -np.cos(phis), -np.sin(phis), 0.0)
+    parity = np.max(np.abs(flipped - mirrored)) / np.max(np.abs(mirrored))
+    print(f"source parity defect: {parity:.3e}")
+
     chi = characteristic_from_marginal(source)
-    print(f"characteristic hermitian defect: {chi.hermitian_defect():.3e}")
 
     grid = uniform_grid(-4.0, 4.0, 129)
     recovered = wigner_from_characteristic(chi, grid, grid)

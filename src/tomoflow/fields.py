@@ -314,7 +314,8 @@ class CharacteristicGrid(_GridField):
     meta: dict = field(default_factory=dict)
 
     def hermitian_defect(self) -> float:
-        """max | chi(-a,-b) - conj chi(a,b) | over the grid (symmetric grids)."""
+        """max | chi(-a,-b) - conj chi(a,b) | over the grid (symmetric grids),
+        where a computed chi has it by construction (docs/math.md section 3)."""
         flipped = self.values[::-1, ::-1]
         return float(np.max(np.abs(flipped - np.conj(self.values))))
 

@@ -337,12 +337,18 @@ def _chi_table(marginal, a, b) -> np.ndarray:
     The one place that tells a table source (unit_slices rows on its own
     y_grid) from a callable (evaluated at unit directions on
     CALLABLE_Y_GRID).  At r = 0 atan2(0, 0) = 0 picks phi = 0, and chi is
-    the marginal normalization.
+    the marginal normalization.  When both grids are mirror-symmetric to a
+    few ulps, only the first ceil(n / 2) a-rows are integrated and the
+    rest are chi(-a, -b) = conj chi(a, b), the parity of every physical
+    marginal (docs/math.md section 3); otherwise every row is integrated.
     """
     table = hasattr(marginal, "unit_slices")
     y = marginal.y_grid if table else CALLABLE_Y_GRID
-    values = np.empty((a.size, b.size), dtype=complex)
-    for i, a_i in enumerate(a):
+    n = a.size
+    paired = all(np.max(np.abs(g + g[::-1])) <= 8 * _EPS * np.max(np.abs(g)) for g in (a, b))
+    half = -(-n // 2) if paired else n
+    values = np.empty((n, b.size), dtype=complex)
+    for i, a_i in enumerate(a[:half]):
         phis = np.arctan2(b, a_i)
         if table:
             rows = marginal.unit_slices(phis)
@@ -350,6 +356,7 @@ def _chi_table(marginal, a, b) -> np.ndarray:
             rows = marginal(y[None, :], np.cos(phis)[:, None],
                             np.sin(phis)[:, None], 0.0)
         values[i] = _fourier_rows(rows, np.hypot(a_i, b), y)
+    np.conjugate(values[:n - half][::-1, ::-1], out=values[half:])
     return values
 
 
@@ -416,11 +423,11 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     chi from the core of `characteristic_from_marginal` on the a-grid
     |s| mu (config.mu_samples points of config.mu_range); for s < 0 the
     result is the conjugate transpose of the one for |s| (docs/math.md
-    section 4).  Both quadrature grids are symmetric, which makes the
-    result hermitian to rounding error for any marginal with the physical
-    parity w(X, -mu, -nu) = w(-X, mu, nu).  When chi at the mu_range ends
-    exceeds MU_EDGE_LIMIT of its maximum, chi is truncated there and the
-    result carries a warning with the measured ratio.
+    section 4).  Both quadrature grids are symmetric, so chi's mirrored
+    half is its conjugate (section 3 there) and the result is hermitian
+    to rounding error by construction, whatever the source's parity.  When
+    chi at the mu_range ends exceeds MU_EDGE_LIMIT of its maximum, chi is
+    truncated there and the result carries a warning with the ratio.
     """
     q_grid = uniform_grid(-5.0, 5.0, 101) if q_grid is None else np.asarray(q_grid, dtype=float)
     config = ReconstructionConfig() if config is None else config

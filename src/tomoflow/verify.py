@@ -142,7 +142,9 @@ def roundtrip_report(state: StateSpec, *,
 
     Pipeline: the state's marginal family feeds the characteristic
     function, which is inverted back to a Wigner function and compared
-    against the directly sampled one ("roundtrip"); the same family feeds
+    against the directly sampled one ("roundtrip"); its parity
+    w(X; -mu, -nu) = w(-X; mu, nu), which chi and rho take for granted, is
+    measured at four directions ("marginal-parity"); the same family feeds
     the density-matrix reconstruction, checked for hermiticity, trace,
     purity and invariance under the free scale parameter.
 
@@ -184,8 +186,15 @@ def roundtrip_report(state: StateSpec, *,
     results.append(CheckResult(
         "wigner-roundtrip", report.max_abs <= tolerances.roundtrip_max_abs,
         report.max_abs, tolerances.roundtrip_max_abs,
-        {"state": state.kind.value, "argmax_location": list(report.argmax_location),
-         "hermitian_defect": chi.hermitian_defect(), **plan}))
+        {"state": state.kind.value, "argmax_location": list(report.argmax_location), **plan}))
+    phis = np.linspace(0.0, math.pi, 4, endpoint=False)[:, None]
+    mu, nu = np.cos(phis), np.sin(phis)
+    mirrored = np.asarray(marginal_source(-x_grid, mu, nu, 0.0))
+    parity = float(np.max(np.abs(marginal_source(x_grid, -mu, -nu, 0.0) - mirrored))
+                   / np.max(np.abs(mirrored)))
+    results.append(CheckResult(
+        "marginal-parity", parity <= tolerances.hermiticity, parity,
+        tolerances.hermiticity, {"state": state.kind.value, "directions": 4}))
 
     rho = density_matrix_from_marginal(marginal_source, config=config)
     results.append(CheckResult(

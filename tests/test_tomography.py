@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,13 @@ from oracles import (
     psi_coherent,
     psi_oddcat,
 )
-from tomoflow.evolution import evolve_characteristics
+from tomoflow.evolution import (
+    PotentialSpec,
+    SolverConfig,
+    evolve_characteristics,
+    evolve_pde,
+    reduce_equation,
+)
 from tomoflow.fields import (
     DensityMatrixGrid,
     ReconstructionConfig,
@@ -480,25 +487,85 @@ def dense_rho(marginal, q_grid, config):
     return rho_uv[i + j, i - j + (n - 1)]
 
 
-@pytest.mark.parametrize("source", ["radon", "closed"])
+# An "asymmetric" source runs on a grid with no mirrored pair of a-rows,
+# where chi integrates every row instead of half of them.
+SOURCES = ["radon", "closed", "radon-asymmetric", "closed-asymmetric"]
+
+
+def dense_kernel_source(source, cat_radon_source):
+    return (cat_radon_source if source.startswith("radon")
+            else marginal_evaluator(CAT_TILTED))
+
+
+@pytest.mark.parametrize("source", SOURCES)
 def test_characteristic_matches_dense_kernel(source, cat_radon_source):
-    marginal = (cat_radon_source if source == "radon"
-                else marginal_evaluator(CAT_TILTED))
-    a = uniform_grid(-10.0, 10.0, 21)
+    marginal = dense_kernel_source(source, cat_radon_source)
+    a = (uniform_grid(-7.0, 10.0, 18) if source.endswith("asymmetric")
+         else uniform_grid(-10.0, 10.0, 21))
     b = uniform_grid(-9.0, 9.0, 19)
     chi = characteristic_from_marginal(marginal, a, b)
     assert np.max(np.abs(chi.values - dense_chi(marginal, a, b))) <= 1e-13
 
 
-@pytest.mark.parametrize("source", ["radon", "closed"])
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("s", [1.0, 2.0, -2.0, 1.7, -0.6])
 def test_density_matrix_matches_dense_kernel(source, s, cat_radon_source):
-    marginal = (cat_radon_source if source == "radon"
-                else marginal_evaluator(CAT_TILTED))
+    marginal = dense_kernel_source(source, cat_radon_source)
+    mu_range = (-6.0, 9.0) if source.endswith("asymmetric") else (-8.0, 8.0)
     q = uniform_grid(-4.0, 4.0, 17)
-    config = ReconstructionConfig(s=s, mu_samples=101)
+    config = ReconstructionConfig(mu_range=mu_range, s=s, mu_samples=101)
     rho = density_matrix_from_marginal(marginal, q, config)
     assert np.max(np.abs(rho.values - dense_rho(marginal, q, config))) <= 1e-13
+
+
+def test_chi_evaluates_the_marginal_on_one_half_plane():
+    base = marginal_evaluator(COHERENT_A)
+    calls = []
+
+    def counting(x, mu, nu, delta=0.0):
+        calls.append(np.broadcast(x, mu, nu).size)
+        return base(x, mu, nu, delta)
+
+    chi = characteristic_from_marginal(counting)
+    assert sum(calls) == 101 * 201 * CALLABLE_Y_GRID.size
+    aa, bb = np.meshgrid(chi.a_grid, chi.b_grid, indexing="ij")
+    assert np.max(np.abs(chi.values - chi_coherent(aa, bb, 1.2, -0.7))) < 1e-8
+    calls.clear()
+    characteristic_from_marginal(counting, uniform_grid(-7.0, 10.0, 18))
+    assert sum(calls) == 18 * 201 * CALLABLE_Y_GRID.size
+
+
+@functools.lru_cache(maxsize=None)
+def parity_source(kind, name):
+    """A marginal source of the catalog state `name`, built once."""
+    state = CATALOG[name]
+    if kind == "radon":
+        return RadonMarginalEvaluator(wigner_evaluator(state), n_phi=90,
+                                      y_grid=uniform_grid(-12.0, 12.0, 401))
+    if kind == "closed":
+        return marginal_evaluator(state)
+    grid = uniform_grid(-1.5, 1.5, 33)
+    field = sample_marginal_field(state, grid, grid, uniform_grid(-8.0, 8.0, 161))
+    if kind == "evolved":
+        field, = evolve_pde(field, reduce_equation(PotentialSpec.linear(0.5)),
+                            SolverConfig(), [1.3])
+    return FieldMarginalSource(field)
+
+
+# chi and rho take the other half-plane from w(y; phi + pi) = w(-y; phi), so
+# every source kind must keep it on its own symmetric y grid.
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)), phi=st.floats(-7.0, 7.0, **finite))
+@pytest.mark.parametrize("kind", ["radon", "sampled", "evolved", "closed"])
+def test_sources_keep_the_parity_of_a_half_turn(kind, name, phi):
+    source = parity_source(kind, name)
+    phis = np.array([phi, phi + math.pi])
+    if kind == "closed":
+        y = CALLABLE_Y_GRID
+        rows = source(y[None, :], np.cos(phis)[:, None], np.sin(phis)[:, None], 0.0)
+    else:
+        rows = source.unit_slices(phis)
+    assert np.max(np.abs(rows[1] - rows[0, ::-1])) <= 1e-13 * np.max(np.abs(rows[0]))
 
 
 @settings(max_examples=25, deadline=None)

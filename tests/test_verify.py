@@ -1,6 +1,7 @@
 """Checks must both pass on healthy inputs and catch injected faults."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,12 +137,29 @@ def test_roundtrip_report_radon_path():
 def test_roundtrip_report_analytic_source():
     results = roundtrip_report(
         EXCITED, marginal_source=marginal_evaluator(EXCITED))
-    assert len(results) == 6
+    assert len(results) == 7
     for res in results:
         assert res.passed, (res.name, res.measured, res.threshold)
     assert results[1].name == "wigner-roundtrip"
     assert "line_step" not in results[1].context
     assert "line_edge" not in results[1].context
+
+
+def test_roundtrip_report_flags_a_source_without_parity():
+    base = marginal_evaluator(GROUND)
+
+    def odd(x, mu, nu, delta=0.0):
+        x = np.asarray(x, dtype=float)
+        return base(x, mu, nu, delta) + 1e-4 * x * np.exp(-x * x)
+
+    results = {r.name: r for r in roundtrip_report(GROUND, marginal_source=odd)}
+    assert results["marginal-normalization"].passed
+    parity = results["marginal-parity"]
+    assert not parity.passed
+    assert parity.threshold == DEFAULT_TOLERANCES.hermiticity
+    # 2e-4 max(X e^{-X^2}) over max w = 1/sqrt(pi)
+    assert parity.measured == pytest.approx(
+        2e-4 / math.sqrt(2.0 * math.e) * math.sqrt(math.pi), rel=1e-3)
 
 
 def test_roundtrip_report_stops_at_denormalized_source():
