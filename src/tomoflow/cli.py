@@ -11,6 +11,7 @@ so a process loads only what its command uses; every layer needs numpy only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -131,14 +132,16 @@ def cmd_evolve(args) -> int:
 
     field = _require(read_field(args.infile), MarginalField, "--in")
     coeffs = reduce_equation(args.dyn)
-    if args.t == 0.0:
-        result = field
-    else:
-        result, = evolve_pde(field, coeffs, SolverConfig(), [args.t])
+    result, = evolve_pde(field, coeffs, SolverConfig(), [args.t])
     write_field(result, args.out, meta={
         "command": "evolve", "t": args.t,
         "potential": coeffs.potential.coefficients})
     return 0
+
+
+def _with_input_warnings(field, out):
+    """out with the warnings of the field it was computed from ahead of its own."""
+    return dataclasses.replace(out, warnings=field.warnings + out.warnings)
 
 
 def cmd_invert(args) -> int:
@@ -153,7 +156,8 @@ def cmd_invert(args) -> int:
     source = FieldMarginalSource(field)
     chi = characteristic_from_marginal(source)
     wigner = wigner_from_characteristic(chi, grid, grid)
-    write_field(wigner, args.out, meta={"command": "invert"})
+    write_field(_with_input_warnings(field, wigner), args.out,
+                meta={"command": "invert"})
     return 0
 
 
@@ -165,8 +169,8 @@ def cmd_density_matrix(args) -> int:
     source = FieldMarginalSource(field)
     config = ReconstructionConfig(s=args.s)
     dm = density_matrix_from_marginal(source, q_grid, config)
-    write_field(dm, args.out, meta={"command": "density-matrix",
-                                    "s": args.s})
+    write_field(_with_input_warnings(field, dm), args.out,
+                meta={"command": "density-matrix", "s": args.s})
     return 0
 
 
@@ -303,6 +307,12 @@ def _suite_worked_values() -> list[CheckResult]:
 
 
 def cmd_check(args) -> int:
+    if args.suite == "paper-examples":
+        for flag in ("state", "q0", "p0"):
+            if getattr(args, flag) is not None:
+                print(f"error: --suite paper-examples takes no --{flag}",
+                      file=sys.stderr)
+                return 2
     if args.state is None:
         states = list(CATALOG.items())
     else:

@@ -19,22 +19,18 @@ V = q^2/2.  The c1 term carries a plus sign; its characteristics shift
 X by +c1 (nu t + mu t^2 / 2) going backwards, which reproduces uniformly
 accelerated packets exactly.
 
-The grid solver `evolve_pde` offers two schemes.  SemiLagrangian traces
-each snapshot's affine flow back to t = 0 exactly and resamples the
-initial field there once by cubic spline (one `_resample` call), scaling
-every lookup to a fixed reference annulus of |(mu, nu)| through the
-exact scaling identity; this sidesteps both box outflow (the flow may
-leave any finite (mu, nu) box) and the 1/r sharpening of the marginal
-near the degenerate direction.  Upwind is a plain first-order
-directional-difference scheme with a CFL guard, kept as an independent
-cross-check and for convergence studies.  The module needs numpy only; its
-splines are the tomography layer's: `fields._prefilter` coefficients, padded
-by edge values once per call and read by `fields.padded_taps`.
+The grid solver `evolve_pde` traces each snapshot's affine flow back to
+t = 0 exactly and resamples the initial field there once by cubic spline
+(one `_resample` call), scaling every lookup to a fixed reference annulus
+of |(mu, nu)| through the exact scaling identity; this sidesteps both box
+outflow (the flow may leave any finite (mu, nu) box) and the 1/r
+sharpening of the marginal near the degenerate direction.  The module needs
+numpy only; its splines are the tomography layer's: `fields._prefilter`
+coefficients, padded by edge values once per call, read by `fields.padded_taps`.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,10 +68,6 @@ _MASK_SAMPLES = 257
 # cells clear of the box edge or the cubic stencil picks up boundary
 # flattening; (1.2, 1.3) balances the two on the default +-1.5 box.
 _R_REF_RANGE = (1.2, 1.3)
-
-# Largest CFL number the upwind scheme accepts; donor-cell differencing
-# is stable up to 1.
-_MAX_CFL = 0.9
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -286,26 +278,10 @@ def resolvable_mask(field: MarginalField, coeffs: PDECoefficients, t: float,
     return ok
 
 
-class Scheme(str, enum.Enum):
-    SEMILAGRANGIAN = "semilagrangian"
-    UPWIND = "upwind"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid-solver plan for evolve_pde: the scheme and its time step.
-
-    The SemiLagrangian scheme resamples the initial field once per
-    snapshot and does not use dt; the upwind scheme steps by dt under a
-    CFL guard.
-    """
-
-    scheme: Scheme = Scheme.SEMILAGRANGIAN
-    dt: float = 0.01
-
-    def __post_init__(self):
-        if self.dt <= 0.0 or not np.isfinite(self.dt):
-            raise ValueError("dt must be positive and finite")
+    """Grid-solver plan for evolve_pde.  It takes no settings, since the
+    exact backtrace leaves nothing to choose; callers still pass one."""
 
 
 # Lookups per chunk of cells: the X stage's buffers stay in the L2 cache.
@@ -439,73 +415,17 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
     return out.reshape(sizes), n_out / out.size
 
 
-def _upwind_rhs(values: np.ndarray, field: MarginalField, gen: np.ndarray):
-    """-(V . grad w) with first-order directional differences, clamped edges.
-
-    The velocity has one value per (mu, nu) cell, sliced on those axes,
-    and its sign picks the upstream side: d[i] = w[i+1] - w[i] is the
-    backward difference at i + 1 where it is positive and the forward one
-    at i elsewhere; the clamped edge's own difference is zero.
-    """
-    grids = (field.mu_grid, field.nu_grid, field.x_grid)
-    mu = field.mu_grid[:, None, None]
-    nu = field.nu_grid[None, :, None]
-    # velocity components in field-axis order (mu, nu, x)
-    velocities = (gen[1, 1] * mu + gen[1, 2] * nu,
-                  gen[2, 1] * mu + gen[2, 2] * nu,
-                  gen[0, 1] * mu + gen[0, 2] * nu)
-    rhs = np.zeros_like(values)
-    for axis, (grid, vel) in enumerate(zip(grids, velocities)):
-        if np.all(vel == 0.0):
-            continue
-        diff = np.diff(values, axis=axis)
-        diff /= grid_step(grid)
-        for side, part in ((slice(1, None), np.where(vel > 0.0, vel, 0.0)),
-                           (slice(None, -1), np.where(vel > 0.0, 0.0, vel))):
-            at = [slice(None)] * 3
-            at[axis] = side
-            rhs[tuple(at)] -= part[tuple(at[:2])] * diff
-    return rhs
-
-
-def _check_cfl(field: MarginalField, gen: np.ndarray, dt: float) -> float:
-    mu_max = float(np.max(np.abs(field.mu_grid)))
-    nu_max = float(np.max(np.abs(field.nu_grid)))
-    bound = lambda row: abs(gen[row, 1]) * mu_max + abs(gen[row, 2]) * nu_max
-    cfl = dt * (bound(1) / grid_step(field.mu_grid)
-                + bound(2) / grid_step(field.nu_grid)
-                + bound(0) / grid_step(field.x_grid))
-    if cfl > _MAX_CFL:
-        raise ValueError(f"CFL number {cfl:.3f} exceeds limit {_MAX_CFL}")
-    return cfl
-
-
-def _split_span(span: float, dt: float) -> tuple[int, float]:
-    """Full dt steps and the partial last step (0.0 if none) covering span.
-
-    A remainder within 1e-12 of 0 or of dt is rounding, not a step.
-    """
-    steps = math.floor(span / dt)
-    partial = span - steps * dt
-    if partial > dt - 1e-12:
-        return steps + 1, 0.0
-    if partial < 1e-12:
-        return steps, 0.0
-    return steps, partial
-
-
 def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                config: SolverConfig,
                times: list[float]) -> list[MarginalField]:
     """Advance a marginal field on its grid; exact affine backtracing.
 
     Returns the list of fields at ``times`` (finite, nondecreasing and
-    >= 0).  The SemiLagrangian scheme computes each snapshot at t > 0 as
-    one resample of the initial field at its exact backtrace e^{-At} z,
-    so snapshots do not depend on each other; the upwind scheme steps by
-    dt from snapshot to snapshot and hits each instant with a partial
-    step.  A snapshot's warnings are the initial field's plus its own
-    outflow and mass drift.
+    >= 0).  Each snapshot at t > 0 is one resample of the initial field at
+    its exact backtrace e^{-At} z, so snapshots do not depend on each
+    other; a snapshot at t = 0 is a copy of the initial field.  A
+    snapshot's warnings are the initial field's plus its own outflow and
+    mass drift.
     """
     gen = coeffs.generator_matrix()
     snapshot_times = [float(t) for t in times]
@@ -515,38 +435,26 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
             b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be nondecreasing and >= 0")
 
-    values = initial.values
-    initial_mass = float(np.sum(np.abs(values)))
-    if config.scheme == Scheme.UPWIND:
-        _check_cfl(initial, gen, config.dt)
-    else:
-        # Edge values repeat beyond the box, as the clamped taps read them.
-        spline = np.pad(spline_filter(values), ((2, 3),) * 3, mode="edge")
+    initial_mass = float(np.sum(np.abs(initial.values)))
+    # Edge values repeat beyond the box, as the clamped taps read them.
+    spline = np.pad(spline_filter(initial.values), ((2, 3),) * 3, mode="edge")
     out = []
-    t_now = 0.0
     for target in snapshot_times:
         warnings = set(initial.warnings)
-        if config.scheme == Scheme.UPWIND:
-            steps, partial = _split_span(target - t_now, config.dt)
-            for step in [config.dt] * steps + ([partial] if partial else []):
-                values = values + step * _upwind_rhs(values, initial, gen)
-        elif target > 0.0:
+        if target == 0.0:
+            values = initial.values.astype(float)
+        else:
             values, out_frac = _resample(spline, initial, gen, target)
             if out_frac > 1e-3:
                 warnings.add(f"boundary outflow: {out_frac:.2%} of "
                              "backtraced points leave the box")
-        t_now = target
         if initial_mass > 0.0:
             drift = abs(float(np.sum(np.abs(values))) - initial_mass) / initial_mass
             if drift > 1e-2:
                 warnings.add(f"mass drift {drift:.2%} since t=0 "
                              "(boundary outflow or under-resolution)")
-        meta = dict(initial.meta)
-        meta.update({"time": t_now, "scheme": config.scheme.value,
-                     "potential": coeffs.potential.coefficients})
-        # A snapshot owns its values: copy the initial ones or a repeated time's.
-        shared = values is initial.values or bool(out) and values is out[-1].values
-        out.append(MarginalField(initial.mu_grid, initial.nu_grid,
-                                 initial.x_grid, values.astype(float, copy=shared),
-                                 tuple(sorted(warnings)), meta))
+        meta = {**initial.meta, "time": target,
+                "potential": coeffs.potential.coefficients}
+        out.append(MarginalField(initial.mu_grid, initial.nu_grid, initial.x_grid,
+                                 values, tuple(sorted(warnings)), meta))
     return out

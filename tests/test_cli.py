@@ -176,6 +176,13 @@ def test_evolve_zero_time_is_identity(tmp_path, ground_field):
                           read_field(ground_field).values)
 
 
+def test_evolve_zero_time_records_its_time(tmp_path, ground_field):
+    out = tmp_path / "e0.csv"
+    assert main(["evolve", "--in", ground_field, "--dyn", "free",
+                 "--t", "0", "--out", str(out)]) == 0
+    assert read_field(out).meta["time"] == 0.0
+
+
 def test_evolve_linear_potential(tmp_path, ground_field):
     out = tmp_path / "el.csv"
     assert main(["evolve", "--in", ground_field, "--dyn", "linear:0.4",
@@ -239,6 +246,29 @@ def test_density_matrix_from_file(tmp_path, ground_field, small_config):
     assert dm.trace() == pytest.approx(1.0, abs=1e-3)
 
 
+def test_reconstructions_carry_the_warnings_of_their_field(tmp_path):
+    # the linear shift carries lookups past the X box ends, so the evolved
+    # field warns; invert and density-matrix keep those ahead of their own
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "direction_grid": [-1.5, 1.5, 33], "x_grid": [-6.0, 6.0, 129],
+        "wigner_grid": [-4.0, 4.0, 33], "density_grid": [-3.0, 3.0, 21]}))
+    ground, evolved = tmp_path / "g.csv", tmp_path / "e.csv"
+    assert main(["sample-field", "--state", "ground", "--config", str(config),
+                 "--out", str(ground)]) == 0
+    assert main(["evolve", "--in", str(ground), "--dyn", "linear:1.0",
+                 "--t", "2", "--out", str(evolved)]) == 0
+    carried = read_field(evolved).warnings
+    assert [w.split()[0] for w in carried] == ["boundary", "mass"]
+    for command in ("invert", "density-matrix"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--in", str(evolved), "--config", str(config),
+                     "--out", str(out)]) == 0
+        warnings = read_field(out).warnings
+        assert warnings[:2] == carried
+        assert warnings[2].startswith("chi truncated")
+
+
 def test_reduce_prints_transport_terms(capsys):
     assert main(["reduce", "--potential", "0,0,0.5"]) == 0
     out = capsys.readouterr().out
@@ -260,6 +290,18 @@ def test_check_worked_values_suite(tmp_path, capsys):
     assert len(data["results"]) == 10
     assert all(r["passed"] for r in data["results"])
     assert "PASS ground-wigner-origin" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--state", "ground"], ["--q0", "1"],
+                                   ["--p0", "1"]])
+def test_check_paper_examples_refuses_state_flags(tmp_path, capsys, flags):
+    # the worked values are fixed states: a state flag would be ignored
+    report = tmp_path / "report.json"
+    assert main(["check", "--suite", "paper-examples", *flags,
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flags[0] in err
+    assert not report.exists()
 
 
 def test_check_evolution_suite(tmp_path):

@@ -29,7 +29,6 @@ from tomoflow.evolution import (
     DEFAULT_VALID_RADIUS,
     NonlocalPotentialError,
     PotentialSpec,
-    Scheme,
     SolverConfig,
     TransportTerm,
     evolve_characteristics,
@@ -463,19 +462,18 @@ def test_pde_warns_on_boundary_outflow():
                                uniform_grid(-6.0, 6.0, 129))
     coeffs = reduce_equation(PotentialSpec.linear(1.0))
     # the linear potential's X shift carries lookups past the X box ends
-    snap, = evolve_pde(f0, coeffs, SolverConfig(dt=0.25), [2.0])
+    snap, = evolve_pde(f0, coeffs, SolverConfig(), [2.0])
     assert any("outflow" in w for w in snap.warnings)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_snapshots_share_no_memory_with_the_initial_field(scheme):
-    # t = 0 (and upwind before its first step) returns the initial values,
-    # a repeated time the last snapshot's: those are copied, nothing else.
+def test_snapshots_share_no_memory_with_the_initial_field():
+    # t = 0 returns a copy of the initial values, and a repeated time a
+    # fresh resample: no snapshot shares memory with another.
     f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 17),
                                uniform_grid(-1.5, 1.5, 17),
                                uniform_grid(-6.0, 6.0, 65))
     snaps = evolve_pde(f0, reduce_equation(PotentialSpec.free()),
-                       SolverConfig(scheme=scheme, dt=0.05), [0.0, 0.0, 0.1, 0.1])
+                       SolverConfig(), [0.0, 0.0, 0.1, 0.1])
     assert np.array_equal(snaps[0].values, f0.values)
     for i, snap in enumerate(snaps):
         assert not np.shares_memory(snap.values, f0.values)
@@ -496,9 +494,8 @@ def test_kernels_leave_their_inputs_unchanged():
                                uniform_grid(-1.5, 1.5, 17),
                                uniform_grid(-6.0, 6.0, 65))
     kept = f0.values.tobytes()
-    for scheme in Scheme:
-        evolve_pde(f0, reduce_equation(PotentialSpec.linear(0.5)),
-                   SolverConfig(scheme=scheme, dt=0.05), [0.0, 0.3])
+    evolve_pde(f0, reduce_equation(PotentialSpec.linear(0.5)), SolverConfig(),
+               [0.0, 0.3])
     assert f0.values.tobytes() == kept
 
 
@@ -517,70 +514,8 @@ def test_pde_rejects_bad_snapshot_lists():
 
 
 def test_solver_config_validation():
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "scheme", "dt"]
-    for dt in (0.0, -0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            SolverConfig(dt=dt)
-
-
-def test_upwind_cfl_guard_raises():
-    f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-6.0, 6.0, 129))
-    coeffs = reduce_equation(PotentialSpec.free())
-    with pytest.raises(ValueError, match="CFL"):
-        evolve_pde(f0, coeffs, SolverConfig(scheme=Scheme.UPWIND, dt=0.2),
-                   [0.4])
-
-
-def test_upwind_short_time_smoke():
-    state = GROUND
-    t = 0.2
-    f0 = sample_marginal_field(state, uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-6.0, 6.0, 129))
-    coeffs = reduce_equation(PotentialSpec.free())
-    snap, = evolve_pde(f0, coeffs, SolverConfig(scheme=Scheme.UPWIND,
-                                                dt=0.025), [t])
-    err, _ = masked_error(state, DynamicsKind.FREE, PotentialSpec.free(),
-                          snap, f0, t)
-    assert np.abs(err).max() <= 5e-2
-
-
-def reference_upwind_rhs(values, field, gen):
-    """The donor-cell right-hand side with edge padding and a full-size
-    select of the upstream difference, cell by cell."""
-    grids = (field.mu_grid, field.nu_grid, field.x_grid)
-    mu = field.mu_grid[:, None, None]
-    nu = field.nu_grid[None, :, None]
-    velocities = (gen[1, 1] * mu + gen[1, 2] * nu,
-                  gen[2, 1] * mu + gen[2, 2] * nu,
-                  gen[0, 1] * mu + gen[0, 2] * nu)
-    rhs = np.zeros_like(values)
-    for axis, (grid, vel) in enumerate(zip(grids, velocities)):
-        pad = [(0, 0)] * 3
-        pad[axis] = (1, 1)
-        ext = np.pad(values, pad, mode="edge")
-        lo, hi = [slice(None)] * 3, [slice(None)] * 3
-        lo[axis], hi[axis] = slice(0, -2), slice(2, None)
-        backward = (values - ext[tuple(lo)]) / grid_step(grid)
-        forward = (ext[tuple(hi)] - values) / grid_step(grid)
-        rhs -= vel * np.where(vel > 0.0, backward, forward)
-    return rhs
-
-
-@pytest.mark.parametrize("potential", ["free", "harmonic", "linear:0.5",
-                                       "0.1,-0.2,0.8"])
-def test_upwind_rhs_matches_padded_reference(potential):
-    # same differences and products, so the values must agree exactly
-    f0 = sample_marginal_field(StateSpec(StateKind.ODD_CAT, q0=1.1, p0=0.9),
-                               uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-1.5, 1.5, 31),
-                               uniform_grid(-6.0, 8.0, 129))
-    gen = reduce_equation(PotentialSpec.from_string(potential)).generator_matrix()
-    assert np.array_equal(evolution._upwind_rhs(f0.values, f0, gen),
-                          reference_upwind_rhs(f0.values, f0, gen))
+    # the exact backtrace has no settings; a new one must edit this test
+    assert dataclasses.fields(SolverConfig) == ()
 
 
 def test_resolvable_mask_flags_cells_swept_below_radius():
