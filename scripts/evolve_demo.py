@@ -17,23 +17,20 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from tomoflow.evolution import (
     DEFAULT_VALID_RADIUS,
-    PotentialSpec,
     SolverConfig,
     evolve_pde,
     reduce_equation,
     resolvable_mask,
 )
-from tomoflow.fields import uniform_grid
+from tomoflow.fields import PotentialSpec, uniform_grid
 from tomoflow.io import write_field
 from tomoflow.states import CATALOG, DynamicsKind, sample_marginal_field
-
-POTENTIALS = {"free": PotentialSpec.free(), "harmonic": PotentialSpec.harmonic()}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--state", choices=sorted(CATALOG), default="oddcat")
-    ap.add_argument("--dyn", choices=sorted(POTENTIALS), default="free")
+    ap.add_argument("--dyn", choices=["free", "harmonic"], default="free")
     ap.add_argument("--times", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     ap.add_argument("--n-dir", type=int, default=65)
     ap.add_argument("--n-x", type=int, default=257)
@@ -42,7 +39,8 @@ def main() -> int:
     args = ap.parse_args()
 
     state = CATALOG[args.state]
-    coeffs = reduce_equation(POTENTIALS[args.dyn])
+    coeffs = reduce_equation(PotentialSpec.from_string(args.dyn))
+    dyn = DynamicsKind(args.dyn)
     d_grid = uniform_grid(-1.5, 1.5, args.n_dir)
     x_grid = uniform_grid(-8.0, 8.0, args.n_x)
     initial = sample_marginal_field(state, d_grid, d_grid, x_grid)
@@ -56,7 +54,6 @@ def main() -> int:
     mu, nu = np.meshgrid(d_grid, d_grid, indexing="ij")
     radius_ok = np.hypot(mu, nu) >= DEFAULT_VALID_RADIUS
     for t, snap in zip(sorted(args.times), snapshots):
-        dyn = DynamicsKind.FREE if args.dyn == "free" else DynamicsKind.HARMONIC
         exact = sample_marginal_field(state, d_grid, d_grid, x_grid, t=t, dyn=dyn)
         mask = radius_ok & resolvable_mask(initial, coeffs, t)
         err = np.where(mask[:, :, None], np.abs(snap.values - exact.values), 0.0)

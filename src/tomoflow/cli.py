@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,19 +30,10 @@ from .states import (
     DynamicsKind,
     StateKind,
     StateSpec,
-    cat_normalization,
-    marginal_eval,
-    marginal_evaluator,
     marginal_slice,
     sample_marginal_field,
     sample_wigner_field,
-    wigner_eval,
 )
-
-if TYPE_CHECKING:
-    from .verify import CheckResult
-
-SQRT_PI = math.sqrt(math.pi)
 
 
 def _potential_arg(text: str) -> PotentialSpec:
@@ -54,26 +43,25 @@ def _potential_arg(text: str) -> PotentialSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
-
-
-def _grid(path: str | None, key: str, lo: float, hi: float,
-          n: int) -> np.ndarray:
-    """The [lo, hi, n] grid under key in the --config file, or the default."""
-    spec = _load_config(path).get(key, [lo, hi, n])
-    numbers = isinstance(spec, list) and len(spec) == 3 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec)
-    if not (numbers and float(spec[2]).is_integer()):
-        raise ValueError(f"{path}: {key} must be [lo, hi, n] with an "
-                         f"integral n, got {json.dumps(spec)}")
-    return uniform_grid(float(spec[0]), float(spec[1]), int(spec[2]))
+def _grids(path: str | None, **defaults) -> list[np.ndarray]:
+    """The [lo, hi, n] grid under each key of the --config file, which is
+    read once, or the key's default (lo, hi, n)."""
+    cfg = {}
+    if path is not None:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+    grids = []
+    for key, default in defaults.items():
+        spec = cfg.get(key, list(default))
+        numbers = isinstance(spec, list) and len(spec) == 3 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec)
+        if not (numbers and float(spec[2]).is_integer()):
+            raise ValueError(f"{path}: {key} must be [lo, hi, n] with an "
+                             f"integral n, got {json.dumps(spec)}")
+        grids.append(uniform_grid(float(spec[0]), float(spec[1]), int(spec[2])))
+    return grids
 
 
 def _state(args) -> StateSpec:
@@ -92,7 +80,7 @@ def _require(field, cls, flag: str):
 
 
 def cmd_state_wigner(args) -> int:
-    grid = _grid(args.config, "wigner_grid", -4.0, 4.0, 129)
+    grid, = _grids(args.config, wigner_grid=(-4.0, 4.0, 129))
     state = _state(args)
     field = sample_wigner_field(state, grid, grid, t=args.t,
                                 dyn=DynamicsKind(args.dyn))
@@ -103,7 +91,7 @@ def cmd_state_wigner(args) -> int:
 
 
 def cmd_marginal(args) -> int:
-    x_grid = _grid(args.config, "slice_x_grid", -10.0, 10.0, 1001)
+    x_grid, = _grids(args.config, slice_x_grid=(-10.0, 10.0, 1001))
     state = _state(args)
     params = TomographyParams(args.mu, args.nu, args.delta)
     field = marginal_slice(state, params, x_grid, t=args.t,
@@ -116,8 +104,8 @@ def cmd_marginal(args) -> int:
 
 
 def cmd_sample_field(args) -> int:
-    d = _grid(args.config, "direction_grid", -1.5, 1.5, 65)
-    x_grid = _grid(args.config, "x_grid", -8.0, 8.0, 257)
+    d, x_grid = _grids(args.config, direction_grid=(-1.5, 1.5, 65),
+                       x_grid=(-8.0, 8.0, 257))
     state = _state(args)
     field = sample_marginal_field(state, d, d, x_grid, t=args.t,
                                   dyn=DynamicsKind(args.dyn))
@@ -151,7 +139,7 @@ def cmd_invert(args) -> int:
         wigner_from_characteristic,
     )
 
-    grid = _grid(args.config, "wigner_grid", -4.0, 4.0, 129)
+    grid, = _grids(args.config, wigner_grid=(-4.0, 4.0, 129))
     field = _require(read_field(args.infile), MarginalField, "--in")
     source = FieldMarginalSource(field)
     chi = characteristic_from_marginal(source)
@@ -164,7 +152,7 @@ def cmd_invert(args) -> int:
 def cmd_density_matrix(args) -> int:
     from .tomography import FieldMarginalSource, density_matrix_from_marginal
 
-    q_grid = _grid(args.config, "density_grid", -5.0, 5.0, 65)
+    q_grid, = _grids(args.config, density_grid=(-5.0, 5.0, 65))
     field = _require(read_field(args.infile), MarginalField, "--in")
     source = FieldMarginalSource(field)
     config = ReconstructionConfig(s=args.s)
@@ -182,147 +170,19 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _exact(name: str, measured: float, tol: float, **context) -> CheckResult:
-    from .verify import CheckResult
-
-    return CheckResult(name, bool(abs(measured) <= tol), float(measured),
-                       tol, context)
-
-
-def _suite_roundtrip(states) -> list[CheckResult]:
-    from .verify import DEFAULT_TOLERANCES, roundtrip_report
-
-    results = []
-    for label, state in states:
-        for res in roundtrip_report(state, tolerances=DEFAULT_TOLERANCES):
-            res.context.setdefault("state", label)
-            results.append(res)
-    return results
-
-
-def _suite_evolution(states) -> list[CheckResult]:
-    from .evolution import (
-        DEFAULT_VALID_RADIUS,
-        SolverConfig,
-        evolve_characteristics,
-        evolve_pde,
-        reduce_equation,
-        resolvable_mask,
-    )
-    from .verify import DEFAULT_TOLERANCES, CheckResult
-
-    results = []
-    free = reduce_equation(PotentialSpec.free())
-    rot = reduce_equation(PotentialSpec.harmonic())
-    kinetic = [(1.0, 1, 0, 0, 0, 1)]
-    expected_free = kinetic
-    expected_rot = kinetic + [(-1.0, 0, 1, 0, 1, 0)]
-    as_tuples = lambda c: [(t.coeff, t.mu_pow, t.nu_pow, t.dx, t.dmu, t.dnu)
-                           for t in c.terms]
-    results.append(_exact("reduction-free-exact",
-                          0.0 if as_tuples(free) == expected_free else 1.0,
-                          0.0, terms=free.describe()))
-    results.append(_exact("reduction-harmonic-exact",
-                          0.0 if as_tuples(rot) == expected_rot else 1.0,
-                          0.0, terms=rot.describe()))
-
-    x = np.linspace(-5.0, 5.0, 41)
-    probes = [(1.0, 0.0, 0.0), (0.6, -0.8, 0.3), (-0.4, 1.1, -1.0)]
-    t = 0.7
-    for label, state in states:
-        for dyn in (DynamicsKind.FREE, DynamicsKind.HARMONIC):
-            w = evolve_characteristics(marginal_evaluator(state), dyn, t)
-            worst = 0.0
-            for mu, nu, delta in probes:
-                want = marginal_eval(state, TomographyParams(mu, nu, delta),
-                                     x, t=t, dyn=dyn)
-                worst = max(worst, float(np.abs(w(x, mu, nu, delta)
-                                                - want).max()))
-            results.append(CheckResult(
-                f"characteristics-{dyn.value}-{label}",
-                worst <= DEFAULT_TOLERANCES.characteristics, worst,
-                DEFAULT_TOLERANCES.characteristics, {"t": t}))
-
-    d = uniform_grid(-1.5, 1.5, 33)
-    xg = uniform_grid(-8.0, 8.0, 129)
-    state = CATALOG["ground"]
-    f0 = sample_marginal_field(state, d, d, xg)
-    t = 0.4
-    snap, = evolve_pde(f0, free, SolverConfig(), [t])
-    ref = sample_marginal_field(state, d, d, xg, t=t, dyn=DynamicsKind.FREE)
-    mu, nu = np.meshgrid(d, d, indexing="ij")
-    mask = ((np.hypot(mu, nu) >= DEFAULT_VALID_RADIUS)
-            & resolvable_mask(f0, free, t))[:, :, None]
-    err = float(np.where(mask, np.abs(snap.values - ref.values), 0.0).max())
-    results.append(CheckResult("pde-free-ground", err <= DEFAULT_TOLERANCES.pde,
-                               err, DEFAULT_TOLERANCES.pde,
-                               {"t": t, "grid": "33x33x129"}))
-    return results
-
-
-def _suite_worked_values() -> list[CheckResult]:
-    ground = CATALOG["ground"]
-    excited = CATALOG["excited1"]
-    cat = CATALOG["oddcat"]
-    coherent = CATALOG["coherent"]
-    slice_of = lambda st, x, mu, nu: float(
-        marginal_eval(st, TomographyParams(mu, nu), np.array([x]))[0])
-    results = [
-        _exact("ground-wigner-origin",
-               wigner_eval(ground, (0.0, 0.0)) - 2.0, 1e-12),
-        _exact("excited1-wigner-origin",
-               wigner_eval(excited, (0.0, 0.0)) + 2.0, 1e-12),
-        _exact("oddcat-wigner-origin",
-               wigner_eval(cat, (0.0, 0.0)) + 2.0, 1e-9),
-        _exact("oddcat-tilted-wigner-origin",
-               wigner_eval(StateSpec(StateKind.ODD_CAT, 1.1, 0.9),
-                           (0.0, 0.0)) + 2.0, 1e-9),
-        _exact("ground-slice-origin",
-               slice_of(ground, 0.0, 1.0, 0.0) - 1.0 / SQRT_PI, 1e-12),
-        _exact("excited1-slice-origin",
-               slice_of(excited, 0.0, 1.0, 0.0), 1e-15),
-        _exact("excited1-slice-peak",
-               slice_of(excited, 1.0, 1.0, 0.0)
-               - 2.0 / SQRT_PI * math.exp(-1.0), 1e-12),
-        _exact("oddcat-norm-constant",
-               cat_normalization(math.sqrt(2.0), 0.0)
-               - math.sqrt(math.e / (4.0 * math.sinh(1.0))), 1e-12),
-    ]
-    x = np.linspace(-4.0, 4.0, 81)
-    t = 0.9
-    c, s = math.cos(t), math.sin(t)
-    mu, nu = 0.7, -0.4
-    rotated = TomographyParams(mu * c - nu * s, mu * s + nu * c)
-    drift = float(np.abs(
-        marginal_eval(coherent, TomographyParams(mu, nu), x, t=t,
-                      dyn=DynamicsKind.HARMONIC)
-        - marginal_eval(coherent, rotated, x)).max())
-    results.append(_exact("coherent-harmonic-rotation", drift, 1e-12))
-    still = float(np.abs(
-        marginal_eval(excited, TomographyParams(mu, nu), x, t=1.1,
-                      dyn=DynamicsKind.HARMONIC)
-        - marginal_eval(excited, TomographyParams(mu, nu), x)).max())
-    results.append(_exact("excited1-harmonic-stationary", still, 1e-12))
-    return results
-
-
 def cmd_check(args) -> int:
-    if args.suite == "paper-examples":
-        for flag in ("state", "q0", "p0"):
-            if getattr(args, flag) is not None:
-                print(f"error: --suite paper-examples takes no --{flag}",
-                      file=sys.stderr)
-                return 2
-    if args.state is None:
-        states = list(CATALOG.items())
-    else:
-        states = [(args.state, _state(args))]
-    if args.suite == "roundtrip":
-        results = _suite_roundtrip(states)
-    elif args.suite == "evolution":
-        results = _suite_evolution(states)
-    else:
-        results = _suite_worked_values()
+    # --q0 and --p0 displace a --state; paper-examples takes no state flag
+    fixed = args.suite == "paper-examples"
+    for flag in ("state", "q0", "p0"):
+        if getattr(args, flag) is not None and (fixed or args.state is None):
+            print(f"error: --suite paper-examples takes no --{flag}" if fixed
+                  else f"error: --{flag} needs --state", file=sys.stderr)
+            return 2
+    from .verify import SUITES
+
+    states = (list(CATALOG.items()) if args.state is None
+              else [(args.state, _state(args))])
+    results = SUITES[args.suite](states)
     ok = all(r.passed for r in results)
     report = {"suite": args.suite, "all_passed": ok,
               "results": [r.as_dict() for r in results]}

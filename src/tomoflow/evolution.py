@@ -66,8 +66,10 @@ _MASK_SAMPLES = 257
 # band high in the direction box minimizes the arc spacing h/r that sets
 # the band's own error accumulation, but its top edge must stay several
 # cells clear of the box edge or the cubic stencil picks up boundary
-# flattening; (1.2, 1.3) balances the two on the default +-1.5 box.
+# flattening; (1.2, 1.3) balances the two on the default +-1.5 box.  A smaller
+# `MarginalField.reach` shrinks it in proportion; one <= 0 is refused.
 _R_REF_RANGE = (1.2, 1.3)
+_R_REF_REACH = 1.5
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -353,7 +355,8 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
     shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
     x_edge = min(-field.x_grid[0], field.x_grid[-1])
     r_d = np.hypot(mu_d, nu_d)
-    r_ref = np.clip(r_d, *_R_REF_RANGE)
+    scale = min(1.0, field.reach() / _R_REF_REACH)
+    r_ref = np.clip(r_d, _R_REF_RANGE[0] * scale, _R_REF_RANGE[1] * scale)
     inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
 
     a, b = index(mu_d * inv, 0), index(nu_d * inv, 1)
@@ -425,9 +428,10 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     its exact backtrace e^{-At} z, so snapshots do not depend on each
     other; a snapshot at t = 0 is a copy of the initial field.  A
     snapshot's warnings are the initial field's plus its own outflow and
-    mass drift.
+    mass drift.  Refuses a direction box that does not surround the origin.
     """
     gen = coeffs.generator_matrix()
+    initial.reach()  # refuses a box that does not surround the origin
     snapshot_times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in snapshot_times):
         raise ValueError(f"snapshot times must be finite, got {snapshot_times}")

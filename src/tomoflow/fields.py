@@ -288,6 +288,15 @@ class MarginalField(_GridField):
         """|(mu, nu)| per cell, shape (n_mu, n_nu)."""
         return np.hypot(self.mu_grid[:, None], self.nu_grid[None, :])
 
+    def reach(self) -> float:
+        """Distance from the origin to the nearest edge of the direction box;
+        refuses a box that does not surround the origin."""
+        reach = float(min(self.mu_grid[-1], -self.mu_grid[0],
+                          self.nu_grid[-1], -self.nu_grid[0]))
+        if not reach > 0.0:
+            raise ValueError("field box must surround the origin")
+        return reach
+
     def valid_mask(self, min_radius: float = 0.0) -> np.ndarray:
         """Cells whose direction norm exceeds min_radius (and is nonzero)."""
         r = self.radius()

@@ -294,11 +294,7 @@ class FieldMarginalSource(UnitSliceSource):
     """
 
     def __init__(self, field: MarginalField):
-        reach = min(field.mu_grid[-1], -field.mu_grid[0],
-                    field.nu_grid[-1], -field.nu_grid[0])
-        if not reach > 0.0:
-            raise ValueError("field box must surround the origin")
-        radius = float(0.75 * reach)
+        radius = 0.75 * field.reach()
         self.y_grid = field.x_grid / radius
         phi_grid = np.linspace(0.0, TWO_PI, 360, endpoint=False)
         coeffs = np.pad(_prefilter(_prefilter(field.values, axis=0), axis=1),

@@ -1,4 +1,5 @@
-"""Assertable numerical checks: normalization, positivity, comparisons.
+"""Assertable numerical checks: normalization, positivity, comparisons,
+and the suites that `tomoflow check` runs (`SUITES`).
 
 Every check returns a CheckResult carrying the measured number next to
 the threshold it was judged against, so reports stay auditable after the
@@ -15,14 +16,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evolution import (
+    DEFAULT_VALID_RADIUS,
+    SolverConfig,
+    TransportTerm,
+    evolve_characteristics,
+    evolve_pde,
+    reduce_equation,
+    resolvable_mask,
+)
 from .fields import (
     MarginalSlice,
+    PotentialSpec,
     ReconstructionConfig,
     TomographyParams,
     field_axes,
     uniform_grid,
 )
-from .states import StateSpec, marginal_slice, sample_wigner_field, wigner_evaluator
+from .states import (
+    CATALOG,
+    SQRT_PI,
+    DynamicsKind,
+    StateKind,
+    StateSpec,
+    cat_normalization,
+    marginal_eval,
+    marginal_evaluator,
+    marginal_slice,
+    sample_marginal_field,
+    sample_wigner_field,
+    wigner_eval,
+    wigner_evaluator,
+)
 from .tomography import (
     RadonMarginalEvaluator,
     characteristic_from_marginal,
@@ -231,3 +256,108 @@ def slice_checks(state: StateSpec, params: TomographyParams,
              "delta": params.delta}
     return [dataclasses.replace(c, context={**c.context, **extra})
             for c in (norm, pos)]
+
+
+def _exact(name: str, measured: float, tol: float, **context) -> CheckResult:
+    """A value that is zero up to rounding: |measured| <= tol."""
+    return CheckResult(name, bool(abs(measured) <= tol), float(measured),
+                       tol, context)
+
+
+def roundtrip_suite(states) -> list[CheckResult]:
+    """roundtrip_report of each (label, state) pair, in order."""
+    return [res for _, state in states for res in roundtrip_report(state)]
+
+
+def evolution_suite(states) -> list[CheckResult]:
+    """The exact free and harmonic reductions, characteristics against the
+    closed forms per state, and the grid solver on the ground state."""
+    tol = DEFAULT_TOLERANCES
+    free = reduce_equation(PotentialSpec.free())
+    rot = reduce_equation(PotentialSpec.harmonic())
+    kinetic = TransportTerm(1.0, mu_pow=1, dnu=1)
+    results = [
+        _exact(f"reduction-{name}-exact", 0.0 if coeffs.terms == want else 1.0,
+               0.0, terms=coeffs.describe())
+        for name, coeffs, want in (
+            ("free", free, (kinetic,)),
+            ("harmonic", rot, (kinetic, TransportTerm(-1.0, nu_pow=1, dmu=1))))]
+
+    x = np.linspace(-5.0, 5.0, 41)
+    probes = [(1.0, 0.0, 0.0), (0.6, -0.8, 0.3), (-0.4, 1.1, -1.0)]
+    t = 0.7
+    for label, state in states:
+        for dyn in (DynamicsKind.FREE, DynamicsKind.HARMONIC):
+            w = evolve_characteristics(marginal_evaluator(state), dyn, t)
+            worst = max(float(np.abs(
+                w(x, mu, nu, delta) - marginal_eval(
+                    state, TomographyParams(mu, nu, delta), x, t=t, dyn=dyn)).max())
+                for mu, nu, delta in probes)
+            results.append(CheckResult(
+                f"characteristics-{dyn.value}-{label}",
+                worst <= tol.characteristics, worst, tol.characteristics,
+                {"t": t}))
+
+    d = uniform_grid(-1.5, 1.5, 33)
+    xg = uniform_grid(-8.0, 8.0, 129)
+    state = CATALOG["ground"]
+    f0 = sample_marginal_field(state, d, d, xg)
+    t = 0.4
+    snap, = evolve_pde(f0, free, SolverConfig(), [t])
+    ref = sample_marginal_field(state, d, d, xg, t=t, dyn=DynamicsKind.FREE)
+    mask = ((f0.radius() >= DEFAULT_VALID_RADIUS)
+            & resolvable_mask(f0, free, t))[:, :, None]
+    err = float(np.where(mask, np.abs(snap.values - ref.values), 0.0).max())
+    results.append(CheckResult("pde-free-ground", err <= tol.pde, err, tol.pde,
+                               {"t": t, "grid": "33x33x129"}))
+    return results
+
+
+def paper_examples_suite(states=()) -> list[CheckResult]:
+    """Worked values of the paper's fixed states; ``states`` is not read."""
+    ground, excited, cat, coherent = (
+        CATALOG[name] for name in ("ground", "excited1", "oddcat", "coherent"))
+    slice_of = lambda st, x, mu, nu: float(
+        marginal_eval(st, TomographyParams(mu, nu), np.array([x]))[0])
+    results = [
+        _exact("ground-wigner-origin",
+               wigner_eval(ground, (0.0, 0.0)) - 2.0, 1e-12),
+        _exact("excited1-wigner-origin",
+               wigner_eval(excited, (0.0, 0.0)) + 2.0, 1e-12),
+        _exact("oddcat-wigner-origin",
+               wigner_eval(cat, (0.0, 0.0)) + 2.0, 1e-9),
+        _exact("oddcat-tilted-wigner-origin",
+               wigner_eval(StateSpec(StateKind.ODD_CAT, 1.1, 0.9),
+                           (0.0, 0.0)) + 2.0, 1e-9),
+        _exact("ground-slice-origin",
+               slice_of(ground, 0.0, 1.0, 0.0) - 1.0 / SQRT_PI, 1e-12),
+        _exact("excited1-slice-origin",
+               slice_of(excited, 0.0, 1.0, 0.0), 1e-15),
+        _exact("excited1-slice-peak",
+               slice_of(excited, 1.0, 1.0, 0.0)
+               - 2.0 / SQRT_PI * math.exp(-1.0), 1e-12),
+        _exact("oddcat-norm-constant",
+               cat_normalization(math.sqrt(2.0), 0.0)
+               - math.sqrt(math.e / (4.0 * math.sinh(1.0))), 1e-12),
+    ]
+    x = np.linspace(-4.0, 4.0, 81)
+    t = 0.9
+    c, s = math.cos(t), math.sin(t)
+    mu, nu = 0.7, -0.4
+    rotated = TomographyParams(mu * c - nu * s, mu * s + nu * c)
+    drift = float(np.abs(
+        marginal_eval(coherent, TomographyParams(mu, nu), x, t=t,
+                      dyn=DynamicsKind.HARMONIC)
+        - marginal_eval(coherent, rotated, x)).max())
+    results.append(_exact("coherent-harmonic-rotation", drift, 1e-12))
+    still = float(np.abs(
+        marginal_eval(excited, TomographyParams(mu, nu), x, t=1.1,
+                      dyn=DynamicsKind.HARMONIC)
+        - marginal_eval(excited, TomographyParams(mu, nu), x)).max())
+    results.append(_exact("excited1-harmonic-stationary", still, 1e-12))
+    return results
+
+
+# The suites of `tomoflow check`, by name; each takes (label, state) pairs.
+SUITES = {"roundtrip": roundtrip_suite, "evolution": evolution_suite,
+          "paper-examples": paper_examples_suite}

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 import tomoflow
-import tomoflow.cli as cli
 from tomoflow.cli import main
 from tomoflow.fields import DensityMatrixGrid, MarginalField, WignerField, uniform_grid
 from tomoflow.io import read_field
 from tomoflow.states import DynamicsKind, StateKind, StateSpec, sample_marginal_field
-from tomoflow.verify import CheckResult
+from tomoflow.verify import SUITES, CheckResult
 
 SMALL = {"direction_grid": [-1.5, 1.5, 33], "x_grid": [-8.0, 8.0, 129],
          "wigner_grid": [-4.0, 4.0, 65], "density_grid": [-3.0, 3.0, 21]}
@@ -212,6 +211,21 @@ def test_evolve_rejects_non_finite_time(tmp_path, ground_field, capsys,
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_evolve_refuses_a_box_that_does_not_surround_the_origin(tmp_path,
+                                                                capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"direction_grid": [0.2, 1.5, 17],
+                                  "x_grid": [-6.0, 6.0, 65]}))
+    field, out = tmp_path / "f.csv", tmp_path / "e.csv"
+    assert main(["sample-field", "--state", "ground", "--config", str(config),
+                 "--out", str(field)]) == 0
+    assert main(["evolve", "--in", str(field), "--dyn", "free", "--t", "0.5",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "surround the origin" in err
+    assert not out.exists()
+
+
 def test_evolve_refuses_a_header_meta_that_is_not_an_object(tmp_path, capsys,
                                                             ground_field):
     path = pathlib.Path(ground_field)
@@ -304,6 +318,18 @@ def test_check_paper_examples_refuses_state_flags(tmp_path, capsys, flags):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("suite", ["roundtrip", "evolution"])
+@pytest.mark.parametrize("flag", ["--q0", "--p0"])
+def test_check_displacement_needs_a_state(tmp_path, capsys, suite, flag):
+    # without --state the suite runs the catalog, which the flag cannot move
+    report = tmp_path / "report.json"
+    assert main(["check", "--suite", suite, flag, "1",
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and "--state" in err
+    assert not report.exists()
+
+
 def test_check_evolution_suite(tmp_path):
     report = tmp_path / "report.json"
     assert main(["check", "--suite", "evolution", "--state", "ground",
@@ -315,7 +341,7 @@ def test_check_evolution_suite(tmp_path):
 
 def test_check_failure_still_writes_report(tmp_path, monkeypatch):
     report = tmp_path / "report.json"
-    monkeypatch.setattr(cli, "_suite_worked_values", lambda: [
+    monkeypatch.setitem(SUITES, "paper-examples", lambda states: [
         CheckResult("synthetic", False, 1.0, 0.1, {})])
     assert main(["check", "--suite", "paper-examples",
                  "--report", str(report)]) == 1
@@ -358,25 +384,33 @@ def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):
     assert main(["reduce", "--potential", "0,nan"]) == 2
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running code."""
+def modules_after(code: str, package: str) -> list[str]:
+    """The modules of package a fresh interpreter holds after running code."""
     src = pathlib.Path(tomoflow.__file__).resolve().parent.parent
     probe = code + (
         "\nimport sys\nprint(*(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')))")
+        f" if m == {package!r} or m.startswith({package + '.'!r})))")
     proc = subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     return proc.stdout.splitlines()[-1].split()  # the probe prints last
 
 
+def test_cli_import_loads_only_the_file_and_state_layers():
+    # every CLI process pays this import; each command imports the
+    # evolution, tomography and verify layers itself
+    assert sorted(modules_after("import tomoflow.cli", "tomoflow")) == [
+        "tomoflow", "tomoflow.cli", "tomoflow.fields", "tomoflow.io",
+        "tomoflow.states"]
+
+
 def test_cli_import_and_sample_field_load_no_scipy(tmp_path, small_config):
-    assert scipy_modules_after("import tomoflow.cli") == []
+    assert modules_after("import tomoflow.cli", "scipy") == []
     out = tmp_path / "f.csv"
     argv = ["sample-field", "--state", "oddcat", "--config", small_config,
             "--out", str(out)]
-    assert scipy_modules_after(
-        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0", "scipy") == []
     assert isinstance(read_field(out), MarginalField)
 
 
@@ -387,8 +421,8 @@ def test_inversion_commands_load_no_scipy(tmp_path, ground_field, small_config,
     out = tmp_path / "out.csv"
     argv = [command, "--in", ground_field, "--config", small_config,
             "--out", str(out)]
-    assert scipy_modules_after(
-        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0", "scipy") == []
     assert isinstance(read_field(out), kind)
 
 
@@ -396,16 +430,16 @@ def test_check_roundtrip_loads_no_scipy(tmp_path):
     report = tmp_path / "r.json"
     argv = ["check", "--suite", "roundtrip", "--state", "ground",
             "--report", str(report)]
-    assert scipy_modules_after(
-        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0", "scipy") == []
     assert json.loads(report.read_text())["all_passed"] is True
 
 
 def test_evolve_loads_no_interpolation_module(tmp_path, ground_field):
     argv = ["evolve", "--in", ground_field, "--dyn", "free", "--t", "0.5",
             "--out", str(tmp_path / "e.csv")]
-    assert scipy_modules_after(
-        f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+    assert modules_after(
+        f"from tomoflow.cli import main\nassert main({argv!r}) == 0", "scipy") == []
 
 
 def test_reduce_and_evolution_check_load_no_scipy(tmp_path):
@@ -413,8 +447,8 @@ def test_reduce_and_evolution_check_load_no_scipy(tmp_path):
     for argv in (["reduce", "--potential", "harmonic"],
                  ["check", "--suite", "evolution", "--state", "ground",
                   "--report", str(report)]):
-        assert scipy_modules_after(
-            f"from tomoflow.cli import main\nassert main({argv!r}) == 0") == []
+        assert modules_after(
+            f"from tomoflow.cli import main\nassert main({argv!r}) == 0", "scipy") == []
     assert json.loads(report.read_text())["all_passed"] is True
 
 
