@@ -74,7 +74,15 @@ _LINE_STRIDE = 8
 # the 0.04 sum.
 _SETTLE_RTOL = 1e-12
 _EPS = np.finfo(float).eps
-MU_EDGE_LIMIT = 1e-5  # largest |chi| on a window's ends, relative to max |chi|
+# Largest |chi| on a window's ends relative to max |chi|, and largest line-end
+# |W| of a Radon row relative to the row's maximum, before a result warns.
+MU_EDGE_LIMIT = 1e-5
+
+
+def _mirrored(grid: np.ndarray) -> bool:
+    """Whether a grid is symmetric about 0 to 8 ulps of its largest |value|,
+    the test both half-turn shortcuts (Radon rows, chi a-rows) apply."""
+    return bool(np.max(np.abs(grid + grid[::-1])) <= 8 * _EPS * np.max(np.abs(grid)))
 
 
 def wigner_field_sampler(field: WignerField):
@@ -164,15 +172,21 @@ def radon_marginal(wigner, params: TomographyParams,
 
     ``wigner`` is a callable W(q, p) or a WignerField (sampled bilinearly,
     zero outside its box).  The unit-direction row at y = (X - delta) / r
-    is divided by r (scaling law).
+    is divided by r (scaling law).  The row's line step and its line-end
+    |W| over its largest value are recorded in meta["line_step"] and
+    meta["line_edge"]; an edge above MU_EDGE_LIMIT means the line window
+    cuts W, and the result carries a warning.
     """
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
     r = params.r
     if r == 0.0:
         raise ValueError("degenerate direction: mu and nu both zero")
-    table = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
-                            (x_grid - params.delta) / r)[0]
-    return MarginalSlice(params, x_grid, table[0] / r)
+    table, steps, edges = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
+                                          (x_grid - params.delta) / r)
+    edge = float(edges[0])
+    warnings = _truncated(edge, "line window cuts W: |W| at the line ends")
+    return MarginalSlice(params, x_grid, table[0] / r, warnings,
+                         {"line_step": float(steps[0]), "line_edge": edge})
 
 
 def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
@@ -256,7 +270,15 @@ class UnitSliceSource:
 
 
 class RadonMarginalEvaluator(UnitSliceSource):
-    """Marginal source backed by Radon projections of a Wigner function."""
+    """Marginal source backed by Radon projections of a Wigner function.
+
+    The table holds n_phi unit-direction rows on y_grid, one per angle of
+    [0, 2pi).  A half turn reverses a row, row(phi + pi)(y) = row(phi)(-y)
+    (docs/math.md section 3), so when n_phi is even and y_grid is
+    mirror-symmetric only the angles of [0, pi) are integrated and row
+    k + n_phi / 2 is row k reversed, with row k's line step and line edge;
+    on any other grid every angle is integrated.
+    """
 
     def __init__(self, wigner, *, n_phi: int = 360,
                  y_grid: np.ndarray | None = None):
@@ -265,7 +287,11 @@ class RadonMarginalEvaluator(UnitSliceSource):
         if n_phi < 8:
             raise ValueError("n_phi too small for stable interpolation")
         phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-        table, steps, edges = _line_integrals(wigner, phi_grid, self.y_grid)
+        half = n_phi // 2 if n_phi % 2 == 0 and _mirrored(self.y_grid) else n_phi
+        table, steps, edges = _line_integrals(wigner, phi_grid[:half], self.y_grid)
+        if half < n_phi:
+            table = np.concatenate([table, table[:, ::-1]])
+            steps, edges = np.tile(steps, 2), np.tile(edges, 2)
         steps.flags.writeable = False
         edges.flags.writeable = False
         self._line_steps = steps
@@ -309,8 +335,11 @@ def _fourier_rows(rows, freq, y):
     """Trapezoid sums sum_j w_j rows[c, j] exp(i freq[c] y_j) on a uniform y.
 
     With j = B b + m and B ~ sqrt(n), exp(i f y_j) = exp(i f y_{Bb})
-    exp(i f m h): each row takes n/B + B exponentials instead of n, the sum
-    over m is a real batched product against the cos and sin of the
+    exp(i f m h).  Each row takes three exponentials, exp(i f h),
+    exp(i f B h) and exp(i f y_0), and builds the in-block phases
+    exp(i f h)^m and the block starts exp(i f y_0) exp(i f B h)^b from them
+    by cumulative products, whose rounding grows like B + n/B ulps.  The
+    sum over m is a real batched product against the cos and sin of the
     in-block phase, and the sum over b a short complex dot product.
     """
     n = y.size
@@ -318,13 +347,25 @@ def _fourier_rows(rows, freq, y):
     block = math.isqrt(n - 1) + 1
     n_blocks = -(-n // block)  # the last block is padded with zeros
     weighted = np.zeros((rows.shape[0], n_blocks * block))
-    weighted[:, :n] = rows * h
+    # Scaled in place: a rows * h temporary beside this buffer is a fresh
+    # memory mapping, page-faulted in again on every call.
+    np.multiply(rows, h, out=weighted[:, :n])
     weighted[:, [0, n - 1]] *= 0.5
-    inner = np.multiply.outer(freq, h * np.arange(block))
-    sums = weighted.reshape(-1, n_blocks, block) @ np.stack(
-        [np.cos(inner), np.sin(inner)], axis=2)
-    starts = np.exp(1j * np.multiply.outer(freq, y[::block]))
-    return np.einsum("cb,cb->c", starts, sums[..., 0] + 1j * sums[..., 1])
+    inner = _powers(1.0, np.exp(1j * h * freq), block)
+    # A complex array viewed as float interleaves (cos, sin) on a last axis.
+    sums = weighted.reshape(-1, n_blocks, block) @ inner.view(float).reshape(
+        -1, block, 2)
+    starts = _powers(np.exp(1j * y[0] * freq), np.exp(1j * (block * h) * freq),
+                     n_blocks)
+    return np.einsum("cb,cb->c", starts, sums.view(complex)[..., 0])
+
+
+def _powers(first, ratio, count) -> np.ndarray:
+    """first * ratio^m for m < count, one row per cell, by a cumulative product."""
+    out = np.empty((ratio.size, count), dtype=complex)
+    out[:, 0] = first
+    out[:, 1:] = ratio[:, None]
+    return np.cumprod(out, axis=1, out=out)
 
 
 def _chi_table(marginal, a, b) -> np.ndarray:
@@ -341,8 +382,7 @@ def _chi_table(marginal, a, b) -> np.ndarray:
     table = hasattr(marginal, "unit_slices")
     y = marginal.y_grid if table else CALLABLE_Y_GRID
     n = a.size
-    paired = all(np.max(np.abs(g + g[::-1])) <= 8 * _EPS * np.max(np.abs(g)) for g in (a, b))
-    half = -(-n // 2) if paired else n
+    half = -(-n // 2) if _mirrored(a) and _mirrored(b) else n
     values = np.empty((n, b.size), dtype=complex)
     for i, a_i in enumerate(a[:half]):
         phis = np.arctan2(b, a_i)
@@ -357,9 +397,9 @@ def _chi_table(marginal, a, b) -> np.ndarray:
 
 
 def _truncated(edge: float, where: str) -> tuple[str, ...]:
-    """The warning of a chi whose window ends reach edge of max |chi|."""
+    """The warning of a window whose ends reach edge of the maximum."""
     return () if edge <= MU_EDGE_LIMIT else (
-        f"chi truncated: {where} is {edge:.3g} of its maximum, above {MU_EDGE_LIMIT:g}",)
+        f"{where} is {edge:.3g} of its maximum, above {MU_EDGE_LIMIT:g}",)
 
 
 def _outer_kernel(x, g) -> np.ndarray:
@@ -384,7 +424,7 @@ def characteristic_from_marginal(marginal, a_grid: np.ndarray | None = None,
     chi = _chi_table(marginal, a_grid, b_grid)
     size = np.abs(chi)
     edge = float(max(size[[0, -1]].max(), size[:, [0, -1]].max()) / size.max())
-    warnings = _truncated(edge, "|chi| on the window edges")
+    warnings = _truncated(edge, "chi truncated: |chi| on the window edges")
     return CharacteristicGrid(a_grid, b_grid, chi, warnings, {"edge": edge})
 
 
@@ -435,7 +475,7 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
 
     chi = _chi_table(marginal, a, v_vals)
     edge = np.max(np.abs(chi[[0, -1]])) / np.max(np.abs(chi))
-    warnings = _truncated(edge, "the inner integral at the mu_range ends")
+    warnings = _truncated(edge, "chi truncated: the inner integral at the mu_range ends")
 
     # Outer integral over a, one u per row: rho_uv[u, v].
     rho_uv = _outer_kernel(u_vals / 2, a) @ chi * (1 / TWO_PI)
