@@ -21,9 +21,9 @@ accelerated packets exactly.
 
 The grid solver `evolve_pde` traces each snapshot's affine flow back to
 t = 0 exactly and resamples the initial field there once by cubic spline
-(one `_resample` call), scaling every lookup to a fixed reference annulus
-of |(mu, nu)| through the exact scaling identity; this sidesteps both box
-outflow (the flow may leave any finite (mu, nu) box) and the 1/r
+(one `_resample` call), reading every lookup on one circle of directions
+through the exact scaling identity; this sidesteps both outflow from the
+direction box (the flow may leave any finite (mu, nu) box) and the 1/r
 sharpening of the marginal near the degenerate direction.  The module needs
 numpy only; its splines are the tomography layer's: `fields._prefilter`
 coefficients, padded by edge values once per call, read by `fields.padded_taps`.
@@ -38,12 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    MU_EDGE_LIMIT,
     MarginalField,
     NonlocalPotentialError,
     PotentialSpec,
     _prefilter,
     bicubic_rows,
-    cubic_taps,
     grid_step,
     padded_taps,
     uniform_grid,
@@ -62,14 +62,10 @@ DEFAULT_VALID_RADIUS = 0.5
 # Times in [0, t] at which resolvable_mask checks the backtraced radius.
 _MASK_SAMPLES = 257
 
-# Reference annulus of the SemiLagrangian scaled-frame lookups.  A thin
-# band high in the direction box minimizes the arc spacing h/r that sets
-# the band's own error accumulation, but its top edge must stay several
-# cells clear of the box edge or the cubic stencil picks up boundary
-# flattening; (1.2, 1.3) balances the two on the default +-1.5 box.  A smaller
-# `MarginalField.reach` shrinks it in proportion; one <= 0 is refused.
-_R_REF_RANGE = (1.2, 1.3)
-_R_REF_REACH = 1.5
+# Radius of the circle every resample lookup is scaled onto, over the field's
+# reach: high in the box, where the arc h / r between directions is short, and
+# clear of the edge (1.245 on +-1.5, five cells of a 65-point grid inside it).
+_CIRCLE = 0.83
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -291,8 +287,7 @@ _X_STAGE_POINTS = 1 << 14
 
 
 # The two spline kernels keep scipy.ndimage's names and (array, coordinates)
-# arguments and are looked up at call time: perfbench/tracing.py times the
-# prefilter and the capped lookups by wrapping these module attributes.
+# arguments: perfbench/tracing.py wraps both, and times the prefilter.
 def spline_filter(values: np.ndarray) -> np.ndarray:
     """Cubic B-spline coefficients along every axis, clamped ends."""
     for axis in range(values.ndim):
@@ -300,6 +295,7 @@ def spline_filter(values: np.ndarray) -> np.ndarray:
     return values
 
 
+# Nothing in the package calls this; perfbench/tracing.py wraps the name.
 def map_coordinates(coeffs: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The cubic B-spline of edge-padded coefficients ``coeffs`` at index
     coordinates ``coords`` (one row per axis) of the unpadded box, clamped
@@ -323,99 +319,55 @@ def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
               t: float) -> tuple[np.ndarray, float]:
     """One SemiLagrangian resample over span t, and its outflow fraction.
 
-    Lookup (cell, k) reads the cubic spline with edge-padded coefficients
-    ``coeffs`` at inv * (mu_d, nu_d, x_d) and weights the value by inv,
-    where (mu_d, nu_d) is the cell's backtraced direction, x_d = x_back *
-    x_k + shift[cell], and inv the scaled-frame factor.  Where inv is the
-    cell's own factor, the direction is fixed per cell: `fields.bicubic_rows`
-    reads every cell's padded spline row once, and only a 4-tap cubic along
-    X remains per lookup, into buffers made once per call.
-    The X-box cap moves the other lookups either onto X = +-x_edge, a 2-D
-    read of the spline's plane there, or to inv = 1, a plain 3-D read.
+    Lookup (cell, k) reads the spline of edge-padded ``coeffs`` at inv *
+    (mu_d, nu_d, x_d), weighted by inv: (mu_d, nu_d) is the cell's backtraced
+    direction, x_d = x_back * x_k + shift[cell], and inv = R / |(mu_d, nu_d)|
+    (0 at the origin) puts every direction on the circle R = _CIRCLE * reach.
+    `fields.bicubic_rows` reads each cell's row on the circle once; a 4-tap
+    cubic along X reads its lookups.  A lookup past an X end reads 0, and is
+    outflow when the row's |value| at that end is above MU_EDGE_LIMIT of its
+    largest: the circle cannot supply it.
     """
     back = expm(-gen * t)
-    grids = (field.mu_grid, field.nu_grid, field.x_grid)
-    sizes = field.values.shape
-
-    def index(value, axis):
-        return (value - grids[axis][0]) / grid_step(grids[axis])
-
-    def outside(*coords):
-        """Lookups whose index coordinates, one per axis, leave the box."""
-        out = False
-        for coord, size in zip(coords, sizes):
-            out = out | (coord < 0.0) | (coord > size - 1.0)
-        return out
-
-    mu = field.mu_grid[:, None]
-    nu = field.nu_grid[None, :]
+    mu, nu = field.mu_grid[:, None], field.nu_grid[None, :]
     # back[1,0] = back[2,0] = 0: the direction flow never involves X.
     mu_d = (back[1, 1] * mu + back[1, 2] * nu).ravel()
     nu_d = (back[2, 1] * mu + back[2, 2] * nu).ravel()
     shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
-    x_edge = min(-field.x_grid[0], field.x_grid[-1])
     r_d = np.hypot(mu_d, nu_d)
-    scale = min(1.0, field.reach() / _R_REF_REACH)
-    r_ref = np.clip(r_d, _R_REF_RANGE[0] * scale, _R_REF_RANGE[1] * scale)
-    inv = np.where(r_d > 0.0, r_ref / np.where(r_d > 0.0, r_d, 1.0), 0.0)
+    inv = np.divide(_CIRCLE * field.reach(), r_d, out=np.zeros_like(r_d),
+                    where=r_d > 0.0)
 
-    a, b = index(mu_d * inv, 0), index(nu_d * inv, 1)
-    n_x = sizes[2]
-    along = bicubic_rows(coeffs, a, b)
-    out = np.empty((a.size, n_x))
-    n_out = 0
-    picked = []
+    def index(value, grid):
+        return (value - grid[0]) / grid_step(grid)
+
+    along = bicubic_rows(coeffs, index(mu_d * inv, field.mu_grid),
+                         index(nu_d * inv, field.nu_grid))
+    n_x = field.x_grid.size
+    out, n_out = np.empty((r_d.size, n_x)), 0
     chunk = max(1, _X_STAGE_POINTS // n_x)
     first, buffers = np.empty((chunk, n_x), np.intp), np.empty((5, chunk, n_x))
-    for lo in range(0, a.size, chunk):
+    for lo in range(0, r_d.size, chunk):
         cells = slice(lo, lo + chunk)
-        x_d = back[0, 0] * field.x_grid + shift[cells, None]
-        # Inflating a lookup (inv > 1) also inflates its X coordinate; cap it
-        # so no lookup leaves the X box, falling back toward a plain read (at
-        # x_d = 0, or subnormal, no cap) rather than a boundary substitute.
-        with np.errstate(divide="ignore", over="ignore"):
-            cap = np.maximum(1.0, x_edge / np.abs(x_d))
-        capped = inv[cells, None] > cap
-        coord = index(x_d * inv[cells, None], 2)
-        n_out += np.count_nonzero(~capped & outside(
-            a[cells, None], b[cells, None], coord))
-        picked.append((np.flatnonzero(capped) + lo * n_x, cap[capped],
-                       x_d[capped]))
-        m = len(coord)
+        rows, value = along[cells], out[cells]
+        m, tap = len(rows), buffers[0, :len(rows)]
+        # 6 x each row's values at the X nodes: c[k-1] + 4 c[k] + c[k+1].
+        node = np.abs(rows[:, 1:-4] + 4.0 * rows[:, 2:-3] + rows[:, 3:-2])
+        cut = node[:, [0, -1]] > MU_EDGE_LIMIT * node.max(axis=1, keepdims=True)
+        coord = index((back[0, 0] * field.x_grid + shift[cells, None])
+                      * inv[cells, None], field.x_grid)
+        below, above = coord < 0.0, coord > n_x - 1.0
+        n_out += np.count_nonzero(below & cut[:, :1] | above & cut[:, 1:])
         start = padded_taps(coord, n_x, first[:m], buffers[1:, :m])
         start += (n_x + 5) * np.arange(m)[:, None]
-        tap, value, flat = buffers[0, :m], out[cells], along[cells].ravel()
         value[...] = 0.0
         for k, w in enumerate(buffers[1:, :m]):
             # The indices are in range; mode="clip" only spares take a buffer.
-            value += np.multiply(w, np.take(flat[k:], start, out=tap,
+            value += np.multiply(w, np.take(rows.ravel()[k:], start, out=tap,
                                             mode="clip"), out=tap)
         value *= inv[cells, None]
-    del along, flat, buffers, first, start, tap, w
-
-    # Capped at x_edge / |x_d| > 1, a lookup lands on X = +-x_edge exactly
-    # and only its direction varies; capped at 1 it is a plain read.
-    lookups, scale, x_c = (np.concatenate(part) for part in zip(*picked))
-    del picked
-    cell = lookups // n_x
-    out = out.reshape(-1)
-    for side in (-1.0, 1.0):
-        on = (scale > 1.0) & (np.sign(x_c) == side)
-        if on.any():
-            coords = np.stack((index(mu_d[cell[on]] * scale[on], 0),
-                               index(nu_d[cell[on]] * scale[on], 1)))
-            n_out += np.count_nonzero(
-                outside(*coords, index(x_c[on] * scale[on], 2)))
-            plane = sum(w * coeffs[:, :, tap]
-                        for tap, w in cubic_taps(index(side * x_edge, 2), n_x))
-            out[lookups[on]] = scale[on] * map_coordinates(plane, coords)
-    on = scale == 1.0
-    coords = np.stack((index(mu_d[cell[on]], 0), index(nu_d[cell[on]], 1),
-                       index(x_c[on], 2)))
-    n_out += np.count_nonzero(outside(*coords))
-    if on.any():
-        out[lookups[on]] = map_coordinates(coeffs, coords)
-    return out.reshape(sizes), n_out / out.size
+        value[below | above] = 0.0
+    return out.reshape(field.values.shape), n_out / out.size
 
 
 def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
@@ -427,8 +379,10 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     >= 0).  Each snapshot at t > 0 is one resample of the initial field at
     its exact backtrace e^{-At} z, so snapshots do not depend on each
     other; a snapshot at t = 0 is a copy of the initial field.  A
-    snapshot's warnings are the initial field's plus its own outflow and
-    mass drift.  Refuses a direction box that does not surround the origin.
+    snapshot's warnings are the initial field's plus its own outflow (the
+    lookups past an X end that the circle of `_resample` cannot supply,
+    above 0.1%) and mass drift.  Refuses a direction box that does not
+    surround the origin.
     """
     gen = coeffs.generator_matrix()
     initial.reach()  # refuses a box that does not surround the origin
@@ -450,8 +404,8 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
         else:
             values, out_frac = _resample(spline, initial, gen, target)
             if out_frac > 1e-3:
-                warnings.add(f"boundary outflow: {out_frac:.2%} of "
-                             "backtraced points leave the box")
+                warnings.add(f"boundary outflow: {out_frac:.2%} of lookups fall "
+                             "past an X end where the field has not decayed")
         if initial_mass > 0.0:
             drift = abs(float(np.sum(np.abs(values))) - initial_mass) / initial_mass
             if drift > 1e-2:

@@ -204,6 +204,9 @@ def field_axes(field) -> list[tuple[str, np.ndarray]]:
 # Default evaluation grids.
 DEFAULT_X_GRID = uniform_grid(-10.0, 10.0, 1024)
 DEFAULT_PHASE_GRID = uniform_grid(-6.0, 6.0, 241)
+# Largest |chi| on a window's ends, line-end |W| of a Radon row, and end value
+# of a row evolve_pde reads past, over the largest of each, before a warning.
+MU_EDGE_LIMIT = 1e-5
 
 
 @dataclass(frozen=True)

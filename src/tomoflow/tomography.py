@@ -35,6 +35,7 @@ import numpy as np
 from .fields import (
     DEFAULT_PHASE_GRID,
     DEFAULT_X_GRID,
+    MU_EDGE_LIMIT,
     CharacteristicGrid,
     DensityMatrixGrid,
     MarginalField,
@@ -74,9 +75,7 @@ _LINE_STRIDE = 8
 # the 0.04 sum.
 _SETTLE_RTOL = 1e-12
 _EPS = np.finfo(float).eps
-# Largest |chi| on a window's ends relative to max |chi|, and largest line-end
-# |W| of a Radon row relative to the row's maximum, before a result warns.
-MU_EDGE_LIMIT = 1e-5
+_LINE_CUT = "line window cuts W: |W| at the line ends"
 
 
 def _mirrored(grid: np.ndarray) -> bool:
@@ -184,7 +183,7 @@ def radon_marginal(wigner, params: TomographyParams,
     table, steps, edges = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
                                           (x_grid - params.delta) / r)
     edge = float(edges[0])
-    warnings = _truncated(edge, "line window cuts W: |W| at the line ends")
+    warnings = _truncated(edge, _LINE_CUT)
     return MarginalSlice(params, x_grid, table[0] / r, warnings,
                          {"line_step": float(steps[0]), "line_edge": edge})
 
@@ -197,7 +196,9 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     a cell's row needs: 101 for a callable whose rows settle at step 0.16
     (every catalog state), up to 401 for rows that do not and for a
     WignerField; intended for moderate grids.
-    The degenerate (0, 0) cell, if present, is stored as zero.
+    The degenerate (0, 0) cell, if present, is stored as zero.  The largest
+    line edge of the cells (as in `radon_marginal`) is recorded in
+    meta["line_edge"], and above MU_EDGE_LIMIT the field carries a warning.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
@@ -206,10 +207,12 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     phis = np.arctan2(nu_grid[None, :], mu_grid[:, None]).ravel()
     cells = r > 0.0
     values = np.zeros((r.size, x_grid.size))
-    table = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])[0]
+    table, _, edges = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])
     values[cells] = table / r[cells, None]
+    edge = float(edges.max(initial=0.0))
     return MarginalField(mu_grid, nu_grid, x_grid,
-                         values.reshape(mu_grid.size, nu_grid.size, -1))
+                         values.reshape(mu_grid.size, nu_grid.size, -1),
+                         _truncated(edge, _LINE_CUT), {"line_edge": edge})
 
 
 class UnitSliceSource:

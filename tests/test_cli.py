@@ -261,17 +261,18 @@ def test_density_matrix_from_file(tmp_path, ground_field, small_config):
 
 
 def test_reconstructions_carry_the_warnings_of_their_field(tmp_path):
-    # the linear shift carries lookups past the X box ends, so the evolved
-    # field warns; invert and density-matrix keep those ahead of their own
+    # the X box cuts this cat's slices, and the free shear carries lookups
+    # past the X ends, so the evolved field warns; invert and density-matrix
+    # keep those warnings ahead of their own
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "direction_grid": [-1.5, 1.5, 33], "x_grid": [-6.0, 6.0, 129],
+        "direction_grid": [-1.5, 1.5, 33], "x_grid": [-5.0, 5.0, 129],
         "wigner_grid": [-4.0, 4.0, 33], "density_grid": [-3.0, 3.0, 21]}))
-    ground, evolved = tmp_path / "g.csv", tmp_path / "e.csv"
-    assert main(["sample-field", "--state", "ground", "--config", str(config),
-                 "--out", str(ground)]) == 0
-    assert main(["evolve", "--in", str(ground), "--dyn", "linear:1.0",
-                 "--t", "2", "--out", str(evolved)]) == 0
+    cat, evolved = tmp_path / "c.csv", tmp_path / "e.csv"
+    assert main(["sample-field", "--state", "oddcat", "--q0", "3.5",
+                 "--config", str(config), "--out", str(cat)]) == 0
+    assert main(["evolve", "--in", str(cat), "--dyn", "free",
+                 "--t", "1", "--out", str(evolved)]) == 0
     carried = read_field(evolved).warnings
     assert [w.split()[0] for w in carried] == ["boundary", "mass"]
     for command in ("invert", "density-matrix"):

@@ -129,6 +129,21 @@ def test_marginal_field_from_wigner_small_box():
             assert np.max(np.abs(field.values[i, j] - want)) < 1e-8, (i, j)
 
 
+def test_marginal_field_from_wigner_reports_where_the_line_window_cuts():
+    # The same cut as radon_marginal's below, over a whole box: its largest
+    # line edge is 3.5e-2.  The catalog states have decayed at the line ends.
+    d = uniform_grid(-1.5, 1.5, 7)
+    x = uniform_grid(-6.0, 6.0, 61)
+    evolved = evolve_wigner_reference(EXCITED_FIRST, PotentialSpec.linear(-1.0), 2.0)
+    cut = marginal_field_from_wigner(evolved, d, d, x)
+    assert cut.meta["line_edge"] > 1e-2
+    assert len(cut.warnings) == 1 and "line window" in cut.warnings[0]
+    for state in CATALOG.values():
+        field = marginal_field_from_wigner(wigner_evaluator(state), d, d, x)
+        assert field.warnings == ()
+        assert field.meta["line_edge"] <= MU_EDGE_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # the line-integral kernel against the fixed-step trapezoid
 
