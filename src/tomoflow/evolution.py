@@ -54,13 +54,10 @@ DEFAULT_MU_GRID = uniform_grid(-1.5, 1.5, 65)
 DEFAULT_NU_GRID = uniform_grid(-1.5, 1.5, 65)
 DEFAULT_EVOLUTION_X_GRID = uniform_grid(-8.0, 8.0, 257)
 
-# Cells closer than this to the degenerate direction are too sharp for the
-# default X resolution (the slice narrows like r, and 0.5 spans eight
-# X-cells); solver output there is excluded from comparisons.
+# A slice narrows like its direction radius r, w = (1/r) u(X/r), so below
+# this radius the default X grid (0.5 spans eight X-cells) stops representing
+# a sharp slice, and comparisons of grid fields leave those cells out.
 DEFAULT_VALID_RADIUS = 0.5
-
-# Times in [0, t] at which resolvable_mask checks the backtraced radius.
-_MASK_SAMPLES = 257
 
 # Radius of the circle every resample lookup is scaled onto, over the field's
 # reach: high in the box, where the arc h / r between directions is short, and
@@ -250,32 +247,6 @@ def evolve_wigner_reference(state, dyn, t: float):
     return evolved
 
 
-def resolvable_mask(field: MarginalField, coeffs: PDECoefficients, t: float,
-                    r_min: float = DEFAULT_VALID_RADIUS) -> np.ndarray:
-    """Cells whose backtraced direction stays resolvable up to time t.
-
-    The slice at direction radius r has X-width proportional to r, so data
-    carried from below r_min is unrepresentable on the grid no matter the
-    scheme; a grid solver's output is only meaningful on cells whose
-    characteristic kept |(mu, nu)| >= r_min for the whole run.  Returns a
-    boolean (n_mu, n_nu) mask; combine with field.valid_mask for the
-    current-radius condition.
-    """
-    t = float(t)
-    if t < 0.0 or not np.isfinite(t):
-        raise ValueError("time must be finite and >= 0")
-    gen = coeffs.generator_matrix()
-    mu = field.mu_grid[:, None]
-    nu = field.nu_grid[None, :]
-    ok = np.ones(np.broadcast_shapes(mu.shape, nu.shape), dtype=bool)
-    for s in np.linspace(0.0, t, _MASK_SAMPLES):
-        back = expm(-gen * s)
-        r_s = np.hypot(back[1, 1] * mu + back[1, 2] * nu,
-                       back[2, 1] * mu + back[2, 2] * nu)
-        ok &= r_s >= r_min
-    return ok
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid-solver plan for evolve_pde.  It takes no settings, since the
@@ -375,23 +346,20 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                times: list[float]) -> list[MarginalField]:
     """Advance a marginal field on its grid; exact affine backtracing.
 
-    Returns the list of fields at ``times`` (finite, nondecreasing and
-    >= 0).  Each snapshot at t > 0 is one resample of the initial field at
-    its exact backtrace e^{-At} z, so snapshots do not depend on each
-    other; a snapshot at t = 0 is a copy of the initial field.  A
-    snapshot's warnings are the initial field's plus its own outflow (the
-    lookups past an X end that the circle of `_resample` cannot supply,
-    above 0.1%) and mass drift.  Refuses a direction box that does not
-    surround the origin.
+    Returns the list of fields at ``times``: any finite times, in any
+    order, a negative one evolving backwards.  Each snapshot at t != 0 is
+    one resample of the initial field at its exact backtrace e^{-At} z, so
+    snapshots do not depend on each other; a snapshot at t = 0 is a copy of
+    the initial field.  A snapshot's warnings are the initial field's plus
+    its own outflow (the lookups past an X end that the circle of
+    `_resample` cannot supply, above 0.1%) and mass drift.  Refuses a
+    direction box that does not surround the origin.
     """
     gen = coeffs.generator_matrix()
     initial.reach()  # refuses a box that does not surround the origin
     snapshot_times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in snapshot_times):
         raise ValueError(f"snapshot times must be finite, got {snapshot_times}")
-    if any(t < 0 for t in snapshot_times) or any(
-            b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
-        raise ValueError("snapshot times must be nondecreasing and >= 0")
 
     initial_mass = float(np.sum(np.abs(initial.values)))
     # Edge values repeat beyond the box, as the clamped taps read them.

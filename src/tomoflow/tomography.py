@@ -464,9 +464,12 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     result is the conjugate transpose of the one for |s| (docs/math.md
     section 4).  Both quadrature grids are symmetric, so chi's mirrored
     half is its conjugate (section 3 there) and the result is hermitian
-    to rounding error by construction, whatever the source's parity.  When
-    chi at the mu_range ends exceeds MU_EDGE_LIMIT of its maximum, chi is
-    truncated there and the result carries a warning with the ratio.
+    to rounding error by construction, whatever the source's parity.  The
+    largest |chi| at the mu_range ends over its maximum is recorded in
+    meta["mu_edge"], and the larger |rho(q, q)| at the q_grid ends over the
+    diagonal's maximum in meta["q_edge"]; each above MU_EDGE_LIMIT means
+    that window cuts the state, and the result carries a warning with the
+    ratio.
     """
     q_grid = uniform_grid(-5.0, 5.0, 101) if q_grid is None else np.asarray(q_grid, dtype=float)
     config = ReconstructionConfig() if config is None else config
@@ -477,8 +480,8 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     u_vals = np.concatenate([q_grid + q_grid[0], (q_grid + q_grid[-1])[1:]])
 
     chi = _chi_table(marginal, a, v_vals)
-    edge = np.max(np.abs(chi[[0, -1]])) / np.max(np.abs(chi))
-    warnings = _truncated(edge, "chi truncated: the inner integral at the mu_range ends")
+    mu_edge = float(np.max(np.abs(chi[[0, -1]])) / np.max(np.abs(chi)))
+    warnings = _truncated(mu_edge, "chi truncated: the inner integral at the mu_range ends")
 
     # Outer integral over a, one u per row: rho_uv[u, v].
     rho_uv = _outer_kernel(u_vals / 2, a) @ chi * (1 / TWO_PI)
@@ -486,7 +489,11 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     rho = rho_uv[i_idx + j_idx, i_idx - j_idx + (n - 1)]
     if config.s < 0:
         rho = rho.conj().T
-    return DensityMatrixGrid(q_grid, rho, config, warnings)
+    diagonal = np.abs(np.diagonal(rho))
+    q_edge = float(max(diagonal[0], diagonal[-1]) / diagonal.max())
+    warnings += _truncated(q_edge, "rho truncated: |rho(q, q)| at the q_grid ends")
+    return DensityMatrixGrid(q_grid, rho, config, warnings,
+                             {"mu_edge": mu_edge, "q_edge": q_edge})
 
 
 def slice_moments(sl: MarginalSlice) -> tuple[float, float]:

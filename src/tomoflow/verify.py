@@ -23,7 +23,6 @@ from .evolution import (
     evolve_characteristics,
     evolve_pde,
     reduce_equation,
-    resolvable_mask,
 )
 from .fields import (
     MarginalSlice,
@@ -305,8 +304,7 @@ def evolution_suite(states) -> list[CheckResult]:
     t = 0.4
     snap, = evolve_pde(f0, free, SolverConfig(), [t])
     ref = sample_marginal_field(state, d, d, xg, t=t, dyn=DynamicsKind.FREE)
-    mask = ((f0.radius() >= DEFAULT_VALID_RADIUS)
-            & resolvable_mask(f0, free, t))[:, :, None]
+    mask = (f0.radius() >= DEFAULT_VALID_RADIUS)[:, :, None]
     err = float(np.where(mask, np.abs(snap.values - ref.values), 0.0).max())
     results.append(CheckResult("pde-free-ground", err <= tol.pde, err, tol.pde,
                                {"t": t, "grid": "33x33x129"}))

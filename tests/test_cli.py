@@ -371,6 +371,17 @@ def test_evolve_demo_script_writes_readable_snapshots(tmp_path):
     assert times == [0.3, 1.0]
 
 
+def test_reconstruction_demo_script_imports_what_it_names():
+    # --help runs every import at the top of the script, so a library name
+    # it uses that goes away fails here
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reconstruction_demo.py"),
+         "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "--state" in proc.stdout
+
+
 def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):
     assert main(["reduce", "--potential", "harmonic"]) == 0
     named = capsys.readouterr().out

@@ -830,11 +830,32 @@ def test_density_matrix_warns_when_mu_range_truncates():
                          p0=1.6 * math.sin(-1.0))
     rho = density_matrix_from_marginal(marginal_evaluator(off_axis), q,
                                        small_config())
-    assert len(rho.warnings) == 1
+    assert [w.split(":")[0] for w in rho.warnings] == ["chi truncated",
+                                                       "rho truncated"]
     assert "0.000474" in rho.warnings[0] and "1e-05" in rho.warnings[0]
+    # q in +-4 cuts both cats; only the off-axis one outruns the mu_range
     on_axis = density_matrix_from_marginal(marginal_evaluator(CAT_AXIS), q,
                                            small_config())
-    assert on_axis.warnings == ()
+    assert [w.split(":")[0] for w in on_axis.warnings] == ["rho truncated"]
+
+
+def test_density_matrix_warns_when_its_q_window_cuts_the_state():
+    # The default q window, +-5, holds every catalog state at t = 0: the
+    # largest diagonal end is 2.7e-6 of the maximum (odd cat).  Freely
+    # evolved to t = 2 the odd cat spreads past it (trace 0.98754), and
+    # the ends reach 4.9e-2.  A 21-node q grid has the default's ends.
+    q = uniform_grid(-5.0, 5.0, 21)
+    for name in CATALOG:
+        rho = density_matrix_from_marginal(marginal_evaluator(CATALOG[name]), q)
+        assert rho.meta["q_edge"] <= 3e-6 and rho.warnings == (), name
+    spread = evolve_characteristics(marginal_evaluator(CATALOG["oddcat"]),
+                                    DynamicsKind.FREE, 2.0)
+    rho = density_matrix_from_marginal(spread, q)
+    diagonal = np.abs(np.diagonal(rho.values))
+    assert rho.meta["q_edge"] == max(diagonal[[0, -1]]) / diagonal.max() > 4e-2
+    assert rho.warnings == (
+        f"rho truncated: |rho(q, q)| at the q_grid ends is "
+        f"{rho.meta['q_edge']:.3g} of its maximum, above 1e-05",)
 
 
 # A 41-point grid keeps the default window, a, b in [-10, 10], and its edges.
