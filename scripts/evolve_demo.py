@@ -24,7 +24,7 @@ from tomoflow.evolution import (
 )
 from tomoflow.fields import PotentialSpec, uniform_grid
 from tomoflow.io import write_field
-from tomoflow.states import CATALOG, DynamicsKind, sample_marginal_field
+from tomoflow.states import CATALOG, sample_marginal_field
 
 
 def main() -> int:
@@ -39,8 +39,8 @@ def main() -> int:
     args = ap.parse_args()
 
     state = CATALOG[args.state]
-    coeffs = reduce_equation(PotentialSpec.from_string(args.dyn))
-    dyn = DynamicsKind(args.dyn)
+    potential = PotentialSpec.from_string(args.dyn)
+    coeffs = reduce_equation(potential)
     d_grid = uniform_grid(-1.5, 1.5, args.n_dir)
     x_grid = uniform_grid(-8.0, 8.0, args.n_x)
     initial = sample_marginal_field(state, d_grid, d_grid, x_grid)
@@ -53,7 +53,7 @@ def main() -> int:
     snapshots = evolve_pde(initial, coeffs, config, args.times)
     mask = initial.radius() >= DEFAULT_VALID_RADIUS
     for t, snap in zip(args.times, snapshots):
-        exact = sample_marginal_field(state, d_grid, d_grid, x_grid, t=t, dyn=dyn)
+        exact = sample_marginal_field(state, d_grid, d_grid, x_grid, t, potential)
         err = np.where(mask[:, :, None], np.abs(snap.values - exact.values), 0.0)
         print(f"{t:6.2f}  {err.max():22.3e}  {int(mask.sum()):10d}/{mask.size}")
         if snap.warnings:

@@ -27,13 +27,15 @@ from .fields import (
 from .io import read_field, write_field
 from .states import (
     CATALOG,
-    DynamicsKind,
     StateKind,
     StateSpec,
     marginal_slice,
     sample_marginal_field,
     sample_wigner_field,
 )
+
+
+POTENTIAL_HELP = 'free | harmonic | linear:<slope> | "c0,c1,c2"'
 
 
 def _potential_arg(text: str) -> PotentialSpec:
@@ -82,11 +84,10 @@ def _require(field, cls, flag: str):
 def cmd_state_wigner(args) -> int:
     grid, = _grids(args.config, wigner_grid=(-4.0, 4.0, 129))
     state = _state(args)
-    field = sample_wigner_field(state, grid, grid, t=args.t,
-                                dyn=DynamicsKind(args.dyn))
+    field = sample_wigner_field(state, grid, grid, args.t, args.dyn)
     write_field(field, args.out, meta={
         "command": "state-wigner", "state": args.state, "q0": state.q0,
-        "p0": state.p0, "t": args.t, "dyn": args.dyn})
+        "p0": state.p0, "t": args.t, "potential": args.dyn.coefficients})
     return 0
 
 
@@ -94,12 +95,11 @@ def cmd_marginal(args) -> int:
     x_grid, = _grids(args.config, slice_x_grid=(-10.0, 10.0, 1001))
     state = _state(args)
     params = TomographyParams(args.mu, args.nu, args.delta)
-    field = marginal_slice(state, params, x_grid, t=args.t,
-                           dyn=DynamicsKind(args.dyn))
+    field = marginal_slice(state, params, x_grid, args.t, args.dyn)
     write_field(field, args.out, meta={
         "command": "marginal", "state": args.state, "q0": state.q0,
         "p0": state.p0, "mu": args.mu, "nu": args.nu, "delta": args.delta,
-        "t": args.t, "dyn": args.dyn})
+        "t": args.t, "potential": args.dyn.coefficients})
     return 0
 
 
@@ -107,11 +107,10 @@ def cmd_sample_field(args) -> int:
     d, x_grid = _grids(args.config, direction_grid=(-1.5, 1.5, 65),
                        x_grid=(-8.0, 8.0, 257))
     state = _state(args)
-    field = sample_marginal_field(state, d, d, x_grid, t=args.t,
-                                  dyn=DynamicsKind(args.dyn))
+    field = sample_marginal_field(state, d, d, x_grid, args.t, args.dyn)
     write_field(field, args.out, meta={
         "command": "sample-field", "state": args.state, "q0": state.q0,
-        "p0": state.p0, "t": args.t, "dyn": args.dyn})
+        "p0": state.p0, "t": args.t, "potential": args.dyn.coefficients})
     return 0
 
 
@@ -210,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_time_flags(p):
         p.add_argument("--t", type=float, default=0.0)
-        p.add_argument("--dyn", choices=[d.value for d in DynamicsKind],
-                       default="static")
+        p.add_argument("--dyn", type=_potential_arg, default="free",
+                       help=POTENTIAL_HELP + "; the closed forms move free "
+                       "and harmonic only")
 
     p = sub.add_parser("state-wigner", help="sample a catalog Wigner field")
     add_state_flags(p)
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="advance a stored marginal field")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--dyn", type=_potential_arg, required=True,
-                   help='free | harmonic | linear:<slope> | "c0,c1,c2"')
+                   help=POTENTIAL_HELP)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--solver", choices=["char", "pde"], default="char",
                    help="both run one backtrace and resample; not recorded")
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce",
                        help="print the transport terms of a potential")
     p.add_argument("--potential", type=_potential_arg, required=True,
-                   help='free | harmonic | linear:<slope> | "c0,c1,c2"')
+                   help=POTENTIAL_HELP)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("check", help="run a verification suite")

@@ -11,6 +11,8 @@ terms symbolically; for deg V <= 2 every term is first order,
 so the exact solution is an affine reparametrization (method of
 characteristics).  Degree >= 3 leaves antiderivatives in X in the reduced
 operator; such potentials are rejected with the obstruction spelled out.
+Every function here names the dynamics by its `fields.PotentialSpec`, and
+nothing here reads `states`, whose closed forms stay an independent oracle.
 
 Sign conventions are anchored on three exact facts that hold for any
 admissible equation: d<p>/dt = -V'(<q>) for deg V <= 2 (Ehrenfest),
@@ -44,11 +46,11 @@ from .fields import (
     PotentialSpec,
     _prefilter,
     bicubic_rows,
+    check_time,
     grid_step,
     padded_taps,
     uniform_grid,
 )
-from .states import DynamicsKind, StateSpec, wigner_evaluator
 
 DEFAULT_MU_GRID = uniform_grid(-1.5, 1.5, 65)
 DEFAULT_NU_GRID = uniform_grid(-1.5, 1.5, 65)
@@ -122,7 +124,6 @@ class PDECoefficients:
         derivative, one first power), which reduce_equation guarantees.
         """
         a = np.zeros((3, 3))
-        cols = {"x": 0, "mu": 1, "nu": 2}
         for t in self.terms:
             derivs = (t.dx, t.dmu, t.dnu)
             powers = (0, t.mu_pow, t.nu_pow)
@@ -172,33 +173,17 @@ def reduce_equation(potential: PotentialSpec) -> PDECoefficients:
     return PDECoefficients(tuple(terms), potential)
 
 
-def _as_potential(dyn) -> PotentialSpec | None:
-    """Map a dynamics tag to its potential; None means no motion at all."""
-    if isinstance(dyn, PotentialSpec):
-        return dyn
-    if dyn == DynamicsKind.STATIC:
-        return None
-    if dyn == DynamicsKind.FREE:
-        return PotentialSpec.free()
-    if dyn == DynamicsKind.HARMONIC:
-        return PotentialSpec.harmonic()
-    raise ValueError(f"unsupported dynamics {dyn!r}")
-
-
-def evolve_characteristics(initial, dyn, t: float):
+def evolve_characteristics(initial, potential: PotentialSpec, t: float):
     """Exact evolution of a marginal source by backward characteristics.
 
     ``initial`` is any callable w(x, mu, nu, delta); the result has the
-    same signature.  ``dyn`` is a DynamicsKind or a PotentialSpec of
-    degree <= 2.
+    same signature.  ``potential`` is of degree <= 2, at any t; at t = 0
+    the result is ``initial`` itself.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    potential = _as_potential(dyn)
-    if potential is None or t == 0.0:
-        return initial
+    t = check_time(t)
     gen = reduce_equation(potential).generator_matrix()
+    if t == 0.0:
+        return initial
     back = expm(-gen * t)
 
     def evolved(x, mu, nu, delta=0.0):
@@ -214,22 +199,19 @@ def evolve_characteristics(initial, dyn, t: float):
     return evolved
 
 
-def evolve_wigner_reference(state, dyn, t: float):
+def evolve_wigner_reference(wigner, potential: PotentialSpec, t: float):
     """Wigner evaluator W(q, p) at time t via the classical backward flow.
 
+    ``wigner`` is any callable W0(q, p), as ``evolve_characteristics``
+    takes a marginal callable; at t = 0 the result is ``wigner`` itself.
     Exact for potentials of degree <= 2, where quantum and classical
     phase-space transport coincide; serves as the independent reference
-    side of the marginal-evolution consistency checks.  ``state`` is a
-    StateSpec or any callable W0(q, p).
+    side of the marginal-evolution consistency checks.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    wigner = wigner_evaluator(state) if isinstance(state, StateSpec) else state
-    potential = _as_potential(dyn)
-    if potential is None or t == 0.0:
-        return wigner
+    t = check_time(t)
     reduce_equation(potential)  # rejects potentials without a local flow
+    if t == 0.0:
+        return wigner
     coeffs = list(potential.coefficients) + [0.0, 0.0]
     c1, c2 = coeffs[1], coeffs[2]
     gen = np.array([[0.0, 1.0, 0.0],
@@ -352,8 +334,9 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     snapshots do not depend on each other; a snapshot at t = 0 is a copy of
     the initial field.  A snapshot's warnings are the initial field's plus
     its own outflow (the lookups past an X end that the circle of
-    `_resample` cannot supply, above 0.1%) and mass drift.  Refuses a
-    direction box that does not surround the origin.
+    `_resample` cannot supply, above 0.1%) and mass drift (above 1%); its
+    meta records both fractions as "outflow" and "mass_drift", 0.0 at t = 0.
+    Refuses a direction box that does not surround the origin.
     """
     gen = coeffs.generator_matrix()
     initial.reach()  # refuses a box that does not surround the origin
@@ -367,6 +350,7 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     out = []
     for target in snapshot_times:
         warnings = set(initial.warnings)
+        out_frac = drift = 0.0
         if target == 0.0:
             values = initial.values.astype(float)
         else:
@@ -380,7 +364,8 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                 warnings.add(f"mass drift {drift:.2%} since t=0 "
                              "(boundary outflow or under-resolution)")
         meta = {**initial.meta, "time": target,
-                "potential": coeffs.potential.coefficients}
+                "potential": coeffs.potential.coefficients,
+                "outflow": out_frac, "mass_drift": drift}
         out.append(MarginalField(initial.mu_grid, initial.nu_grid, initial.x_grid,
                                  values, tuple(sorted(warnings)), meta))
     return out

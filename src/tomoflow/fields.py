@@ -44,6 +44,14 @@ def check_uniform(grid: np.ndarray, name: str = "grid") -> None:
         raise ValueError(f"{name} must be uniform and ascending")
 
 
+def check_time(t) -> float:
+    """t as a float; refuses a time that is not finite."""
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError("time must be finite")
+    return t
+
+
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     w = np.full(grid.shape, grid_step(grid))
     w[0] *= 0.5
@@ -300,10 +308,9 @@ class MarginalField(_GridField):
             raise ValueError("field box must surround the origin")
         return reach
 
-    def valid_mask(self, min_radius: float = 0.0) -> np.ndarray:
-        """Cells whose direction norm exceeds min_radius (and is nonzero)."""
-        r = self.radius()
-        return r > max(min_radius, 0.0)
+    def valid_mask(self) -> np.ndarray:
+        """Cells whose direction is not the degenerate (0, 0)."""
+        return self.radius() > 0.0
 
     def cell_normalizations(self) -> np.ndarray:
         return np.trapezoid(self.values, self.x_grid, axis=2)

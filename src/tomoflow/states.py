@@ -16,9 +16,13 @@ With r^2 = mu^2 + nu^2 and y = X - delta the t = 0 marginals are
                     - 2 exp(-(y^2 + m0^2)/r^2) cos(2 y k0) / sqrt(pi r^2) ],
         g(u) = exp(-u^2 / r^2) / sqrt(pi r^2),  k0 = (nu*q0 - mu*p0) / r^2
 
-Time dependence for the free and harmonic Hamiltonians enters only through
-a linear flow of the arguments: Wigner points follow the classical motion
-backwards, and (mu, nu) follow the conjugate (Heisenberg) flow
+The dynamics is the potential V in H = p^2/2 + V, a `fields.PotentialSpec`
+whose default V = 0 is free motion.  The closed forms cover free and
+harmonic (V = q^2/2) motion, up to a constant term, and refuse any other V
+when an evaluator is built.  Time enters only through a linear flow of the
+arguments, written out here independently of `evolution`, which it tests:
+Wigner points follow the classical motion backwards, and (mu, nu) follow
+the conjugate (Heisenberg) flow
 
     Free:      (mu, nu) -> (mu, nu + mu*t)
     Harmonic:  (mu, nu) -> (mu cos t - nu sin t, mu sin t + nu cos t)
@@ -39,8 +43,10 @@ from .fields import (
     DEFAULT_X_GRID,
     MarginalField,
     MarginalSlice,
+    PotentialSpec,
     TomographyParams,
     WignerField,
+    check_time,
     check_uniform,
 )
 
@@ -52,12 +58,6 @@ class StateKind(str, enum.Enum):
     EXCITED_FIRST = "excited1"
     COHERENT = "coherent"
     ODD_CAT = "oddcat"
-
-
-class DynamicsKind(str, enum.Enum):
-    STATIC = "static"
-    FREE = "free"
-    HARMONIC = "harmonic"
 
 
 @dataclass(frozen=True)
@@ -102,28 +102,34 @@ def cat_normalization(q0: float, p0: float) -> float:
     return 1.0 / math.sqrt(2.0 * -math.expm1(-s2))
 
 
-def _flow_params(mu, nu, t: float, dyn: DynamicsKind):
+def _is_harmonic(potential: PotentialSpec) -> bool:
+    """Classify V by its coefficients: False for V = c0 (free motion), True
+    for V = c0 + q^2/2 (harmonic motion); refuses every other potential."""
+    c = tuple(potential.coefficients[1:]) + (0.0, 0.0)
+    if c[0] != 0.0 or c[1] not in (0.0, 0.5) or any(c[2:]):
+        raise ValueError("the closed forms cover free and harmonic motion "
+                         f"only, got V coefficients {potential.coefficients}")
+    return c[1] == 0.5
+
+
+def _flow_params(mu, nu, t: float, harmonic: bool):
     """Conjugate flow of the direction (mu, nu); X picks up no shift here."""
-    if t == 0.0 or dyn == DynamicsKind.STATIC:
+    if t == 0.0:
         return mu, nu
-    if dyn == DynamicsKind.FREE:
-        return mu, nu + mu * t
-    if dyn == DynamicsKind.HARMONIC:
+    if harmonic:
         c, s = math.cos(t), math.sin(t)
         return mu * c - nu * s, mu * s + nu * c
-    raise ValueError(f"unknown dynamics {dyn!r}")
+    return mu, nu + mu * t
 
 
-def _flow_phase_point(q, p, t: float, dyn: DynamicsKind):
+def _flow_phase_point(q, p, t: float, harmonic: bool):
     """Backward classical flow of a phase-space point."""
-    if t == 0.0 or dyn == DynamicsKind.STATIC:
+    if t == 0.0:
         return q, p
-    if dyn == DynamicsKind.FREE:
-        return q - p * t, p
-    if dyn == DynamicsKind.HARMONIC:
+    if harmonic:
         c, s = math.cos(t), math.sin(t)
         return q * c - p * s, p * c + q * s
-    raise ValueError(f"unknown dynamics {dyn!r}")
+    return q - p * t, p
 
 
 def _wigner_zero_t(state: StateSpec, q, p):
@@ -172,46 +178,39 @@ def _marginal_zero_t(state: StateSpec, y, mu, nu):
     raise ValueError(f"unknown state kind {state.kind!r}")
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    return t
-
-
 def wigner_evaluator(state: StateSpec, t: float = 0.0,
-                     dyn: DynamicsKind = DynamicsKind.STATIC):
-    """Return W(q, p) as a broadcasting callable at fixed (t, dyn)."""
-    t = _check_time(t)
+                     potential: PotentialSpec = PotentialSpec()):
+    """Return W(q, p) as a broadcasting callable at fixed (t, potential)."""
+    t, harmonic = check_time(t), _is_harmonic(potential)
 
     def evaluate(q, p):
         q0, p0 = _flow_phase_point(np.asarray(q, dtype=float),
-                                   np.asarray(p, dtype=float), t, dyn)
+                                   np.asarray(p, dtype=float), t, harmonic)
         return _wigner_zero_t(state, q0, p0)
 
     return evaluate
 
 
 def wigner_eval(state: StateSpec, point, t: float = 0.0,
-                dyn: DynamicsKind = DynamicsKind.STATIC):
+                potential: PotentialSpec = PotentialSpec()):
     """Evaluate the Wigner function at a (q, p) pair of scalars or arrays."""
     q, p = point
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise ValueError("phase-space coordinates must be finite")
-    out = wigner_evaluator(state, t, dyn)(q, p)
+    out = wigner_evaluator(state, t, potential)(q, p)
     return float(out) if out.ndim == 0 else out
 
 
 def marginal_evaluator(state: StateSpec, t: float = 0.0,
-                       dyn: DynamicsKind = DynamicsKind.STATIC):
+                       potential: PotentialSpec = PotentialSpec()):
     """Return w(x, mu, nu, delta=0) as a broadcasting callable."""
-    t = _check_time(t)
+    t, harmonic = check_time(t), _is_harmonic(potential)
 
     def evaluate(x, mu, nu, delta=0.0):
         mu_t, nu_t = _flow_params(np.asarray(mu, dtype=float),
-                                  np.asarray(nu, dtype=float), t, dyn)
+                                  np.asarray(nu, dtype=float), t, harmonic)
         y = np.asarray(x, dtype=float) - np.asarray(delta, dtype=float)
         return _marginal_zero_t(state, y, mu_t, nu_t)
 
@@ -219,25 +218,26 @@ def marginal_evaluator(state: StateSpec, t: float = 0.0,
 
 
 def marginal_eval(state: StateSpec, params: TomographyParams, x,
-                  t: float = 0.0, dyn: DynamicsKind = DynamicsKind.STATIC):
+                  t: float = 0.0, potential: PotentialSpec = PotentialSpec()):
     """Evaluate the marginal on x for one parameter triple."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x values must be finite")
-    return marginal_evaluator(state, t, dyn)(x, params.mu, params.nu, params.delta)
+    return marginal_evaluator(state, t, potential)(x, params.mu, params.nu,
+                                                   params.delta)
 
 
 def marginal_slice(state: StateSpec, params: TomographyParams,
                    x_grid: np.ndarray | None = None, t: float = 0.0,
-                   dyn: DynamicsKind = DynamicsKind.STATIC) -> MarginalSlice:
+                   potential: PotentialSpec = PotentialSpec()) -> MarginalSlice:
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
-    values = marginal_eval(state, params, x_grid, t, dyn)
+    values = marginal_eval(state, params, x_grid, t, potential)
     return MarginalSlice(params, x_grid, values)
 
 
 def sample_wigner_field(state: StateSpec, q_grid: np.ndarray | None = None,
                         p_grid: np.ndarray | None = None, t: float = 0.0,
-                        dyn: DynamicsKind = DynamicsKind.STATIC) -> WignerField:
+                        potential: PotentialSpec = PotentialSpec()) -> WignerField:
     """Sample W on a rectangular grid and record its normalization.
 
     Grids must be uniform, ascending and have at least 16 points per axis.
@@ -250,7 +250,7 @@ def sample_wigner_field(state: StateSpec, q_grid: np.ndarray | None = None,
         check_uniform(g, name)
         if g.size < 16:
             raise ValueError(f"{name} needs at least 16 points")
-    values = wigner_evaluator(state, t, dyn)(q_grid[:, None], p_grid[None, :])
+    values = wigner_evaluator(state, t, potential)(q_grid[:, None], p_grid[None, :])
     field = WignerField(q_grid, p_grid, values)
     norm = field.normalization()
     warnings = ()
@@ -262,7 +262,7 @@ def sample_wigner_field(state: StateSpec, q_grid: np.ndarray | None = None,
 def sample_marginal_field(state: StateSpec, mu_grid: np.ndarray,
                           nu_grid: np.ndarray, x_grid: np.ndarray,
                           t: float = 0.0,
-                          dyn: DynamicsKind = DynamicsKind.STATIC) -> MarginalField:
+                          potential: PotentialSpec = PotentialSpec()) -> MarginalField:
     """Sample the marginal at delta = 0 over a (mu, nu, X) box.
 
     The degenerate (0, 0) cell, if the grids contain it, is stored as zero
@@ -271,7 +271,7 @@ def sample_marginal_field(state: StateSpec, mu_grid: np.ndarray,
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
-    evaluate = marginal_evaluator(state, t, dyn)
+    evaluate = marginal_evaluator(state, t, potential)
     mu = mu_grid[:, None, None]
     nu = nu_grid[None, :, None]
     ok = (mu * mu + nu * nu) > 0.0

@@ -35,13 +35,11 @@ from .fields import (
 from .states import (
     CATALOG,
     SQRT_PI,
-    DynamicsKind,
     StateKind,
     StateSpec,
     cat_normalization,
     marginal_eval,
     marginal_evaluator,
-    marginal_slice,
     sample_marginal_field,
     sample_wigner_field,
     wigner_eval,
@@ -159,8 +157,6 @@ def compare_fields(a, b) -> ComparisonReport:
 
 
 def roundtrip_report(state: StateSpec, *,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES,
-                     config: ReconstructionConfig | None = None,
                      marginal_source=None) -> list[CheckResult]:
     """All reconstruction checks for one state, normalization first.
 
@@ -179,9 +175,7 @@ def roundtrip_report(state: StateSpec, *,
     of that table are reported as "line_step" and "line_edge" in the
     wigner-roundtrip context.
     """
-    if config is None:
-        config = ReconstructionConfig()
-    plan = {}
+    tolerances, config, plan = DEFAULT_TOLERANCES, ReconstructionConfig(), {}
     if marginal_source is None:
         marginal_source = RadonMarginalEvaluator(wigner_evaluator(state))
         plan["line_step"] = float(np.max(marginal_source.line_steps))
@@ -244,19 +238,6 @@ def roundtrip_report(state: StateSpec, *,
     return results
 
 
-def slice_checks(state: StateSpec, params: TomographyParams,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES
-                 ) -> list[CheckResult]:
-    """Normalization and positivity of one closed-form marginal slice."""
-    sl = marginal_slice(state, params)
-    norm = check_normalization(sl, tolerances.normalization)
-    pos = check_positivity(sl.values, tolerances.positivity_floor)
-    extra = {"state": state.kind.value, "mu": params.mu, "nu": params.nu,
-             "delta": params.delta}
-    return [dataclasses.replace(c, context={**c.context, **extra})
-            for c in (norm, pos)]
-
-
 def _exact(name: str, measured: float, tol: float, **context) -> CheckResult:
     """A value that is zero up to rounding: |measured| <= tol."""
     return CheckResult(name, bool(abs(measured) <= tol), float(measured),
@@ -286,14 +267,15 @@ def evolution_suite(states) -> list[CheckResult]:
     probes = [(1.0, 0.0, 0.0), (0.6, -0.8, 0.3), (-0.4, 1.1, -1.0)]
     t = 0.7
     for label, state in states:
-        for dyn in (DynamicsKind.FREE, DynamicsKind.HARMONIC):
-            w = evolve_characteristics(marginal_evaluator(state), dyn, t)
+        for name, coeffs in (("free", free), ("harmonic", rot)):
+            potential = coeffs.potential
+            w = evolve_characteristics(marginal_evaluator(state), potential, t)
             worst = max(float(np.abs(
                 w(x, mu, nu, delta) - marginal_eval(
-                    state, TomographyParams(mu, nu, delta), x, t=t, dyn=dyn)).max())
+                    state, TomographyParams(mu, nu, delta), x, t, potential)).max())
                 for mu, nu, delta in probes)
             results.append(CheckResult(
-                f"characteristics-{dyn.value}-{label}",
+                f"characteristics-{name}-{label}",
                 worst <= tol.characteristics, worst, tol.characteristics,
                 {"t": t}))
 
@@ -303,7 +285,7 @@ def evolution_suite(states) -> list[CheckResult]:
     f0 = sample_marginal_field(state, d, d, xg)
     t = 0.4
     snap, = evolve_pde(f0, free, SolverConfig(), [t])
-    ref = sample_marginal_field(state, d, d, xg, t=t, dyn=DynamicsKind.FREE)
+    ref = sample_marginal_field(state, d, d, xg, t, free.potential)
     mask = (f0.radius() >= DEFAULT_VALID_RADIUS)[:, :, None]
     err = float(np.where(mask, np.abs(snap.values - ref.values), 0.0).max())
     results.append(CheckResult("pde-free-ground", err <= tol.pde, err, tol.pde,
@@ -343,14 +325,13 @@ def paper_examples_suite(states=()) -> list[CheckResult]:
     c, s = math.cos(t), math.sin(t)
     mu, nu = 0.7, -0.4
     rotated = TomographyParams(mu * c - nu * s, mu * s + nu * c)
+    harmonic = PotentialSpec.harmonic()
     drift = float(np.abs(
-        marginal_eval(coherent, TomographyParams(mu, nu), x, t=t,
-                      dyn=DynamicsKind.HARMONIC)
+        marginal_eval(coherent, TomographyParams(mu, nu), x, t, harmonic)
         - marginal_eval(coherent, rotated, x)).max())
     results.append(_exact("coherent-harmonic-rotation", drift, 1e-12))
     still = float(np.abs(
-        marginal_eval(excited, TomographyParams(mu, nu), x, t=1.1,
-                      dyn=DynamicsKind.HARMONIC)
+        marginal_eval(excited, TomographyParams(mu, nu), x, 1.1, harmonic)
         - marginal_eval(excited, TomographyParams(mu, nu), x)).max())
     results.append(_exact("excited1-harmonic-stationary", still, 1e-12))
     return results

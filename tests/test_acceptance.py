@@ -21,7 +21,6 @@ from tomoflow.evolution import (
 )
 from tomoflow.fields import TomographyParams, uniform_grid
 from tomoflow.states import (
-    DynamicsKind,
     StateKind,
     StateSpec,
     marginal_eval,
@@ -48,8 +47,7 @@ ODDCAT = StateSpec(StateKind.ODD_CAT, q0=math.sqrt(2.0), p0=0.0)
 CATALOG = [("ground", GROUND), ("excited1", EXCITED),
            ("coherent", COHERENT), ("oddcat", ODDCAT)]
 
-DYNAMICS = [(DynamicsKind.FREE, PotentialSpec.free()),
-            (DynamicsKind.HARMONIC, PotentialSpec.harmonic())]
+DYNAMICS = [PotentialSpec.free(), PotentialSpec.harmonic()]
 
 PROBES = [TomographyParams(1.0, 0.0, 0.0),
           TomographyParams(0.6, -0.8, 0.3),
@@ -132,12 +130,12 @@ def test_criterion_04_commuting_square():
     worst_char = 0.0
     worst_pde = 0.0
     for label, state in CATALOG:
-        for dyn, potential in DYNAMICS:
+        for potential in DYNAMICS:
             w0 = marginal_evaluator(state)
             for t in times:
-                wt = evolve_characteristics(w0, dyn, t)
+                wt = evolve_characteristics(w0, potential, t)
                 for pr in PROBES:
-                    want = marginal_eval(state, pr, x, t=t, dyn=dyn)
+                    want = marginal_eval(state, pr, x, t, potential)
                     got = wt(x, pr.mu, pr.nu, pr.delta)
                     worst_char = max(worst_char,
                                      float(np.abs(got - want).max()))
@@ -146,7 +144,7 @@ def test_criterion_04_commuting_square():
             snaps = evolve_pde(f0, coeffs, SolverConfig(), list(times))
             for t, snap in zip(times, snaps):
                 ref = sample_marginal_field(state, d_grid, d_grid, x_grid,
-                                            t=t, dyn=dyn)
+                                            t, potential)
                 mask = radius_ok[:, :, None]
                 err = float(np.where(mask, np.abs(snap.values - ref.values),
                                      0.0).max())
@@ -178,7 +176,7 @@ def test_criterion_05_free_motion_dispersion():
     worst_general = 0.0
     discrepant_gap = math.inf
     for t in (0.0, 1.0, 2.0):
-        wt = evolve_characteristics(w0, DynamicsKind.FREE, t)
+        wt = evolve_characteristics(w0, PotentialSpec.free(), t)
         _, var_p = quadrature_moments(wt, axis, x)
         worst_axis = max(worst_axis, abs(var_p - 0.5))
         for mu, nu in ((1.0, 0.0), (0.7, 0.7), (-0.5, 1.2), (1.3, -0.4)):
@@ -205,7 +203,7 @@ def test_criterion_06_excited_state_stationarity():
     w0 = marginal_evaluator(EXCITED)
     worst_char = 0.0
     for t in (0.7, 2.0 * math.pi):
-        wt = evolve_characteristics(w0, DynamicsKind.HARMONIC, t)
+        wt = evolve_characteristics(w0, PotentialSpec.harmonic(), t)
         for pr in PROBES:
             drift = np.abs(wt(x, pr.mu, pr.nu, pr.delta)
                            - w0(x, pr.mu, pr.nu, pr.delta))
@@ -318,8 +316,8 @@ def _convergence_error(n_dir: int, n_x: int, t: float) -> float:
     coeffs = reduce_equation(PotentialSpec.free())
     f0 = sample_marginal_field(GROUND, d_grid, d_grid, x_grid)
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [t])
-    ref = sample_marginal_field(GROUND, d_grid, d_grid, x_grid, t=t,
-                                dyn=DynamicsKind.FREE)
+    ref = sample_marginal_field(GROUND, d_grid, d_grid, x_grid, t,
+                                coeffs.potential)
     mask = (f0.radius() >= 0.8)[:, :, None]
     return float(np.where(mask, np.abs(snap.values - ref.values), 0.0).max())
 

@@ -5,9 +5,11 @@ through the public io module, so these also exercise format stability.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,9 +18,15 @@ import pytest
 
 import tomoflow
 from tomoflow.cli import main
-from tomoflow.fields import DensityMatrixGrid, MarginalField, WignerField, uniform_grid
+from tomoflow.fields import (
+    DensityMatrixGrid,
+    MarginalField,
+    PotentialSpec,
+    WignerField,
+    uniform_grid,
+)
 from tomoflow.io import read_field
-from tomoflow.states import DynamicsKind, StateKind, StateSpec, sample_marginal_field
+from tomoflow.states import StateKind, StateSpec, sample_marginal_field
 from tomoflow.verify import SUITES, CheckResult
 
 SMALL = {"direction_grid": [-1.5, 1.5, 33], "x_grid": [-8.0, 8.0, 129],
@@ -147,7 +155,7 @@ def test_evolve_char_matches_analytic(tmp_path, ground_field):
     d = uniform_grid(-1.5, 1.5, 33)
     xg = uniform_grid(-8.0, 8.0, 129)
     ref = sample_marginal_field(StateSpec(StateKind.GROUND), d, d, xg,
-                                t=0.5, dyn=DynamicsKind.FREE)
+                                t=0.5, potential=PotentialSpec.free())
     mu, nu = np.meshgrid(d, d, indexing="ij")
     mask = (np.hypot(mu, nu) >= 0.5)[:, :, None]
     err = float(np.where(mask, np.abs(field.values - ref.values), 0.0).max())
@@ -179,7 +187,8 @@ def test_evolve_zero_time_records_its_time(tmp_path, ground_field):
     out = tmp_path / "e0.csv"
     assert main(["evolve", "--in", ground_field, "--dyn", "free",
                  "--t", "0", "--out", str(out)]) == 0
-    assert read_field(out).meta["time"] == 0.0
+    meta = read_field(out).meta
+    assert meta["time"] == meta["outflow"] == meta["mass_drift"] == 0.0
 
 
 def test_evolve_linear_potential(tmp_path, ground_field):
@@ -273,8 +282,11 @@ def test_reconstructions_carry_the_warnings_of_their_field(tmp_path):
                  "--config", str(config), "--out", str(cat)]) == 0
     assert main(["evolve", "--in", str(cat), "--dyn", "free",
                  "--t", "1", "--out", str(evolved)]) == 0
-    carried = read_field(evolved).warnings
+    carried, meta = read_field(evolved).warnings, read_field(evolved).meta
     assert [w.split()[0] for w in carried] == ["boundary", "mass"]
+    # the header carries the numbers the warnings quote
+    assert carried[0].startswith(f"boundary outflow: {meta['outflow']:.2%}")
+    assert carried[1].startswith(f"mass drift {meta['mass_drift']:.2%}")
     for command in ("invert", "density-matrix"):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--in", str(evolved), "--config", str(config),
@@ -382,6 +394,21 @@ def test_reconstruction_demo_script_imports_what_it_names():
     assert "--state" in proc.stdout
 
 
+def test_readme_imports_what_it_names():
+    # every name README.md's python blocks import from tomoflow exists; the
+    # blocks are parsed, not run
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md")
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    names = [(node.module, alias.name) for block in blocks
+             for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "tomoflow"
+             for alias in node.names]
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), (module, name)
+
+
 def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):
     assert main(["reduce", "--potential", "harmonic"]) == 0
     named = capsys.readouterr().out
@@ -394,6 +421,35 @@ def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):
     assert np.array_equal(read_field(a).values, read_field(b).values)
     assert main(["reduce", "--potential", "linear:x"]) == 2
     assert main(["reduce", "--potential", "0,nan"]) == 2
+
+
+def test_state_commands_parse_dyn_as_a_potential(tmp_path, small_config,
+                                                 capsys):
+    # --t alone moves the state under V = 0, as --dyn free does
+    bare, free, still = (tmp_path / f"{name}.csv"
+                         for name in ("bare", "free", "still"))
+    for dyn, out in (([], bare), (["--dyn", "free"], free)):
+        assert main(["state-wigner", "--state", "coherent", "--t", "1",
+                     "--config", small_config, "--out", str(out)] + dyn) == 0
+    assert bare.read_bytes() == free.read_bytes()
+    assert main(["state-wigner", "--state", "coherent", "--config",
+                 small_config, "--out", str(still)]) == 0
+    assert not np.allclose(read_field(still).values, read_field(bare).values)
+    # the state commands' headers carry the potential, as evolve's do
+    assert read_field(bare).meta["potential"] == (0.0,)
+    out = tmp_path / "m.csv"
+    assert main(["marginal", "--state", "excited1", "--mu", "1", "--nu", "0",
+                 "--dyn", "0,0,0.5", "--t", "1", "--out", str(out)]) == 0
+    assert read_field(out).meta["potential"] == (0.0, 0.0, 0.5)
+    assert "dyn" not in read_field(out).meta
+    field = tmp_path / "f.csv"
+    assert main(["sample-field", "--state", "ground", "--dyn", "static",
+                 "--out", str(field)]) == 2
+    capsys.readouterr()
+    assert main(["sample-field", "--state", "ground", "--config", small_config,
+                 "--dyn", "linear:0.5", "--t", "1", "--out", str(field)]) == 1
+    assert "free and harmonic motion" in capsys.readouterr().err
+    assert not field.exists()
 
 
 def modules_after(code: str, package: str) -> list[str]:

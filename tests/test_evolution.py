@@ -42,7 +42,6 @@ from tomoflow.states import (
     CATALOG,
     EXCITED_FIRST,
     GROUND,
-    DynamicsKind,
     StateKind,
     StateSpec,
     marginal_eval,
@@ -144,7 +143,7 @@ def test_characteristics_free_is_a_shear_in_nu():
     # A generic smooth function pins the parameter map itself.
     f = lambda x, mu, nu, delta=0.0: np.sin(x + delta) + mu * mu + 0.3 * nu
     t = 0.7
-    w = evolve_characteristics(f, DynamicsKind.FREE, t)
+    w = evolve_characteristics(f, PotentialSpec.free(), t)
     x, mu, nu = 0.4, 1.1, -0.2
     assert w(x, mu, nu) == pytest.approx(f(x, mu, nu + t * mu), abs=1e-14)
 
@@ -160,24 +159,29 @@ def test_characteristics_linear_potential_shifts_x():
 
 
 def test_characteristics_static_returns_initial():
+    # t = 0 is no motion under any potential; both flows return their input.
     f = marginal_evaluator(GROUND)
-    assert evolve_characteristics(f, DynamicsKind.STATIC, 5.0) is f
-    assert evolve_characteristics(f, DynamicsKind.FREE, 0.0) is f
+    w0 = wigner_evaluator(GROUND)
+    for potential in (PotentialSpec.free(), PotentialSpec.harmonic(),
+                      PotentialSpec.linear(0.5)):
+        assert evolve_characteristics(f, potential, 0.0) is f
+        assert evolve_wigner_reference(w0, potential, 0.0) is w0
 
 
 @pytest.mark.parametrize("state,dyn", [
-    (GROUND, DynamicsKind.FREE),
-    (COHERENT_A, DynamicsKind.FREE),
-    (EXCITED_FIRST, DynamicsKind.HARMONIC),
-    (CAT_AXIS, DynamicsKind.HARMONIC),
+    (GROUND, "free"),
+    (COHERENT_A, "free"),
+    (EXCITED_FIRST, "harmonic"),
+    (CAT_AXIS, "harmonic"),
 ])
 def test_characteristics_match_closed_form_evolution(state, dyn):
     t = 0.7
-    w = evolve_characteristics(marginal_evaluator(state), dyn, t)
+    potential = PotentialSpec.from_string(dyn)
+    w = evolve_characteristics(marginal_evaluator(state), potential, t)
     x = np.linspace(-5.0, 5.0, 41)
     for mu, nu, delta in [(1.0, 0.0, 0.0), (0.6, -0.8, 0.3), (-0.4, 1.1, -1.0)]:
-        want = marginal_eval(state, TomographyParams(mu, nu, delta), x,
-                             t=t, dyn=dyn)
+        want = marginal_eval(state, TomographyParams(mu, nu, delta), x, t,
+                             potential)
         got = w(x, mu, nu, delta)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -185,7 +189,7 @@ def test_characteristics_match_closed_form_evolution(state, dyn):
 def test_characteristics_free_matches_fft_wavefunction():
     t = 0.9
     w = evolve_characteristics(marginal_evaluator(CAT_AXIS),
-                               DynamicsKind.FREE, t)
+                               PotentialSpec.free(), t)
     grid, psi_t = psi_free_evolved_sampled(psi_oddcat(math.sqrt(2.0), 0.0), t)
     keep = np.abs(grid) <= 6.0
     # the (1, 0) slice is the position density of the evolved wavefunction
@@ -197,7 +201,7 @@ def test_characteristics_harmonic_matches_fock_evolution():
     t = 1.3
     mu, nu = 0.6, -0.8
     w = evolve_characteristics(marginal_evaluator(CAT_AXIS),
-                               DynamicsKind.HARMONIC, t)
+                               PotentialSpec.harmonic(), t)
     coeffs = fock_coefficients("oddcat", math.sqrt(2.0), 0.0)
     s = np.linspace(-25.0, 25.0, 6001)
     psi_t = psi_harmonic_evolved(coeffs, t)(s)
@@ -228,7 +232,7 @@ def test_free_slice_variance_growth():
     x = np.linspace(-20.0, 20.0, 4001)
     for t in (0.0, 1.0, 2.0):
         w = evolve_characteristics(marginal_evaluator(GROUND),
-                                   DynamicsKind.FREE, t)
+                                   PotentialSpec.free(), t)
         values = w(x, 1.0, 0.0)
         var = np.trapezoid(x * x * values, x)
         assert var == pytest.approx(0.5 * (1.0 + t * t), abs=1e-9)
@@ -249,7 +253,7 @@ def test_evolved_tomogram_keeps_kinematic_identities(lam, sign, phi, r, x,
     lam *= sign
     mu, nu = r * math.cos(phi), r * math.sin(phi)
     w = evolve_characteristics(marginal_evaluator(CAT_AXIS),
-                               DynamicsKind.HARMONIC, t)
+                               PotentialSpec.harmonic(), t)
     base = w(x, mu, nu, delta)
     assert w(x - delta, mu, nu, 0.0) == pytest.approx(base, rel=1e-9,
                                                       abs=1e-12)
@@ -260,7 +264,7 @@ def test_evolved_tomogram_keeps_kinematic_identities(lam, sign, phi, r, x,
 def test_characteristics_rejects_nonfinite_time():
     f = marginal_evaluator(GROUND)
     with pytest.raises(ValueError):
-        evolve_characteristics(f, DynamicsKind.FREE, math.inf)
+        evolve_characteristics(f, PotentialSpec.free(), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,8 @@ def test_characteristics_rejects_nonfinite_time():
 
 def test_wigner_reference_free_ground():
     t = 1.1
-    w = evolve_wigner_reference(GROUND, DynamicsKind.FREE, t)
+    w = evolve_wigner_reference(wigner_evaluator(GROUND),
+                                PotentialSpec.free(), t)
     q, p = np.meshgrid(np.linspace(-3, 3, 31), np.linspace(-3, 3, 31))
     want = 2.0 * np.exp(-((q - p * t) ** 2) - p * p)
     assert np.allclose(w(q, p), want, atol=1e-12)
@@ -277,19 +282,20 @@ def test_wigner_reference_free_ground():
 
 def test_wigner_reference_accepts_plain_callable():
     w0 = lambda q, p: np.exp(-(q ** 2) - p ** 2) * (1.0 + q)
-    w = evolve_wigner_reference(w0, DynamicsKind.FREE, 0.5)
+    w = evolve_wigner_reference(w0, PotentialSpec.free(), 0.5)
     assert w(1.0, 2.0) == pytest.approx(w0(1.0 - 0.5 * 2.0, 2.0), abs=1e-14)
 
 
 def test_wigner_reference_harmonic_matches_closed_form():
     t = 0.8
-    w = evolve_wigner_reference(COHERENT_A, DynamicsKind.HARMONIC, t)
+    w = evolve_wigner_reference(wigner_evaluator(COHERENT_A),
+                                PotentialSpec.harmonic(), t)
     pts = [(0.0, 0.0), (1.0, -0.5), (-2.0, 0.3)]
     for q, p in pts:
-        want = wigner_eval(COHERENT_A, (q, p), t=t, dyn=DynamicsKind.HARMONIC)
+        want = wigner_eval(COHERENT_A, (q, p), t, PotentialSpec.harmonic())
         assert w(q, p) == pytest.approx(want, abs=1e-12)
-    full_period = evolve_wigner_reference(EXCITED_FIRST,
-                                          DynamicsKind.HARMONIC,
+    full_period = evolve_wigner_reference(wigner_evaluator(EXCITED_FIRST),
+                                          PotentialSpec.harmonic(),
                                           2.0 * math.pi)
     assert full_period(0.7, -0.4) == pytest.approx(
         wigner_eval(EXCITED_FIRST, (0.7, -0.4)), abs=1e-12)
@@ -299,7 +305,8 @@ def test_wigner_reference_linear_potential_shears_and_shifts():
     c1 = 0.9
     q0, p0 = 1.2, -0.7
     t = 1.4
-    w = evolve_wigner_reference(COHERENT_A, PotentialSpec((0.0, c1)), t)
+    w = evolve_wigner_reference(wigner_evaluator(COHERENT_A),
+                                PotentialSpec((0.0, c1)), t)
     q, p = np.meshgrid(np.linspace(-4, 4, 17), np.linspace(-4, 4, 17))
     q_b = q - p * t - 0.5 * c1 * t * t
     p_b = p + c1 * t
@@ -312,8 +319,13 @@ def test_wigner_reference_linear_potential_shears_and_shifts():
 
 
 def test_wigner_reference_rejects_cubic():
-    with pytest.raises(NonlocalPotentialError):
-        evolve_wigner_reference(GROUND, PotentialSpec((0, 0, 0, 1.0)), 0.5)
+    # at t = 0 too, as the closed forms refuse what they do not cover
+    cubic = PotentialSpec((0, 0, 0, 1.0))
+    for t in (0.0, 0.5):
+        with pytest.raises(NonlocalPotentialError):
+            evolve_wigner_reference(wigner_evaluator(GROUND), cubic, t)
+        with pytest.raises(NonlocalPotentialError):
+            evolve_characteristics(marginal_evaluator(GROUND), cubic, t)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +335,9 @@ SHORT_GRIDS = dict(mu_grid=DEFAULT_MU_GRID, nu_grid=DEFAULT_NU_GRID,
                    x_grid=DEFAULT_EVOLUTION_X_GRID)
 
 
-def masked_error(state, dyn, snap, t):
+def masked_error(state, potential, snap, t):
     ref = sample_marginal_field(state, snap.mu_grid, snap.nu_grid,
-                                snap.x_grid, t=t, dyn=dyn)
+                                snap.x_grid, t, potential)
     mask = snap.radius() >= DEFAULT_VALID_RADIUS
     return np.where(mask[:, :, None], snap.values - ref.values, 0.0), mask
 
@@ -337,6 +349,7 @@ def test_pde_time_zero_snapshot_is_identity():
     coeffs = reduce_equation(PotentialSpec.free())
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [0.0])
     assert np.array_equal(snap.values, f0.values)
+    assert snap.meta["outflow"] == snap.meta["mass_drift"] == 0.0
 
 
 def test_pde_free_short_time_accuracy_and_invariants():
@@ -345,7 +358,7 @@ def test_pde_free_short_time_accuracy_and_invariants():
     f0 = sample_marginal_field(state, **SHORT_GRIDS)
     coeffs = reduce_equation(PotentialSpec.free())
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [t])
-    err, mask = masked_error(state, DynamicsKind.FREE, snap, t)
+    err, mask = masked_error(state, PotentialSpec.free(), snap, t)
     assert np.abs(err).max() <= 1e-3
     # X-normalization stays put where the slice still fits the box
     norms = np.trapezoid(snap.values, snap.x_grid, axis=2)
@@ -360,7 +373,7 @@ def test_pde_harmonic_quarter_period():
     f0 = sample_marginal_field(state, **SHORT_GRIDS)
     coeffs = reduce_equation(PotentialSpec.harmonic())
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [t])
-    err, mask = masked_error(state, DynamicsKind.HARMONIC, snap, t)
+    err, mask = masked_error(state, PotentialSpec.harmonic(), snap, t)
     assert np.abs(err).max() <= 1e-3
     norms = np.trapezoid(snap.values, snap.x_grid, axis=2)
     assert np.abs(norms - 1.0)[mask].max() <= 1e-4
@@ -374,7 +387,7 @@ def test_pde_cat_marginal_stays_nonnegative_on_fine_x():
                                uniform_grid(-8.0, 8.0, 513))
     coeffs = reduce_equation(PotentialSpec.free())
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [t])
-    err, mask = masked_error(state, DynamicsKind.FREE, snap, t)
+    err, mask = masked_error(state, PotentialSpec.free(), snap, t)
     assert np.abs(err).max() <= 1e-3
     assert snap.values[mask].min() >= -1e-6
 
@@ -483,8 +496,9 @@ def test_projection_commutes_with_evolution(name, c1, dyn, t, radius, angle,
     params = TomographyParams(radius * math.cos(angle), radius * math.sin(angle),
                               delta)
     x = np.linspace(-6.0, 6.0, 61)
-    want = radon_marginal(evolve_wigner_reference(CATALOG[name], potential, t),
-                          params, x).values
+    evolved = evolve_wigner_reference(wigner_evaluator(CATALOG[name]),
+                                      potential, t)
+    want = radon_marginal(evolved, params, x).values
     got = evolve_characteristics(coarse_radon_source(name), potential, t)(
         x, params.mu, params.nu, params.delta)
     assert np.abs(got - want).max() <= 5e-5 * np.abs(want).max()
@@ -524,23 +538,29 @@ def test_pde_warns_on_boundary_outflow():
     # decayed there, so none of them counts as outflow
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [2.0])
     assert [w.split()[0] for w in snap.warnings] == ["mass"]
+    assert snap.meta["outflow"] == 0.0
+    # meta records the drift the warning quotes
+    mass = np.abs(f0.values).sum()
+    drift = snap.meta["mass_drift"]
+    assert drift == pytest.approx(abs(np.abs(snap.values).sum() - mass) / mass,
+                                  rel=1e-12)
+    assert snap.warnings[0].startswith(f"mass drift {drift:.2%} since t=0")
 
 
 def test_pde_warns_where_the_circle_cannot_supply_a_lookup():
     # On X +-5 the circle's slices of this cat are cut at the X ends: the
     # free shear carries 14.6% of the lookups past an end where the row has
     # not decayed, they read 0, and the error on the cells of radius >= 0.5
-    # is 0.48.  The warning
+    # is 0.48.  The snapshot's meta["outflow"], which the warning quotes,
     # counts exactly the lookups the 64-tap oracle counts.
     f0 = sample_marginal_field(StateSpec(StateKind.ODD_CAT, q0=3.5, p0=0.0),
                                SQUARE_MU, SQUARE_MU, uniform_grid(-5.0, 5.0, 129))
     coeffs = reduce_equation(PotentialSpec.free())
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [1.0])
     assert [w.split()[0] for w in snap.warnings] == ["boundary", "mass"]
-    gen = coeffs.generator_matrix()
-    _, out_frac = evolution._resample(padded(evolution.spline_filter(f0.values)),
-                                      f0, gen, 1.0)
-    assert out_frac == reference_resample(f0, gen, 1.0)[2].mean()
+    out_frac = snap.meta["outflow"]
+    assert out_frac == reference_resample(f0, coeffs.generator_matrix(),
+                                          1.0)[2].mean()
     assert snap.warnings[0].startswith(f"boundary outflow: {out_frac:.2%}")
 
 
@@ -572,8 +592,8 @@ def test_pde_is_accurate_on_a_narrow_direction_box(dyn):
     for state in (GROUND, CAT_AXIS):
         f0 = sample_marginal_field(state, d, d, SQUARE_X)
         snap, = evolve_pde(f0, coeffs, SolverConfig(), [0.5])
-        ref = sample_marginal_field(state, d, d, SQUARE_X, t=0.5,
-                                    dyn=DynamicsKind(dyn))
+        ref = sample_marginal_field(state, d, d, SQUARE_X, 0.5,
+                                    coeffs.potential)
         mask = f0.radius() >= 1.0 / 3.0
         assert np.abs(snap.values - ref.values)[mask].max() <= 1e-3
         assert snap.warnings == ()

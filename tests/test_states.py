@@ -17,11 +17,10 @@ from oracles import (
     psi_oddcat,
     wigner_oracle,
 )
-from tomoflow.fields import TomographyParams, uniform_grid
+from tomoflow.fields import PotentialSpec, TomographyParams, uniform_grid
 from tomoflow.states import (
     EXCITED_FIRST,
     GROUND,
-    DynamicsKind,
     CATALOG,
     StateKind,
     StateSpec,
@@ -246,7 +245,7 @@ def test_harmonic_flow_is_a_rotation_of_parameters(t, mu, nu, x):
     c, s = math.cos(t), math.sin(t)
     rotated = TomographyParams(mu * c - nu * s, mu * s + nu * c)
     lhs = marginal_eval(CAT_AXIS, TomographyParams(mu, nu), x, t=t,
-                        dyn=DynamicsKind.HARMONIC)
+                        potential=PotentialSpec.harmonic())
     rhs = marginal_eval(CAT_AXIS, rotated, x)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
@@ -257,7 +256,7 @@ def test_free_evolution_marginal_matches_fft_wavefunction():
     x = np.linspace(-5.0, 5.0, 31)
     for mu, nu in [(1.0, 0.4), (0.2, 1.0), (-0.9, 0.8)]:
         got = marginal_eval(EXCITED_FIRST, TomographyParams(mu, nu), x, t=t,
-                            dyn=DynamicsKind.FREE)
+                            potential=PotentialSpec.free())
         want = marginal_oracle_sampled(x_grid, psi_t, x, mu, nu)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -268,7 +267,7 @@ def test_free_evolution_coherent_packet_drifts():
     window = (x_grid > -8.0) & (x_grid < 8.0)
     x = x_grid[window]
     got = marginal_eval(COHERENT_A, TomographyParams(1.0, 0.0), x, t=t,
-                        dyn=DynamicsKind.FREE)
+                        potential=PotentialSpec.free())
     want = np.abs(psi_t[window]) ** 2
     assert np.max(np.abs(got - want)) < 1e-9
     # center moves ballistically: <q>(t) = q0 + p0 t
@@ -282,13 +281,13 @@ def test_harmonic_evolution_matches_fock_expansion():
     psi_t = psi_harmonic_evolved(coeffs, t)
     x = np.linspace(-4.0, 4.0, 25)
     got = marginal_eval(CAT_TILTED, TomographyParams(0.7, -0.5), x, t=t,
-                        dyn=DynamicsKind.HARMONIC)
+                        potential=PotentialSpec.harmonic())
     want = marginal_oracle(psi_t, x, 0.7, -0.5)
     assert np.max(np.abs(got - want)) < 1e-7
     q = np.linspace(-2.5, 2.5, 6)
     p = np.linspace(-2.0, 2.0, 5)
     qq, pp = np.meshgrid(q, p, indexing="ij")
-    w_got = wigner_evaluator(CAT_TILTED, t, DynamicsKind.HARMONIC)(qq, pp)
+    w_got = wigner_evaluator(CAT_TILTED, t, PotentialSpec.harmonic())(qq, pp)
     w_want = wigner_oracle(psi_t, qq, pp)
     assert np.max(np.abs(w_got - w_want)) < 1e-7
 
@@ -323,3 +322,29 @@ def test_validation_errors():
         wigner_evaluator(GROUND, t=np.nan)
     with pytest.raises(ValueError):
         cat_normalization(0.0, 0.0)
+
+
+def test_closed_forms_name_the_dynamics_by_its_potential():
+    # V = 0 is the default, so a bare t moves the state freely, and a
+    # constant term in V moves nothing.
+    x, t = np.linspace(-4.0, 4.0, 33), 1.3
+    free = marginal_evaluator(COHERENT_A, t, PotentialSpec.free())(x, 0.6, 0.8)
+    assert not np.allclose(marginal_evaluator(COHERENT_A)(x, 0.6, 0.8), free)
+    assert np.array_equal(marginal_evaluator(COHERENT_A, t)(x, 0.6, 0.8), free)
+    shifted = PotentialSpec.from_string("2.5")
+    assert np.array_equal(
+        marginal_evaluator(COHERENT_A, t, shifted)(x, 0.6, 0.8), free)
+    want = wigner_evaluator(CAT_TILTED, t, PotentialSpec.harmonic())(x, -x)
+    shifted = PotentialSpec.from_string("2.5,0,0.5")
+    assert np.array_equal(wigner_evaluator(CAT_TILTED, t, shifted)(x, -x), want)
+
+
+@pytest.mark.parametrize("coefficients", [(0.0, 0.5), (0.0, 0.0, 1.0),
+                                          (0.0, 0.0, 0.5, 0.1)])
+def test_closed_forms_refuse_other_motion_when_built(coefficients):
+    # Refused when the evaluator is built, at any time, t = 0 included.
+    potential = PotentialSpec(coefficients)
+    for build in (wigner_evaluator, marginal_evaluator):
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="free and harmonic motion"):
+                build(GROUND, t, potential)

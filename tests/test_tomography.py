@@ -34,7 +34,6 @@ from tomoflow.states import (
     CATALOG,
     EXCITED_FIRST,
     GROUND,
-    DynamicsKind,
     StateKind,
     StateSpec,
     marginal_eval,
@@ -134,7 +133,8 @@ def test_marginal_field_from_wigner_reports_where_the_line_window_cuts():
     # line edge is 3.5e-2.  The catalog states have decayed at the line ends.
     d = uniform_grid(-1.5, 1.5, 7)
     x = uniform_grid(-6.0, 6.0, 61)
-    evolved = evolve_wigner_reference(EXCITED_FIRST, PotentialSpec.linear(-1.0), 2.0)
+    evolved = evolve_wigner_reference(wigner_evaluator(EXCITED_FIRST),
+                                      PotentialSpec.linear(-1.0), 2.0)
     cut = marginal_field_from_wigner(evolved, d, d, x)
     assert cut.meta["line_edge"] > 1e-2
     assert len(cut.warnings) == 1 and "line window" in cut.warnings[0]
@@ -282,7 +282,8 @@ def test_radon_marginal_reports_where_the_line_window_cuts():
     # slice is 1.9e-2 of max|w| off the exact marginal).
     params = TomographyParams(1.5 * math.cos(2.27), 1.5 * math.sin(2.27))
     x = np.linspace(-6.0, 6.0, 61)
-    evolved = evolve_wigner_reference(EXCITED_FIRST, PotentialSpec.linear(-1.0), 2.0)
+    evolved = evolve_wigner_reference(wigner_evaluator(EXCITED_FIRST),
+                                      PotentialSpec.linear(-1.0), 2.0)
     cut = radon_marginal(evolved, params, x)
     assert cut.meta["line_edge"] > 1e-2
     assert cut.meta["line_step"] == 0.04
@@ -704,7 +705,7 @@ def test_characteristic_of_freely_evolved_cat_matches_psi():
     # At t = 2 the flowed directions (mu, nu + 2 mu) widen the unit rows
     # past +-12, so a callable's y grid must reach further.
     t = 2.0
-    marginal = marginal_evaluator(CAT_TILTED, t, DynamicsKind.FREE)
+    marginal = marginal_evaluator(CAT_TILTED, t, PotentialSpec.free())
     a = uniform_grid(-4.0, 4.0, 17)
     b = uniform_grid(-4.0, 4.0, 17)
     chi = characteristic_from_marginal(marginal, a, b)
@@ -849,7 +850,7 @@ def test_density_matrix_warns_when_its_q_window_cuts_the_state():
         rho = density_matrix_from_marginal(marginal_evaluator(CATALOG[name]), q)
         assert rho.meta["q_edge"] <= 3e-6 and rho.warnings == (), name
     spread = evolve_characteristics(marginal_evaluator(CATALOG["oddcat"]),
-                                    DynamicsKind.FREE, 2.0)
+                                    PotentialSpec.free(), 2.0)
     rho = density_matrix_from_marginal(spread, q)
     diagonal = np.abs(np.diagonal(rho.values))
     assert rho.meta["q_edge"] == max(diagonal[[0, -1]]) / diagonal.max() > 4e-2
@@ -868,7 +869,7 @@ def test_chi_warns_when_its_window_cuts_an_evolved_source(t):
     # odd cat: |chi| on its edges is 9.3e-4 (t = 1) and 4.4e-2 (t = 2) of
     # the maximum, and W from the default grid is off by 3.9e-4 and 2.5e-2.
     source = evolve_characteristics(marginal_evaluator(CATALOG["oddcat"]),
-                                    DynamicsKind.FREE, t)
+                                    PotentialSpec.free(), t)
     chi = characteristic_from_marginal(source, CHI_WINDOW, CHI_WINDOW)
     size = np.abs(chi.values)
     edge = max(size[[0, -1]].max(), size[:, [0, -1]].max()) / size.max()

@@ -26,7 +26,6 @@ from tomoflow.verify import (
     check_positivity,
     compare_fields,
     roundtrip_report,
-    slice_checks,
 )
 
 GROUND = StateSpec(StateKind.GROUND)
@@ -105,13 +104,6 @@ def test_compare_fields_locates_an_off_diagonal_density_difference():
                             DensityMatrixGrid(q, other))
     assert report.max_abs == pytest.approx(0.25)
     assert report.argmax_location == (q[2], q[7])
-
-
-def test_slice_checks_annotates_state():
-    for res in slice_checks(EXCITED, TomographyParams(0.6, -0.8, 0.3)):
-        assert res.passed
-        assert res.context["state"] == "excited1"
-        assert res.context["delta"] == 0.3
 
 
 def test_check_result_serializes():
