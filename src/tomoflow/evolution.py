@@ -340,9 +340,7 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     """
     gen = coeffs.generator_matrix()
     initial.reach()  # refuses a box that does not surround the origin
-    snapshot_times = [float(t) for t in times]
-    if not all(math.isfinite(t) for t in snapshot_times):
-        raise ValueError(f"snapshot times must be finite, got {snapshot_times}")
+    snapshot_times = [check_time(t) for t in times]
 
     initial_mass = float(np.sum(np.abs(initial.values)))
     # Edge values repeat beyond the box, as the clamped taps read them.

@@ -1,9 +1,12 @@
 """Closed-form reference states for the oscillator (hbar = 1, unit frequency).
 
-Each state provides two exact evaluators:
+Each state is evaluated through two exact evaluators, the module's entry
+points, each built once at a fixed (t, potential) and broadcasting over
+its arguments:
 
-* a Wigner function W(q, p), normalized to integral W dq dp = 2*pi, and
-* the marginal w(X, mu, nu, delta) of the observable mu*q + nu*p + delta.
+* `wigner_evaluator`: W(q, p), normalized to integral W dq dp = 2*pi, and
+* `marginal_evaluator`: the marginal w(X, mu, nu, delta) of the
+  observable mu*q + nu*p + delta.
 
 With r^2 = mu^2 + nu^2 and y = X - delta the t = 0 marginals are
 
@@ -191,18 +194,6 @@ def wigner_evaluator(state: StateSpec, t: float = 0.0,
     return evaluate
 
 
-def wigner_eval(state: StateSpec, point, t: float = 0.0,
-                potential: PotentialSpec = PotentialSpec()):
-    """Evaluate the Wigner function at a (q, p) pair of scalars or arrays."""
-    q, p = point
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValueError("phase-space coordinates must be finite")
-    out = wigner_evaluator(state, t, potential)(q, p)
-    return float(out) if out.ndim == 0 else out
-
-
 def marginal_evaluator(state: StateSpec, t: float = 0.0,
                        potential: PotentialSpec = PotentialSpec()):
     """Return w(x, mu, nu, delta=0) as a broadcasting callable."""
@@ -217,21 +208,12 @@ def marginal_evaluator(state: StateSpec, t: float = 0.0,
     return evaluate
 
 
-def marginal_eval(state: StateSpec, params: TomographyParams, x,
-                  t: float = 0.0, potential: PotentialSpec = PotentialSpec()):
-    """Evaluate the marginal on x for one parameter triple."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x values must be finite")
-    return marginal_evaluator(state, t, potential)(x, params.mu, params.nu,
-                                                   params.delta)
-
-
 def marginal_slice(state: StateSpec, params: TomographyParams,
                    x_grid: np.ndarray | None = None, t: float = 0.0,
                    potential: PotentialSpec = PotentialSpec()) -> MarginalSlice:
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
-    values = marginal_eval(state, params, x_grid, t, potential)
+    values = marginal_evaluator(state, t, potential)(x_grid, params.mu,
+                                                    params.nu, params.delta)
     return MarginalSlice(params, x_grid, values)
 
 

@@ -38,11 +38,9 @@ from .states import (
     StateKind,
     StateSpec,
     cat_normalization,
-    marginal_eval,
     marginal_evaluator,
     sample_marginal_field,
     sample_wigner_field,
-    wigner_eval,
     wigner_evaluator,
 )
 from .tomography import (
@@ -79,11 +77,6 @@ class ComparisonReport:
     l2: float
     argmax_location: tuple[float, ...]
     n_points: int
-
-    def as_dict(self) -> dict:
-        return {"max_abs": self.max_abs, "l2": self.l2,
-                "argmax_location": list(self.argmax_location),
-                "n_points": self.n_points}
 
 
 @dataclass(frozen=True)
@@ -270,9 +263,9 @@ def evolution_suite(states) -> list[CheckResult]:
         for name, coeffs in (("free", free), ("harmonic", rot)):
             potential = coeffs.potential
             w = evolve_characteristics(marginal_evaluator(state), potential, t)
+            exact = marginal_evaluator(state, t, potential)
             worst = max(float(np.abs(
-                w(x, mu, nu, delta) - marginal_eval(
-                    state, TomographyParams(mu, nu, delta), x, t, potential)).max())
+                w(x, mu, nu, delta) - exact(x, mu, nu, delta)).max())
                 for mu, nu, delta in probes)
             results.append(CheckResult(
                 f"characteristics-{name}-{label}",
@@ -297,18 +290,14 @@ def paper_examples_suite(states=()) -> list[CheckResult]:
     """Worked values of the paper's fixed states; ``states`` is not read."""
     ground, excited, cat, coherent = (
         CATALOG[name] for name in ("ground", "excited1", "oddcat", "coherent"))
-    slice_of = lambda st, x, mu, nu: float(
-        marginal_eval(st, TomographyParams(mu, nu), np.array([x]))[0])
+    origin = lambda st: float(wigner_evaluator(st)(0.0, 0.0))
+    slice_of = lambda st, x, mu, nu: float(marginal_evaluator(st)(x, mu, nu))
     results = [
-        _exact("ground-wigner-origin",
-               wigner_eval(ground, (0.0, 0.0)) - 2.0, 1e-12),
-        _exact("excited1-wigner-origin",
-               wigner_eval(excited, (0.0, 0.0)) + 2.0, 1e-12),
-        _exact("oddcat-wigner-origin",
-               wigner_eval(cat, (0.0, 0.0)) + 2.0, 1e-9),
+        _exact("ground-wigner-origin", origin(ground) - 2.0, 1e-12),
+        _exact("excited1-wigner-origin", origin(excited) + 2.0, 1e-12),
+        _exact("oddcat-wigner-origin", origin(cat) + 2.0, 1e-9),
         _exact("oddcat-tilted-wigner-origin",
-               wigner_eval(StateSpec(StateKind.ODD_CAT, 1.1, 0.9),
-                           (0.0, 0.0)) + 2.0, 1e-9),
+               origin(StateSpec(StateKind.ODD_CAT, 1.1, 0.9)) + 2.0, 1e-9),
         _exact("ground-slice-origin",
                slice_of(ground, 0.0, 1.0, 0.0) - 1.0 / SQRT_PI, 1e-12),
         _exact("excited1-slice-origin",
@@ -324,15 +313,15 @@ def paper_examples_suite(states=()) -> list[CheckResult]:
     t = 0.9
     c, s = math.cos(t), math.sin(t)
     mu, nu = 0.7, -0.4
-    rotated = TomographyParams(mu * c - nu * s, mu * s + nu * c)
     harmonic = PotentialSpec.harmonic()
     drift = float(np.abs(
-        marginal_eval(coherent, TomographyParams(mu, nu), x, t, harmonic)
-        - marginal_eval(coherent, rotated, x)).max())
+        marginal_evaluator(coherent, t, harmonic)(x, mu, nu)
+        - marginal_evaluator(coherent)(x, mu * c - nu * s, mu * s + nu * c)
+    ).max())
     results.append(_exact("coherent-harmonic-rotation", drift, 1e-12))
     still = float(np.abs(
-        marginal_eval(excited, TomographyParams(mu, nu), x, 1.1, harmonic)
-        - marginal_eval(excited, TomographyParams(mu, nu), x)).max())
+        marginal_evaluator(excited, 1.1, harmonic)(x, mu, nu)
+        - marginal_evaluator(excited)(x, mu, nu)).max())
     results.append(_exact("excited1-harmonic-stationary", still, 1e-12))
     return results
 

@@ -23,11 +23,9 @@ from tomoflow.fields import TomographyParams, uniform_grid
 from tomoflow.states import (
     StateKind,
     StateSpec,
-    marginal_eval,
     marginal_evaluator,
     sample_marginal_field,
     sample_wigner_field,
-    wigner_eval,
     wigner_evaluator,
 )
 from tomoflow.tomography import (
@@ -60,7 +58,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_excited_wigner_origin_and_roundtrip():
-    exact = wigner_eval(EXCITED, (0.0, 0.0))
+    exact = float(wigner_evaluator(EXCITED)(0.0, 0.0))
     grid = uniform_grid(-4.0, 4.0, 129)
     chi = characteristic_from_marginal(
         RadonMarginalEvaluator(wigner_evaluator(EXCITED)))
@@ -86,7 +84,7 @@ def test_criterion_02_projection_matches_closed_form():
         mu, nu = r * math.cos(angle), r * math.sin(angle)
         delta = rng.uniform(-1.0, 1.0)
         got = np.asarray(radon(x, mu, nu, delta))
-        want = marginal_eval(EXCITED, TomographyParams(mu, nu, delta), x)
+        want = marginal_evaluator(EXCITED)(x, mu, nu, delta)
         worst = max(worst, float(np.abs(got - want).max()))
         floor = min(floor, float(got.min()))
     wig = sample_wigner_field(EXCITED, uniform_grid(-4.0, 4.0, 129),
@@ -134,8 +132,9 @@ def test_criterion_04_commuting_square():
             w0 = marginal_evaluator(state)
             for t in times:
                 wt = evolve_characteristics(w0, potential, t)
+                exact = marginal_evaluator(state, t, potential)
                 for pr in PROBES:
-                    want = marginal_eval(state, pr, x, t, potential)
+                    want = exact(x, pr.mu, pr.nu, pr.delta)
                     got = wt(x, pr.mu, pr.nu, pr.delta)
                     worst_char = max(worst_char,
                                      float(np.abs(got - want).max()))

@@ -409,6 +409,22 @@ def test_readme_imports_what_it_names():
         assert hasattr(importlib.import_module(module), name), (module, name)
 
 
+def test_benchmark_tracer_finds_what_it_patches(monkeypatch):
+    # the benchmark's tracer wraps library names by attribute; a name it
+    # binds that goes away fails here, naming the attribute, instead of in
+    # every traced benchmark run
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    patches = tracing.install(tracing.Tracer("contract"))
+    try:
+        assert patches
+    finally:
+        tracing.uninstall(patches)
+    for owner, attr, original in patches:
+        assert owner.__dict__[attr] is original, (owner, attr)
+
+
 def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):
     assert main(["reduce", "--potential", "harmonic"]) == 0
     named = capsys.readouterr().out

@@ -44,10 +44,8 @@ from tomoflow.states import (
     GROUND,
     StateKind,
     StateSpec,
-    marginal_eval,
     marginal_evaluator,
     sample_marginal_field,
-    wigner_eval,
     wigner_evaluator,
 )
 from tomoflow.tomography import RadonMarginalEvaluator, radon_marginal
@@ -178,10 +176,10 @@ def test_characteristics_match_closed_form_evolution(state, dyn):
     t = 0.7
     potential = PotentialSpec.from_string(dyn)
     w = evolve_characteristics(marginal_evaluator(state), potential, t)
+    exact = marginal_evaluator(state, t, potential)
     x = np.linspace(-5.0, 5.0, 41)
     for mu, nu, delta in [(1.0, 0.0, 0.0), (0.6, -0.8, 0.3), (-0.4, 1.1, -1.0)]:
-        want = marginal_eval(state, TomographyParams(mu, nu, delta), x, t,
-                             potential)
+        want = exact(x, mu, nu, delta)
         got = w(x, mu, nu, delta)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -290,15 +288,16 @@ def test_wigner_reference_harmonic_matches_closed_form():
     t = 0.8
     w = evolve_wigner_reference(wigner_evaluator(COHERENT_A),
                                 PotentialSpec.harmonic(), t)
+    exact = wigner_evaluator(COHERENT_A, t, PotentialSpec.harmonic())
     pts = [(0.0, 0.0), (1.0, -0.5), (-2.0, 0.3)]
     for q, p in pts:
-        want = wigner_eval(COHERENT_A, (q, p), t, PotentialSpec.harmonic())
+        want = exact(q, p)
         assert w(q, p) == pytest.approx(want, abs=1e-12)
     full_period = evolve_wigner_reference(wigner_evaluator(EXCITED_FIRST),
                                           PotentialSpec.harmonic(),
                                           2.0 * math.pi)
     assert full_period(0.7, -0.4) == pytest.approx(
-        wigner_eval(EXCITED_FIRST, (0.7, -0.4)), abs=1e-12)
+        wigner_evaluator(EXCITED_FIRST)(0.7, -0.4), abs=1e-12)
 
 
 def test_wigner_reference_linear_potential_shears_and_shifts():

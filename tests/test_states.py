@@ -25,12 +25,10 @@ from tomoflow.states import (
     StateKind,
     StateSpec,
     cat_normalization,
-    marginal_eval,
     marginal_evaluator,
     marginal_slice,
     sample_marginal_field,
     sample_wigner_field,
-    wigner_eval,
     wigner_evaluator,
 )
 
@@ -56,7 +54,7 @@ def test_wigner_matches_wavefunction_quadrature(state, psi):
     q = np.linspace(-3.0, 3.0, 7)
     p = np.linspace(-2.5, 2.5, 5)
     qq, pp = np.meshgrid(q, p, indexing="ij")
-    got = wigner_eval(state, (qq, pp))
+    got = wigner_evaluator(state)(qq, pp)
     want = wigner_oracle(psi, qq, pp)
     assert np.max(np.abs(got - want)) < 1e-7
 
@@ -73,20 +71,22 @@ def test_wigner_matches_wavefunction_quadrature(state, psi):
 ])
 def test_marginal_matches_wavefunction_quadrature(state, psi, mu, nu, delta):
     x = np.linspace(-6.0, 6.0, 41)
-    got = marginal_eval(state, TomographyParams(mu, nu, delta), x)
+    got = marginal_evaluator(state)(x, mu, nu, delta)
     want = marginal_oracle(psi, x, mu, nu, delta)
     assert np.max(np.abs(got - want)) < 1e-7
 
 
 def test_excited_wigner_origin_is_minus_two():
-    assert wigner_eval(EXCITED_FIRST, (0.0, 0.0)) == pytest.approx(-2.0, abs=1e-12)
+    assert wigner_evaluator(EXCITED_FIRST)(0.0, 0.0) == pytest.approx(-2.0,
+                                                                      abs=1e-12)
 
 
 def test_cat_wigner_origin_is_minus_two():
     # The interference dip of any odd superposition reaches the parity
     # bound -2 at the origin, independent of displacement.
     for state in (CAT_AXIS, CAT_TILTED, StateSpec(StateKind.ODD_CAT, 0.3, 0.0)):
-        assert wigner_eval(state, (0.0, 0.0)) == pytest.approx(-2.0, abs=1e-12)
+        assert wigner_evaluator(state)(0.0, 0.0) == pytest.approx(-2.0,
+                                                                  abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,8 +99,8 @@ def test_odd_cat_wigner_origin_is_minus_two(radius, angle):
     # at small displacement s.
     state = StateSpec(StateKind.ODD_CAT, q0=radius * math.cos(angle),
                       p0=radius * math.sin(angle))
-    assert wigner_eval(state, (0.0, 0.0)) == pytest.approx(-2.0, rel=0.0,
-                                                           abs=1e-12)
+    assert wigner_evaluator(state)(0.0, 0.0) == pytest.approx(-2.0, rel=0.0,
+                                                              abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,13 +227,13 @@ def test_cat_marginal_matches_cross_term_form(state):
 @given(q=st.floats(-4, 4, **finite), p=st.floats(-4, 4, **finite))
 @example(q=0.5, p=0.5)
 def test_wigner_parity_and_rotation_symmetries(q, p):
-    assert wigner_eval(CAT_TILTED, (q, p)) == pytest.approx(
-        wigner_eval(CAT_TILTED, (-q, -p)), rel=1e-12, abs=1e-300)
+    cat, excited = wigner_evaluator(CAT_TILTED), wigner_evaluator(EXCITED_FIRST)
+    assert cat(q, p) == pytest.approx(cat(-q, -p), rel=1e-12, abs=1e-300)
     r = math.hypot(q, p)
     # On the node ring q^2 + p^2 = 1/2, W is 0 at (0.5, 0.5) but a rounding
     # of 0 (2.7e-16) at (hypot, 0); the floor is ~5e-15 of max|W| = 2.
-    assert wigner_eval(EXCITED_FIRST, (q, p)) == pytest.approx(
-        wigner_eval(EXCITED_FIRST, (r, 0.0)), rel=1e-9, abs=1e-14)
+    assert excited(q, p) == pytest.approx(excited(r, 0.0), rel=1e-9,
+                                          abs=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -243,10 +243,8 @@ def test_harmonic_flow_is_a_rotation_of_parameters(t, mu, nu, x):
     if mu * mu + nu * nu < 1e-6:
         return
     c, s = math.cos(t), math.sin(t)
-    rotated = TomographyParams(mu * c - nu * s, mu * s + nu * c)
-    lhs = marginal_eval(CAT_AXIS, TomographyParams(mu, nu), x, t=t,
-                        potential=PotentialSpec.harmonic())
-    rhs = marginal_eval(CAT_AXIS, rotated, x)
+    lhs = marginal_evaluator(CAT_AXIS, t, PotentialSpec.harmonic())(x, mu, nu)
+    rhs = marginal_evaluator(CAT_AXIS)(x, mu * c - nu * s, mu * s + nu * c)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
@@ -255,8 +253,8 @@ def test_free_evolution_marginal_matches_fft_wavefunction():
     x_grid, psi_t = psi_free_evolved_sampled(psi_excited1(), t)
     x = np.linspace(-5.0, 5.0, 31)
     for mu, nu in [(1.0, 0.4), (0.2, 1.0), (-0.9, 0.8)]:
-        got = marginal_eval(EXCITED_FIRST, TomographyParams(mu, nu), x, t=t,
-                            potential=PotentialSpec.free())
+        got = marginal_evaluator(EXCITED_FIRST, t, PotentialSpec.free())(
+            x, mu, nu)
         want = marginal_oracle_sampled(x_grid, psi_t, x, mu, nu)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -266,8 +264,7 @@ def test_free_evolution_coherent_packet_drifts():
     x_grid, psi_t = psi_free_evolved_sampled(psi_coherent(1.2, -0.7), t)
     window = (x_grid > -8.0) & (x_grid < 8.0)
     x = x_grid[window]
-    got = marginal_eval(COHERENT_A, TomographyParams(1.0, 0.0), x, t=t,
-                        potential=PotentialSpec.free())
+    got = marginal_evaluator(COHERENT_A, t, PotentialSpec.free())(x, 1.0, 0.0)
     want = np.abs(psi_t[window]) ** 2
     assert np.max(np.abs(got - want)) < 1e-9
     # center moves ballistically: <q>(t) = q0 + p0 t
@@ -280,8 +277,8 @@ def test_harmonic_evolution_matches_fock_expansion():
     coeffs = fock_coefficients("oddcat", 1.1, 0.9)
     psi_t = psi_harmonic_evolved(coeffs, t)
     x = np.linspace(-4.0, 4.0, 25)
-    got = marginal_eval(CAT_TILTED, TomographyParams(0.7, -0.5), x, t=t,
-                        potential=PotentialSpec.harmonic())
+    got = marginal_evaluator(CAT_TILTED, t, PotentialSpec.harmonic())(
+        x, 0.7, -0.5)
     want = marginal_oracle(psi_t, x, 0.7, -0.5)
     assert np.max(np.abs(got - want)) < 1e-7
     q = np.linspace(-2.5, 2.5, 6)
@@ -313,11 +310,10 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         StateSpec(StateKind.EXCITED_FIRST, p0=0.5)
     with pytest.raises(ValueError):
-        marginal_eval(GROUND, TomographyParams(0.0, 0.0), np.zeros(3))
+        marginal_evaluator(GROUND)(np.zeros(3), 0.0, 0.0)
     with pytest.raises(ValueError):
-        marginal_eval(GROUND, TomographyParams(1.0, 0.0), np.array([np.nan]))
-    with pytest.raises(ValueError):
-        wigner_eval(GROUND, (np.inf, 0.0))
+        marginal_slice(GROUND, TomographyParams(1.0, 0.0),
+                       np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         wigner_evaluator(GROUND, t=np.nan)
     with pytest.raises(ValueError):

@@ -36,7 +36,6 @@ from tomoflow.states import (
     GROUND,
     StateKind,
     StateSpec,
-    marginal_eval,
     marginal_evaluator,
     sample_marginal_field,
     sample_wigner_field,
@@ -84,7 +83,7 @@ finite = dict(allow_nan=False, allow_infinity=False)
 def test_radon_projection_matches_closed_form(state, params):
     x = uniform_grid(-8.0, 8.0, 201)
     got = radon_marginal(wigner_evaluator(state), params, x)
-    want = marginal_eval(state, params, x)
+    want = marginal_evaluator(state)(x, params.mu, params.nu, params.delta)
     assert np.max(np.abs(got.values - want)) < 1e-8
 
 
@@ -94,14 +93,15 @@ def test_radon_projection_from_sampled_field(state):
     params = TomographyParams(0.6, 0.8)
     x = uniform_grid(-6.0, 6.0, 121)
     got = radon_marginal(field, params, x)
-    want = marginal_eval(state, params, x)
+    want = marginal_evaluator(state)(x, params.mu, params.nu, params.delta)
     assert np.max(np.abs(got.values - want)) < 2e-3
 
 
 def test_radon_projection_field_error_shrinks_with_grid():
     params = TomographyParams(0.8, -0.6, 0.3)
     x = uniform_grid(-6.0, 6.0, 121)
-    want = marginal_eval(EXCITED_FIRST, params, x)
+    want = marginal_evaluator(EXCITED_FIRST)(x, params.mu, params.nu,
+                                             params.delta)
     errs = []
     for n in (121, 481):
         g = uniform_grid(-6.0, 6.0, n)
@@ -124,7 +124,7 @@ def test_marginal_field_from_wigner_small_box():
     assert np.all(field.values[2, 2] == 0.0)
     for i, j in np.ndindex(5, 5):
         if (i, j) != (2, 2):
-            want = marginal_eval(COHERENT_A, TomographyParams(mu[i], nu[j]), x)
+            want = marginal_evaluator(COHERENT_A)(x, mu[i], nu[j])
             assert np.max(np.abs(field.values[i, j] - want)) < 1e-8, (i, j)
 
 
@@ -349,7 +349,8 @@ def test_radon_evaluator_matches_closed_form(cat_radon_source):
     x = uniform_grid(-7.0, 7.0, 301)
     for params in PARAM_SET:
         got = cat_radon_source(x, params.mu, params.nu, params.delta)
-        want = marginal_eval(CAT_AXIS, params, x)
+        want = marginal_evaluator(CAT_AXIS)(x, params.mu, params.nu,
+                                            params.delta)
         assert np.max(np.abs(got - want)) < 1e-4
 
 
@@ -641,12 +642,16 @@ def test_chi_evaluates_the_marginal_on_one_half_plane():
         return base(x, mu, nu, delta)
 
     chi = characteristic_from_marginal(counting)
-    assert sum(calls) == 101 * 201 * CALLABLE_Y_GRID.size
+    # the default grids are mirror-symmetric: ceil(n_a / 2) rows are read
+    half = -(-chi.a_grid.size // 2)
+    assert sum(calls) == half * chi.b_grid.size * CALLABLE_Y_GRID.size
     aa, bb = np.meshgrid(chi.a_grid, chi.b_grid, indexing="ij")
     assert np.max(np.abs(chi.values - chi_coherent(aa, bb, 1.2, -0.7))) < 1e-8
     calls.clear()
-    characteristic_from_marginal(counting, uniform_grid(-7.0, 10.0, 18))
-    assert sum(calls) == 18 * 201 * CALLABLE_Y_GRID.size
+    # an a grid that is not mirrored reads every row
+    chi = characteristic_from_marginal(counting, uniform_grid(-7.0, 10.0, 18))
+    assert sum(calls) == (chi.a_grid.size * chi.b_grid.size
+                          * CALLABLE_Y_GRID.size)
 
 
 @functools.lru_cache(maxsize=None)
@@ -829,14 +834,14 @@ def test_density_matrix_warns_when_mu_range_truncates():
     q = uniform_grid(-4.0, 4.0, 33)
     off_axis = StateSpec(StateKind.ODD_CAT, q0=1.6 * math.cos(-1.0),
                          p0=1.6 * math.sin(-1.0))
-    rho = density_matrix_from_marginal(marginal_evaluator(off_axis), q,
-                                       small_config())
+    config = small_config(mu_range=(-8.0, 8.0))
+    rho = density_matrix_from_marginal(marginal_evaluator(off_axis), q, config)
     assert [w.split(":")[0] for w in rho.warnings] == ["chi truncated",
                                                        "rho truncated"]
     assert "0.000474" in rho.warnings[0] and "1e-05" in rho.warnings[0]
     # q in +-4 cuts both cats; only the off-axis one outruns the mu_range
     on_axis = density_matrix_from_marginal(marginal_evaluator(CAT_AXIS), q,
-                                           small_config())
+                                           config)
     assert [w.split(":")[0] for w in on_axis.warnings] == ["rho truncated"]
 
 
