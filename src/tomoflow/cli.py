@@ -98,8 +98,7 @@ def cmd_marginal(args) -> int:
     field = marginal_slice(state, params, x_grid, args.t, args.dyn)
     write_field(field, args.out, meta={
         "command": "marginal", "state": args.state, "q0": state.q0,
-        "p0": state.p0, "mu": args.mu, "nu": args.nu, "delta": args.delta,
-        "t": args.t, "potential": args.dyn.coefficients})
+        "p0": state.p0, "t": args.t, "potential": args.dyn.coefficients})
     return 0
 
 
@@ -120,15 +119,16 @@ def cmd_evolve(args) -> int:
     field = _require(read_field(args.infile), MarginalField, "--in")
     coeffs = reduce_equation(args.dyn)
     result, = evolve_pde(field, coeffs, SolverConfig(), [args.t])
-    write_field(result, args.out, meta={
-        "command": "evolve", "t": args.t,
-        "potential": coeffs.potential.coefficients})
+    write_field(result, args.out,
+                meta={"command": "evolve", "input": field.meta})
     return 0
 
 
-def _with_input_warnings(field, out):
-    """out with the warnings of the field it was computed from ahead of its own."""
-    return dataclasses.replace(out, warnings=field.warnings + out.warnings)
+def _with_input(field, out):
+    """out with the warnings of the field it was computed from ahead of its
+    own, and that field's meta whole under "input"."""
+    return dataclasses.replace(out, warnings=field.warnings + out.warnings,
+                               meta={**out.meta, "input": field.meta})
 
 
 def cmd_invert(args) -> int:
@@ -143,8 +143,7 @@ def cmd_invert(args) -> int:
     source = FieldMarginalSource(field)
     chi = characteristic_from_marginal(source)
     wigner = wigner_from_characteristic(chi, grid, grid)
-    write_field(_with_input_warnings(field, wigner), args.out,
-                meta={"command": "invert"})
+    write_field(_with_input(field, wigner), args.out, meta={"command": "invert"})
     return 0
 
 
@@ -156,8 +155,8 @@ def cmd_density_matrix(args) -> int:
     source = FieldMarginalSource(field)
     config = ReconstructionConfig(s=args.s)
     dm = density_matrix_from_marginal(source, q_grid, config)
-    write_field(_with_input_warnings(field, dm), args.out,
-                meta={"command": "density-matrix", "s": args.s})
+    write_field(_with_input(field, dm), args.out,
+                meta={"command": "density-matrix"})
     return 0
 
 

@@ -334,9 +334,10 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     snapshots do not depend on each other; a snapshot at t = 0 is a copy of
     the initial field.  A snapshot's warnings are the initial field's plus
     its own outflow (the lookups past an X end that the circle of
-    `_resample` cannot supply, above 0.1%) and mass drift (above 1%); its
-    meta records both fractions as "outflow" and "mass_drift", 0.0 at t = 0.
-    Refuses a direction box that does not surround the origin.
+    `_resample` cannot supply, above 0.1%) and mass drift (above 1%).  Its
+    meta is its own, none of the initial field's: "time", "potential" and
+    both fractions, "outflow" and "mass_drift" (0.0 at t = 0).  Refuses a
+    direction box that does not surround the origin.
     """
     gen = coeffs.generator_matrix()
     initial.reach()  # refuses a box that does not surround the origin
@@ -361,8 +362,7 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
             if drift > 1e-2:
                 warnings.add(f"mass drift {drift:.2%} since t=0 "
                              "(boundary outflow or under-resolution)")
-        meta = {**initial.meta, "time": target,
-                "potential": coeffs.potential.coefficients,
+        meta = {"time": target, "potential": coeffs.potential.coefficients,
                 "outflow": out_frac, "mass_drift": drift}
         out.append(MarginalField(initial.mu_grid, initial.nu_grid, initial.x_grid,
                                  values, tuple(sorted(warnings)), meta))

@@ -273,9 +273,6 @@ class MarginalSlice(_GridField):
     def normalization(self) -> float:
         return float(np.trapezoid(self.values, self.x_grid))
 
-    def min_value(self) -> float:
-        return float(self.values.min())
-
 
 @dataclass(frozen=True)
 class MarginalField(_GridField):
@@ -283,7 +280,7 @@ class MarginalField(_GridField):
 
     values has shape (len(mu_grid), len(nu_grid), len(x_grid)).  The cell
     at (mu, nu) = (0, 0), if present, carries no information (the marginal
-    degenerates there) and is excluded by `valid_mask`.
+    degenerates there) and is stored as zero.
     """
 
     AXES = (("mu", "mu_grid"), ("nu", "nu_grid"), ("x", "x_grid"))
@@ -308,13 +305,6 @@ class MarginalField(_GridField):
             raise ValueError("field box must surround the origin")
         return reach
 
-    def valid_mask(self) -> np.ndarray:
-        """Cells whose direction is not the degenerate (0, 0)."""
-        return self.radius() > 0.0
-
-    def cell_normalizations(self) -> np.ndarray:
-        return np.trapezoid(self.values, self.x_grid, axis=2)
-
 
 @dataclass(frozen=True)
 class CharacteristicGrid(_GridField):
@@ -331,12 +321,6 @@ class CharacteristicGrid(_GridField):
     values: np.ndarray
     warnings: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
-
-    def hermitian_defect(self) -> float:
-        """max | chi(-a,-b) - conj chi(a,b) | over the grid (symmetric grids),
-        where a computed chi has it by construction (docs/math.md section 3)."""
-        flipped = self.values[::-1, ::-1]
-        return float(np.max(np.abs(flipped - np.conj(self.values))))
 
 
 @dataclass(frozen=True)

@@ -247,8 +247,7 @@ def sample_marginal_field(state: StateSpec, mu_grid: np.ndarray,
                           potential: PotentialSpec = PotentialSpec()) -> MarginalField:
     """Sample the marginal at delta = 0 over a (mu, nu, X) box.
 
-    The degenerate (0, 0) cell, if the grids contain it, is stored as zero
-    and flagged invalid by the field's mask.
+    The degenerate (0, 0) cell, if the grids contain it, is stored as zero.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)

@@ -496,26 +496,20 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
                              {"mu_edge": mu_edge, "q_edge": q_edge})
 
 
-def slice_moments(sl: MarginalSlice) -> tuple[float, float]:
-    """(mean, variance) of one marginal slice by trapezoid quadrature.
-
-    The slice is renormalized by its own quadrature mass so that grid
-    truncation shifts both moments consistently instead of biasing them.
-    """
+def quadrature_moments(marginal, params: TomographyParams,
+                       x_grid: np.ndarray | None = None) -> tuple[float, float]:
+    """(mean, variance) of mu q + nu p + delta from a marginal source by
+    trapezoid quadrature, renormalized by the slice's own mass so that grid
+    truncation shifts both moments consistently instead of biasing them."""
+    x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
+    sl = MarginalSlice(params, x_grid, np.asarray(
+        marginal(x_grid, params.mu, params.nu, params.delta)))
     mass = sl.normalization()
     if mass <= 0.0:
         raise ValueError("slice has nonpositive mass")
     mean = float(np.trapezoid(sl.x_grid * sl.values, sl.x_grid) / mass)
     second = float(np.trapezoid(sl.x_grid ** 2 * sl.values, sl.x_grid) / mass)
     return mean, second - mean * mean
-
-
-def quadrature_moments(marginal, params: TomographyParams,
-                       x_grid: np.ndarray | None = None) -> tuple[float, float]:
-    """(mean, variance) of mu q + nu p + delta from a marginal source."""
-    x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
-    values = np.asarray(marginal(x_grid, params.mu, params.nu, params.delta))
-    return slice_moments(MarginalSlice(params, x_grid, values))
 
 
 def uncertainty_product(marginal, x_grid: np.ndarray | None = None) -> float:

@@ -10,6 +10,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -17,11 +18,12 @@ import numpy as np
 import pytest
 
 import tomoflow
-from tomoflow.cli import main
+from tomoflow.cli import build_parser, main
 from tomoflow.fields import (
     DensityMatrixGrid,
     MarginalField,
     PotentialSpec,
+    TomographyParams,
     WignerField,
     uniform_grid,
 )
@@ -296,6 +298,39 @@ def test_reconstructions_carry_the_warnings_of_their_field(tmp_path):
         assert warnings[2].startswith("chi truncated")
 
 
+def test_headers_keep_the_header_of_their_input_whole(tmp_path, small_config):
+    # each command writes what it measured once; a command that reads a
+    # file keeps that file's header meta under "input", so a harmonic
+    # step followed by a free one leaves both on record
+    cat, evolved = tmp_path / "c.csv", tmp_path / "e.csv"
+    assert main(["sample-field", "--state", "oddcat", "--dyn", "harmonic",
+                 "--t", "1", "--config", small_config, "--out", str(cat)]) == 0
+    assert main(["evolve", "--in", str(cat), "--dyn", "free", "--t", "1",
+                 "--out", str(evolved)]) == 0
+    meta = read_field(evolved).meta
+    assert meta["command"] == "evolve" and "t" not in meta
+    assert meta["time"] == 1.0 and meta["potential"] == (0.0,)
+    assert meta["input"] == read_field(cat).meta
+    assert meta["input"]["command"] == "sample-field"
+    assert meta["input"]["t"] == 1.0
+    assert meta["input"]["potential"] == (0.0, 0.0, 0.5)
+    for command in ("invert", "density-matrix"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--in", str(evolved), "--config", small_config,
+                     "--out", str(out)]) == 0
+        field = read_field(out)
+        assert field.meta["command"] == command and "s" not in field.meta
+        assert field.meta["input"] == meta
+        assert field.meta["input"]["command"] == "evolve"
+    # a slice's direction is its params block, not a meta key
+    out = tmp_path / "m.csv"
+    assert main(["marginal", "--state", "ground", "--mu", "0.6", "--nu",
+                 "-0.8", "--delta", "0.3", "--out", str(out)]) == 0
+    field = read_field(out)
+    assert field.params == TomographyParams(0.6, -0.8, 0.3)
+    assert not {"mu", "nu", "delta"} & set(field.meta)
+
+
 def test_reduce_prints_transport_terms(capsys):
     assert main(["reduce", "--potential", "0,0,0.5"]) == 0
     out = capsys.readouterr().out
@@ -407,6 +442,22 @@ def test_readme_imports_what_it_names():
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_readme_command_lines_parse():
+    # every `tomoflow ...` line of README.md's sh blocks, trailing comment
+    # stripped, is a valid command line; the commands are parsed, not run
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md")
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    lines = [line.split(" # ")[0] for block in blocks
+             for line in block.splitlines() if line.startswith("tomoflow ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README.md command line does not parse: {line}")
 
 
 def test_benchmark_tracer_finds_what_it_patches(monkeypatch):

@@ -48,7 +48,11 @@ from tomoflow.states import (
     sample_marginal_field,
     wigner_evaluator,
 )
-from tomoflow.tomography import RadonMarginalEvaluator, radon_marginal
+from tomoflow.tomography import (
+    RadonMarginalEvaluator,
+    marginal_field_from_wigner,
+    radon_marginal,
+)
 
 COHERENT_A = StateSpec(StateKind.COHERENT, q0=1.2, p0=-0.7)
 CAT_AXIS = StateSpec(StateKind.ODD_CAT, q0=math.sqrt(2.0), p0=0.0)
@@ -349,6 +353,24 @@ def test_pde_time_zero_snapshot_is_identity():
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [0.0])
     assert np.array_equal(snap.values, f0.values)
     assert snap.meta["outflow"] == snap.meta["mass_drift"] == 0.0
+
+
+def test_pde_snapshot_meta_is_its_own():
+    # a snapshot's meta holds what evolve_pde measured, none of the keys the
+    # initial field's own transform recorded (the Radon line_edge here);
+    # the initial field's warnings still carry over
+    d = uniform_grid(-1.5, 1.5, 9)
+    f0 = marginal_field_from_wigner(wigner_evaluator(GROUND), d, d,
+                                    uniform_grid(-6.0, 6.0, 33))
+    assert "line_edge" in f0.meta
+    f0 = dataclasses.replace(f0, warnings=("from the initial field",))
+    coeffs = reduce_equation(PotentialSpec.harmonic())
+    for t, snap in zip([0.0, 0.7], evolve_pde(f0, coeffs, SolverConfig(),
+                                              [0.0, 0.7])):
+        assert set(snap.meta) == {"time", "potential", "outflow", "mass_drift"}
+        assert snap.meta["time"] == t
+        assert snap.meta["potential"] == (0.0, 0.0, 0.5)
+        assert "from the initial field" in snap.warnings
 
 
 def test_pde_free_short_time_accuracy_and_invariants():

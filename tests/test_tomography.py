@@ -747,7 +747,7 @@ def test_characteristic_matches_analytic(state, chi_exact):
     assert np.max(np.abs(chi.values - chi_exact(aa, bb))) < 1e-8
     mid = (chi.a_grid.size // 2, chi.b_grid.size // 2)
     assert chi.values[mid] == pytest.approx(1.0, abs=1e-10)
-    assert chi.hermitian_defect() < 1e-12
+    assert np.max(np.abs(chi.values[::-1, ::-1] - np.conj(chi.values))) < 1e-12
 
 
 def test_characteristic_from_radon_table(cat_radon_source):
@@ -929,6 +929,37 @@ def test_density_matrix_of_a_mixed_state(nbar):
     exact = DensityMatrixGrid(q, want.astype(complex))
     assert rho.purity() == pytest.approx(exact.purity(), abs=1e-13)
     assert rho.purity() == pytest.approx(1.0 / var, abs=1e-5)
+
+
+def test_thermal_state_through_rho_and_wigner():
+    """The thermal state with mean occupation n = 0.5 (v = 2n + 1) on the
+    default grids: rho is the Mehler kernel with purity 1/v and spectrum
+    (1/(n+1)) (n/(n+1))^k, and chi -> W is the Gaussian (2/v) e^(-(q^2+p^2)/v).
+    roundtrip_report's density-purity assumes a pure state, so it would
+    fail this correct reconstruction; checks that hold for mixed states
+    are ROADMAP item 20."""
+    nbar, var = 0.5, 2.0
+    a = 1.0 / var
+    rho = density_matrix_from_marginal(thermal_marginal(nbar))
+    qq, qp = rho.q_grid[:, None], rho.q_grid[None, :]
+    mehler = math.sqrt(a / math.pi) * np.exp(-(qq + qp) ** 2 * a / 4.0
+                                             - (qq - qp) ** 2 / (4.0 * a))
+    assert np.max(np.abs(rho.values - mehler)) <= 1e-12
+    assert rho.purity() == pytest.approx(0.5, abs=1e-8)
+    largest = rho.eigenvalues()[::-1][:4]
+    geometric = (nbar / (nbar + 1.0)) ** np.arange(4) / (nbar + 1.0)
+    assert np.max(np.abs(largest - geometric)) <= 1e-8
+    # the q window +-5 cuts 5.9e-7 of the mass, below the warning
+    assert rho.trace() == pytest.approx(1.0, abs=1e-6)
+    assert rho.warnings == ()
+    wigner = wigner_from_characteristic(
+        characteristic_from_marginal(thermal_marginal(nbar)))
+    q, p = wigner.q_grid[:, None], wigner.p_grid[None, :]
+    gaussian = 2.0 / var * np.exp(-(q * q + p * p) / var)
+    assert np.max(np.abs(wigner.values - gaussian)) <= 1e-12
+    # at n = 1 the diagonal's ends reach 2.4e-4 of its maximum
+    hotter = density_matrix_from_marginal(thermal_marginal(1.0))
+    assert [w.split(":")[0] for w in hotter.warnings] == ["rho truncated"]
 
 
 @pytest.mark.parametrize("mu_range", [(8.0, -8.0), (-8.0, math.nan),
