@@ -50,6 +50,7 @@ from .fields import (
     grid_step,
     padded_taps,
     uniform_grid,
+    warnings_of,
 )
 
 DEFAULT_MU_GRID = uniform_grid(-1.5, 1.5, 65)
@@ -332,15 +333,17 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     order, a negative one evolving backwards.  Each snapshot at t != 0 is
     one resample of the initial field at its exact backtrace e^{-At} z, so
     snapshots do not depend on each other; a snapshot at t = 0 is a copy of
-    the initial field.  A snapshot's warnings are the initial field's plus
-    its own outflow (the lookups past an X end that the circle of
-    `_resample` cannot supply, above 0.1%) and mass drift (above 1%).  Its
-    meta is its own, none of the initial field's: "time", "potential" and
-    both fractions, "outflow" and "mass_drift" (0.0 at t = 0).  Refuses a
-    direction box that does not surround the origin.
+    the initial field.  Its meta is its own, none of the initial field's:
+    "time", "potential" and two fractions (0.0 at t = 0), "outflow", the
+    lookups past an X end that the circle of `_resample` cannot supply, and
+    "mass_drift".  Its warnings are the initial field's, then those
+    `fields.LIMITS` gives its meta.  Refuses a direction box that does not
+    surround the origin and an initial field that is not finite.
     """
     gen = coeffs.generator_matrix()
     initial.reach()  # refuses a box that does not surround the origin
+    if not np.all(np.isfinite(initial.values)):
+        raise ValueError("initial field has non-finite values")
     snapshot_times = [check_time(t) for t in times]
 
     initial_mass = float(np.sum(np.abs(initial.values)))
@@ -348,22 +351,15 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     spline = np.pad(spline_filter(initial.values), ((2, 3),) * 3, mode="edge")
     out = []
     for target in snapshot_times:
-        warnings = set(initial.warnings)
         out_frac = drift = 0.0
         if target == 0.0:
             values = initial.values.astype(float)
         else:
             values, out_frac = _resample(spline, initial, gen, target)
-            if out_frac > 1e-3:
-                warnings.add(f"boundary outflow: {out_frac:.2%} of lookups fall "
-                             "past an X end where the field has not decayed")
         if initial_mass > 0.0:
             drift = abs(float(np.sum(np.abs(values))) - initial_mass) / initial_mass
-            if drift > 1e-2:
-                warnings.add(f"mass drift {drift:.2%} since t=0 "
-                             "(boundary outflow or under-resolution)")
         meta = {"time": target, "potential": coeffs.potential.coefficients,
                 "outflow": out_frac, "mass_drift": drift}
         out.append(MarginalField(initial.mu_grid, initial.nu_grid, initial.x_grid,
-                                 values, tuple(sorted(warnings)), meta))
+                                 values, initial.warnings + warnings_of(meta), meta))
     return out

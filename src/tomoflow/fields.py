@@ -215,6 +215,35 @@ DEFAULT_PHASE_GRID = uniform_grid(-6.0, 6.0, 241)
 # Largest |chi| on a window's ends, line-end |W| of a Radon row, and end value
 # of a row evolve_pde reads past, over the largest of each, before a warning.
 MU_EDGE_LIMIT = 1e-5
+_CUT = " is {measured:.3g} of its maximum, above {limit:g}"
+# The one rule that turns a measurement into a warning: each meta key a
+# transform records and is judged by, with (limit, target, warning text);
+# the text is formatted with the measured value and the limit.
+LIMITS = {
+    "edge": (MU_EDGE_LIMIT, 0.0, "chi truncated: |chi| on the window edges" + _CUT),
+    "mu_edge": (MU_EDGE_LIMIT, 0.0,
+                "chi truncated: the inner integral at the mu_range ends" + _CUT),
+    "q_edge": (MU_EDGE_LIMIT, 0.0, "rho truncated: |rho(q, q)| at the q_grid ends" + _CUT),
+    "line_edge": (MU_EDGE_LIMIT, 0.0, "line window cuts W: |W| at the line ends" + _CUT),
+    "max_imag": (1e-6, 0.0, "imaginary residue {measured:.3g} exceeds 1e-6"),
+    "outflow": (1e-3, 0.0, "boundary outflow: {measured:.2%} of lookups fall "
+                "past an X end where the field has not decayed"),
+    "mass_drift": (1e-2, 0.0, "mass drift {measured:.2%} since t=0 "
+                   "(boundary outflow or under-resolution)"),
+    "normalization": (1e-3, 1.0, "normalization {measured:.6g} deviates from 1 beyond 1e-3"),
+}
+
+
+def within(measured, limit: float, target: float = 0.0) -> bool:
+    """|measured - target| <= limit; a NaN is never within."""
+    return bool(abs(measured - target) <= limit)
+
+
+def warnings_of(meta: dict) -> tuple[str, ...]:
+    """The warning of each LIMITS key in meta not within, in LIMITS order."""
+    return tuple(text.format(measured=meta[key], limit=limit)
+                 for key, (limit, target, text) in LIMITS.items()
+                 if key in meta and not within(meta[key], limit, target))
 
 
 @dataclass(frozen=True)

@@ -134,24 +134,31 @@ def _body_blocks(grids, columns):
         yield "\n".join(rows) + "\n"
 
 
-def _scan_body(path, n_cols: int) -> None:
-    """Raise at the first malformed or non-finite data row, naming its line."""
+def _data_lines(path):
+    """(file line number, text) of each data line as np.loadtxt reads the
+    body: after line 2, the text before any #, when it is not blank."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno <= 2:
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != n_cols:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {n_cols} "
-                    f"comma-separated fields, found {len(parts)}")
-            for part in parts:
-                try:
-                    bad = "" if np.isfinite(float(part)) else "non-finite"
-                except ValueError:
-                    bad = "non-numeric"
-                if bad:
-                    raise ValueError(f"{path}: line {lineno}: {bad} field {part!r}")
+            text = line.split("#", 1)[0].strip()
+            if lineno > 2 and text:
+                yield lineno, text
+
+
+def _scan_body(path, n_cols: int) -> None:
+    """Raise at the first malformed or non-finite data row, naming its line."""
+    for lineno, text in _data_lines(path):
+        parts = text.split(",")
+        if len(parts) != n_cols:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {n_cols} "
+                f"comma-separated fields, found {len(parts)}")
+        for part in parts:
+            try:
+                bad = "" if np.isfinite(float(part)) else "non-finite"
+            except ValueError:
+                bad = "non-numeric"
+            if bad:
+                raise ValueError(f"{path}: line {lineno}: {bad} field {part!r}")
 
 
 def _check_coordinates(path, data, grids) -> None:
@@ -169,19 +176,9 @@ def _check_coordinates(path, data, grids) -> None:
         point = np.unravel_index(row, shape)
         found = ",".join(repr(float(v)) for v in data[row, :len(grids)])
         want = ",".join(repr(float(g[i])) for g, i in zip(grids, point))
-        raise ValueError(f"{path}: line {_body_line(path, row)}: coordinates "
+        lineno, _ = next(itertools.islice(_data_lines(path), row, None))
+        raise ValueError(f"{path}: line {lineno}: coordinates "
                          f"{found} are not the header grids' point {want}")
-
-
-def _body_line(path, row: int) -> int:
-    """File line of data row `row`, counting the blank and comment lines
-    np.loadtxt skips."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno > 2 and line.split("#", 1)[0].strip():
-                if row == 0:
-                    return lineno
-                row -= 1
 
 
 def read_field(path):

@@ -51,6 +51,7 @@ from .fields import (
     WignerField,
     check_time,
     check_uniform,
+    warnings_of,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -223,8 +224,9 @@ def sample_wigner_field(state: StateSpec, q_grid: np.ndarray | None = None,
     """Sample W on a rectangular grid and record its normalization.
 
     Grids must be uniform, ascending and have at least 16 points per axis.
-    A field whose trapezoid normalization strays from 1 by more than 1e-3
-    is returned with a warning attached rather than rejected.
+    A field whose trapezoid normalization, meta["normalization"], strays
+    from 1 past its `fields.LIMITS` entry carries a warning rather than
+    being rejected.
     """
     q_grid = DEFAULT_PHASE_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     p_grid = DEFAULT_PHASE_GRID if p_grid is None else np.asarray(p_grid, dtype=float)
@@ -233,12 +235,8 @@ def sample_wigner_field(state: StateSpec, q_grid: np.ndarray | None = None,
         if g.size < 16:
             raise ValueError(f"{name} needs at least 16 points")
     values = wigner_evaluator(state, t, potential)(q_grid[:, None], p_grid[None, :])
-    field = WignerField(q_grid, p_grid, values)
-    norm = field.normalization()
-    warnings = ()
-    if abs(norm - 1.0) > 1e-3:
-        warnings = (f"normalization {norm:.6g} deviates from 1 beyond 1e-3",)
-    return WignerField(q_grid, p_grid, values, warnings, {"normalization": norm})
+    meta = {"normalization": WignerField(q_grid, p_grid, values).normalization()}
+    return WignerField(q_grid, p_grid, values, warnings_of(meta), meta)
 
 
 def sample_marginal_field(state: StateSpec, mu_grid: np.ndarray,

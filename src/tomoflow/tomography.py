@@ -35,7 +35,6 @@ import numpy as np
 from .fields import (
     DEFAULT_PHASE_GRID,
     DEFAULT_X_GRID,
-    MU_EDGE_LIMIT,
     CharacteristicGrid,
     DensityMatrixGrid,
     MarginalField,
@@ -50,6 +49,7 @@ from .fields import (
     grid_step,
     trapezoid_weights,
     uniform_grid,
+    warnings_of,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -75,7 +75,6 @@ _LINE_STRIDE = 8
 # the 0.04 sum.
 _SETTLE_RTOL = 1e-12
 _EPS = np.finfo(float).eps
-_LINE_CUT = "line window cuts W: |W| at the line ends"
 
 
 def _mirrored(grid: np.ndarray) -> bool:
@@ -173,8 +172,8 @@ def radon_marginal(wigner, params: TomographyParams,
     zero outside its box).  The unit-direction row at y = (X - delta) / r
     is divided by r (scaling law).  The row's line step and its line-end
     |W| over its largest value are recorded in meta["line_step"] and
-    meta["line_edge"]; an edge above MU_EDGE_LIMIT means the line window
-    cuts W, and the result carries a warning.
+    meta["line_edge"], which warns past its `fields.LIMITS` entry: the line
+    window cuts W.
     """
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
     r = params.r
@@ -182,10 +181,8 @@ def radon_marginal(wigner, params: TomographyParams,
         raise ValueError("degenerate direction: mu and nu both zero")
     table, steps, edges = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
                                           (x_grid - params.delta) / r)
-    edge = float(edges[0])
-    warnings = _truncated(edge, _LINE_CUT)
-    return MarginalSlice(params, x_grid, table[0] / r, warnings,
-                         {"line_step": float(steps[0]), "line_edge": edge})
+    meta = {"line_step": float(steps[0]), "line_edge": float(edges[0])}
+    return MarginalSlice(params, x_grid, table[0] / r, warnings_of(meta), meta)
 
 
 def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
@@ -198,7 +195,7 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     WignerField; intended for moderate grids.
     The degenerate (0, 0) cell, if present, is stored as zero.  The largest
     line edge of the cells (as in `radon_marginal`) is recorded in
-    meta["line_edge"], and above MU_EDGE_LIMIT the field carries a warning.
+    meta["line_edge"], judged by `fields.LIMITS`.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
@@ -209,10 +206,10 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     values = np.zeros((r.size, x_grid.size))
     table, _, edges = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])
     values[cells] = table / r[cells, None]
-    edge = float(edges.max(initial=0.0))
+    meta = {"line_edge": float(edges.max(initial=0.0))}
     return MarginalField(mu_grid, nu_grid, x_grid,
                          values.reshape(mu_grid.size, nu_grid.size, -1),
-                         _truncated(edge, _LINE_CUT), {"line_edge": edge})
+                         warnings_of(meta), meta)
 
 
 class UnitSliceSource:
@@ -381,6 +378,7 @@ def _chi_table(marginal, a, b) -> np.ndarray:
     few ulps, only the first ceil(n / 2) a-rows are integrated and the
     rest are chi(-a, -b) = conj chi(a, b), the parity of every physical
     marginal (docs/math.md section 3); otherwise every row is integrated.
+    Refuses a source that gives a non-finite value.
     """
     table = hasattr(marginal, "unit_slices")
     y = marginal.y_grid if table else CALLABLE_Y_GRID
@@ -394,15 +392,11 @@ def _chi_table(marginal, a, b) -> np.ndarray:
         else:
             rows = marginal(y[None, :], np.cos(phis)[:, None],
                             np.sin(phis)[:, None], 0.0)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("marginal source gives non-finite values")
         values[i] = _fourier_rows(rows, np.hypot(a_i, b), y)
     np.conjugate(values[:n - half][::-1, ::-1], out=values[half:])
     return values
-
-
-def _truncated(edge: float, where: str) -> tuple[str, ...]:
-    """The warning of a window whose ends reach edge of the maximum."""
-    return () if edge <= MU_EDGE_LIMIT else (
-        f"{where} is {edge:.3g} of its maximum, above {MU_EDGE_LIMIT:g}",)
 
 
 def _outer_kernel(x, g) -> np.ndarray:
@@ -419,16 +413,16 @@ def characteristic_from_marginal(marginal, a_grid: np.ndarray | None = None,
     unit-direction slice times exp(i r y) and the origin needs no special
     case (chi(0, 0) is the marginal normalization).  y is a table source's
     own y_grid, or CALLABLE_Y_GRID for a callable.  The largest |chi| on
-    the window's edges over max |chi| is recorded in meta["edge"]; above
-    MU_EDGE_LIMIT the window cuts chi and the result carries a warning.
+    the window's edges over max |chi| is recorded in meta["edge"], which
+    warns past its `fields.LIMITS` entry: the window cuts chi.
     """
     a_grid = uniform_grid(-10.0, 10.0, 201) if a_grid is None else np.asarray(a_grid, dtype=float)
     b_grid = uniform_grid(-10.0, 10.0, 201) if b_grid is None else np.asarray(b_grid, dtype=float)
     chi = _chi_table(marginal, a_grid, b_grid)
     size = np.abs(chi)
-    edge = float(max(size[[0, -1]].max(), size[:, [0, -1]].max()) / size.max())
-    warnings = _truncated(edge, "chi truncated: |chi| on the window edges")
-    return CharacteristicGrid(a_grid, b_grid, chi, warnings, {"edge": edge})
+    meta = {"edge": float(max(size[[0, -1]].max(), size[:, [0, -1]].max())
+                          / size.max())}
+    return CharacteristicGrid(a_grid, b_grid, chi, warnings_of(meta), meta)
 
 
 def wigner_from_characteristic(chi: CharacteristicGrid,
@@ -437,20 +431,17 @@ def wigner_from_characteristic(chi: CharacteristicGrid,
     """Invert chi to W(q, p) = (1/2pi) Int chi e^{-iaq - ibp} da db.
 
     The imaginary residue of the double integral (zero for an exact chi of
-    a physical state) is recorded in meta["max_imag"] and raised as a
-    warning when it exceeds 1e-6; chi's own warnings are carried over.
+    a physical state) is recorded in meta["max_imag"], judged by
+    `fields.LIMITS`; chi's own warnings come first.
     """
     q_grid = DEFAULT_PHASE_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     p_grid = DEFAULT_PHASE_GRID if p_grid is None else np.asarray(p_grid, dtype=float)
     left = _outer_kernel(q_grid, chi.a_grid)
     right = _outer_kernel(p_grid, chi.b_grid).T
     w_complex = left @ chi.values @ right / TWO_PI
-    max_imag = float(np.max(np.abs(w_complex.imag)))
-    warnings = chi.warnings
-    if max_imag > 1e-6:
-        warnings += (f"imaginary residue {max_imag:.3g} exceeds 1e-6",)
+    meta = {"max_imag": float(np.max(np.abs(w_complex.imag)))}
     return WignerField(q_grid, p_grid, np.ascontiguousarray(w_complex.real),
-                       warnings, {"max_imag": max_imag})
+                       chi.warnings + warnings_of(meta), meta)
 
 
 def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
@@ -467,9 +458,8 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     to rounding error by construction, whatever the source's parity.  The
     largest |chi| at the mu_range ends over its maximum is recorded in
     meta["mu_edge"], and the larger |rho(q, q)| at the q_grid ends over the
-    diagonal's maximum in meta["q_edge"]; each above MU_EDGE_LIMIT means
-    that window cuts the state, and the result carries a warning with the
-    ratio.
+    diagonal's maximum in meta["q_edge"]; each warns past its
+    `fields.LIMITS` entry: that window cuts the state.
     """
     q_grid = uniform_grid(-5.0, 5.0, 101) if q_grid is None else np.asarray(q_grid, dtype=float)
     config = ReconstructionConfig() if config is None else config
@@ -481,7 +471,6 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
 
     chi = _chi_table(marginal, a, v_vals)
     mu_edge = float(np.max(np.abs(chi[[0, -1]])) / np.max(np.abs(chi)))
-    warnings = _truncated(mu_edge, "chi truncated: the inner integral at the mu_range ends")
 
     # Outer integral over a, one u per row: rho_uv[u, v].
     rho_uv = _outer_kernel(u_vals / 2, a) @ chi * (1 / TWO_PI)
@@ -490,10 +479,9 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     if config.s < 0:
         rho = rho.conj().T
     diagonal = np.abs(np.diagonal(rho))
-    q_edge = float(max(diagonal[0], diagonal[-1]) / diagonal.max())
-    warnings += _truncated(q_edge, "rho truncated: |rho(q, q)| at the q_grid ends")
-    return DensityMatrixGrid(q_grid, rho, config, warnings,
-                             {"mu_edge": mu_edge, "q_edge": q_edge})
+    meta = {"mu_edge": mu_edge,
+            "q_edge": float(max(diagonal[0], diagonal[-1]) / diagonal.max())}
+    return DensityMatrixGrid(q_grid, rho, config, warnings_of(meta), meta)
 
 
 def quadrature_moments(marginal, params: TomographyParams,

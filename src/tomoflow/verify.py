@@ -31,6 +31,7 @@ from .fields import (
     TomographyParams,
     field_axes,
     uniform_grid,
+    within,
 )
 from .states import (
     CATALOG,
@@ -94,21 +95,22 @@ class CheckResult:
                 "context": dict(self.context)}
 
 
+def _check(name: str, measured: float, tol: float, target: float = 0.0,
+           **context) -> CheckResult:
+    """measured judged by `fields.within`: |measured - target| <= tol."""
+    return CheckResult(name, within(measured, tol, target), float(measured),
+                       tol, context)
+
+
 def check_normalization(slice_: MarginalSlice,
                         tol: float = DEFAULT_TOLERANCES.normalization
                         ) -> CheckResult:
     """|trapezoid integral - 1| <= tol for one marginal slice."""
-    measured = slice_.normalization()
-    return CheckResult(
-        name="normalization",
-        passed=abs(measured - 1.0) <= tol,
-        measured=measured,
-        threshold=tol,
-        context={"mu": slice_.params.mu, "nu": slice_.params.nu,
-                 "delta": slice_.params.delta,
-                 "x_range": [float(slice_.x_grid[0]), float(slice_.x_grid[-1])],
-                 "n_points": int(slice_.x_grid.size)},
-    )
+    return _check("normalization", slice_.normalization(), tol, 1.0,
+                  mu=slice_.params.mu, nu=slice_.params.nu,
+                  delta=slice_.params.delta,
+                  x_range=[float(slice_.x_grid[0]), float(slice_.x_grid[-1])],
+                  n_points=int(slice_.x_grid.size))
 
 
 def check_positivity(values, floor: float = DEFAULT_TOLERANCES.positivity_floor
@@ -190,47 +192,32 @@ def roundtrip_report(state: StateSpec, *,
     recovered = wigner_from_characteristic(chi, inversion_grid, inversion_grid)
     direct = sample_wigner_field(state, inversion_grid, inversion_grid)
     report = compare_fields(direct, recovered)
-    results.append(CheckResult(
-        "wigner-roundtrip", report.max_abs <= tolerances.roundtrip_max_abs,
-        report.max_abs, tolerances.roundtrip_max_abs,
-        {"state": state.kind.value, "argmax_location": list(report.argmax_location), **plan}))
+    label = state.kind.value
+    results.append(_check(
+        "wigner-roundtrip", report.max_abs, tolerances.roundtrip_max_abs,
+        state=label, argmax_location=list(report.argmax_location), **plan))
     phis = np.linspace(0.0, math.pi, 4, endpoint=False)[:, None]
     mu, nu = np.cos(phis), np.sin(phis)
     mirrored = np.asarray(marginal_source(-x_grid, mu, nu, 0.0))
     parity = float(np.max(np.abs(marginal_source(x_grid, -mu, -nu, 0.0) - mirrored))
                    / np.max(np.abs(mirrored)))
-    results.append(CheckResult(
-        "marginal-parity", parity <= tolerances.hermiticity, parity,
-        tolerances.hermiticity, {"state": state.kind.value, "directions": 4}))
+    results.append(_check("marginal-parity", parity, tolerances.hermiticity,
+                          state=label, directions=4))
 
     rho = density_matrix_from_marginal(marginal_source, config=config)
-    results.append(CheckResult(
-        "density-hermiticity", rho.hermiticity_defect() <= tolerances.hermiticity,
-        rho.hermiticity_defect(), tolerances.hermiticity,
-        {"state": state.kind.value}))
-    trace = rho.trace()
-    results.append(CheckResult(
-        "density-trace", abs(trace - 1.0) <= tolerances.trace, trace,
-        tolerances.trace, {"state": state.kind.value}))
-    purity = rho.purity()
-    results.append(CheckResult(
-        "density-purity", abs(purity - 1.0) <= tolerances.purity, purity,
-        tolerances.purity, {"state": state.kind.value}))
+    results += [
+        _check("density-hermiticity", rho.hermiticity_defect(),
+               tolerances.hermiticity, state=label),
+        _check("density-trace", rho.trace(), tolerances.trace, 1.0, state=label),
+        _check("density-purity", rho.purity(), tolerances.purity, 1.0,
+               state=label)]
 
     rho2 = density_matrix_from_marginal(
         marginal_source, config=dataclasses.replace(config, s=2.0 * config.s))
     s_diff = float(np.max(np.abs(rho.values - rho2.values)))
-    results.append(CheckResult(
-        "density-s-invariance", s_diff <= tolerances.s_invariance, s_diff,
-        tolerances.s_invariance,
-        {"state": state.kind.value, "s_values": [config.s, 2.0 * config.s]}))
+    results.append(_check("density-s-invariance", s_diff, tolerances.s_invariance,
+                          state=label, s_values=[config.s, 2.0 * config.s]))
     return results
-
-
-def _exact(name: str, measured: float, tol: float, **context) -> CheckResult:
-    """A value that is zero up to rounding: |measured| <= tol."""
-    return CheckResult(name, bool(abs(measured) <= tol), float(measured),
-                       tol, context)
 
 
 def roundtrip_suite(states) -> list[CheckResult]:
@@ -246,7 +233,7 @@ def evolution_suite(states) -> list[CheckResult]:
     rot = reduce_equation(PotentialSpec.harmonic())
     kinetic = TransportTerm(1.0, mu_pow=1, dnu=1)
     results = [
-        _exact(f"reduction-{name}-exact", 0.0 if coeffs.terms == want else 1.0,
+        _check(f"reduction-{name}-exact", 0.0 if coeffs.terms == want else 1.0,
                0.0, terms=coeffs.describe())
         for name, coeffs, want in (
             ("free", free, (kinetic,)),
@@ -263,10 +250,8 @@ def evolution_suite(states) -> list[CheckResult]:
             worst = max(float(np.abs(
                 w(x, mu, nu, delta) - exact(x, mu, nu, delta)).max())
                 for mu, nu, delta in probes)
-            results.append(CheckResult(
-                f"characteristics-{name}-{label}",
-                worst <= tol.characteristics, worst, tol.characteristics,
-                {"t": t}))
+            results.append(_check(f"characteristics-{name}-{label}", worst,
+                                  tol.characteristics, t=t))
 
     d = uniform_grid(-1.5, 1.5, 33)
     xg = uniform_grid(-8.0, 8.0, 129)
@@ -277,8 +262,8 @@ def evolution_suite(states) -> list[CheckResult]:
     ref = sample_marginal_field(state, d, d, xg, t, free.potential)
     mask = (f0.radius() >= DEFAULT_VALID_RADIUS)[:, :, None]
     err = float(np.where(mask, np.abs(snap.values - ref.values), 0.0).max())
-    results.append(CheckResult("pde-free-ground", err <= tol.pde, err, tol.pde,
-                               {"t": t, "grid": "33x33x129"}))
+    results.append(_check("pde-free-ground", err, tol.pde, t=t,
+                          grid="33x33x129"))
     return results
 
 
@@ -289,19 +274,19 @@ def paper_examples_suite(states=()) -> list[CheckResult]:
     origin = lambda st: float(wigner_evaluator(st)(0.0, 0.0))
     slice_of = lambda st, x, mu, nu: float(marginal_evaluator(st)(x, mu, nu))
     results = [
-        _exact("ground-wigner-origin", origin(ground) - 2.0, 1e-12),
-        _exact("excited1-wigner-origin", origin(excited) + 2.0, 1e-12),
-        _exact("oddcat-wigner-origin", origin(cat) + 2.0, 1e-9),
-        _exact("oddcat-tilted-wigner-origin",
+        _check("ground-wigner-origin", origin(ground) - 2.0, 1e-12),
+        _check("excited1-wigner-origin", origin(excited) + 2.0, 1e-12),
+        _check("oddcat-wigner-origin", origin(cat) + 2.0, 1e-9),
+        _check("oddcat-tilted-wigner-origin",
                origin(StateSpec(StateKind.ODD_CAT, 1.1, 0.9)) + 2.0, 1e-9),
-        _exact("ground-slice-origin",
+        _check("ground-slice-origin",
                slice_of(ground, 0.0, 1.0, 0.0) - 1.0 / SQRT_PI, 1e-12),
-        _exact("excited1-slice-origin",
+        _check("excited1-slice-origin",
                slice_of(excited, 0.0, 1.0, 0.0), 1e-15),
-        _exact("excited1-slice-peak",
+        _check("excited1-slice-peak",
                slice_of(excited, 1.0, 1.0, 0.0)
                - 2.0 / SQRT_PI * math.exp(-1.0), 1e-12),
-        _exact("oddcat-norm-constant",
+        _check("oddcat-norm-constant",
                cat_normalization(math.sqrt(2.0), 0.0)
                - math.sqrt(math.e / (4.0 * math.sinh(1.0))), 1e-12),
     ]
@@ -314,11 +299,11 @@ def paper_examples_suite(states=()) -> list[CheckResult]:
         marginal_evaluator(coherent, t, harmonic)(x, mu, nu)
         - marginal_evaluator(coherent)(x, mu * c - nu * s, mu * s + nu * c)
     ).max())
-    results.append(_exact("coherent-harmonic-rotation", drift, 1e-12))
+    results.append(_check("coherent-harmonic-rotation", drift, 1e-12))
     still = float(np.abs(
         marginal_evaluator(excited, 1.1, harmonic)(x, mu, nu)
         - marginal_evaluator(excited)(x, mu, nu)).max())
-    results.append(_exact("excited1-harmonic-stationary", still, 1e-12))
+    results.append(_check("excited1-harmonic-stationary", still, 1e-12))
     return results
 
 

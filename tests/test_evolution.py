@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.ndimage import map_coordinates, spline_filter
@@ -37,7 +37,13 @@ from tomoflow.evolution import (
     evolve_wigner_reference,
     reduce_equation,
 )
-from tomoflow.fields import TomographyParams, cubic_taps, grid_step, uniform_grid
+from tomoflow.fields import (
+    TomographyParams,
+    cubic_taps,
+    grid_step,
+    uniform_grid,
+    warnings_of,
+)
 from tomoflow.states import (
     CATALOG,
     EXCITED_FIRST,
@@ -459,6 +465,8 @@ def backtrace_keeps_radius(coeffs, mu, nu, t, r_min=DEFAULT_VALID_RADIUS):
        kind=st.sampled_from([StateKind.COHERENT, StateKind.ODD_CAT]),
        radius=st.floats(0.25, 3.5), angle=st.floats(0.0, 2.0 * math.pi),
        t=st.floats(0.1, 6.3))
+@example(c1=-2.0, c2=-1.0, kind=StateKind.COHERENT, radius=3.5,
+         angle=math.pi / 2, t=6.3)
 def test_pde_commutes_with_characteristics(c1, c2, kind, radius, angle, t):
     # The commuting square over random potentials (inverted oscillators
     # included), displaced states and times: evolve_pde against the exact
@@ -471,7 +479,9 @@ def test_pde_commutes_with_characteristics(c1, c2, kind, radius, angle, t):
     # coherent state (0, 3.5), V = -2q - q^2, t = 6.3, the snapshot has
     # left the box (max|w| 2.2e-5), and the cells on the inverted
     # oscillator's stable manifold, which it leaves out, read 2.05e-3 of
-    # that max.
+    # that max.  A draw whose mass has left the box compares leftovers, so
+    # every snapshot must also carry the warnings its meta calls for: that
+    # corner (the explicit example) warns of 100% mass drift.
     state = StateSpec(kind, q0=radius * math.cos(angle),
                       p0=radius * math.sin(angle))
     potential = PotentialSpec((0.0, c1, c2))
@@ -485,6 +495,7 @@ def test_pde_commutes_with_characteristics(c1, c2, kind, radius, angle, t):
         SQUARE_X, mu[mask][:, None], nu[mask][:, None])
     err = np.abs(snap.values[mask] - want).max(initial=0.0)
     assert err <= 1e-3 * np.abs(snap.values).max()
+    assert snap.warnings == warnings_of(snap.meta)
 
 
 @functools.cache
@@ -627,6 +638,19 @@ def test_pde_refuses_a_box_that_does_not_surround_the_origin():
     coeffs = reduce_equation(PotentialSpec.free())
     for times in ([0.5], [0.0]):
         with pytest.raises(ValueError, match="surround the origin"):
+            evolve_pde(f0, coeffs, SolverConfig(), times)
+
+
+def test_pde_refuses_a_field_that_is_not_finite():
+    # One NaN cell makes the initial mass NaN, which would pass the drift
+    # check silently; the field is refused next to its box check.
+    f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 17),
+                               uniform_grid(-1.5, 1.5, 17),
+                               uniform_grid(-6.0, 6.0, 65))
+    f0.values[3, 4, 30] = np.nan
+    coeffs = reduce_equation(PotentialSpec.free())
+    for times in ([0.5], [0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
             evolve_pde(f0, coeffs, SolverConfig(), times)
 
 

@@ -212,6 +212,24 @@ def test_non_finite_field_names_line(tmp_path, lineno, text):
         read_field(path)
 
 
+@pytest.mark.parametrize("skipped,bad,match", [
+    ("", "abc", r"line 8: expected 2 comma-separated fields, found 1"),
+    ("# note", "0.5,inf", r"line 8: non-finite field 'inf'"),
+], ids=["blank", "comment"])
+def test_bad_row_after_a_skipped_line_names_its_own_line(tmp_path, skipped,
+                                                         bad, match):
+    # np.loadtxt skips blank and comment lines, and so does the line count.
+    path = tmp_path / "m.csv"
+    write_field(small_slice(), path)
+
+    def skip_then_break(lines):
+        lines.insert(3, skipped)
+        lines[7] = bad
+    rewrite_lines(path, skip_then_break)
+    with pytest.raises(ValueError, match=match):
+        read_field(path)
+
+
 def test_missing_row_count_mismatch(tmp_path):
     path = tmp_path / "w.csv"
     write_field(small_wigner(), path)

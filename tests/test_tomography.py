@@ -24,6 +24,7 @@ from tomoflow.evolution import (
     reduce_equation,
 )
 from tomoflow.fields import (
+    MU_EDGE_LIMIT,
     DensityMatrixGrid,
     ReconstructionConfig,
     TomographyParams,
@@ -43,7 +44,6 @@ from tomoflow.states import (
 )
 from tomoflow.tomography import (
     CALLABLE_Y_GRID,
-    MU_EDGE_LIMIT,
     FieldMarginalSource,
     RadonMarginalEvaluator,
     UnitSliceSource,
@@ -389,6 +389,24 @@ def test_radon_evaluator_rejects_non_finite_table():
                        match="RadonMarginalEvaluator: non-finite"):
         RadonMarginalEvaluator(broken, n_phi=8,
                                y_grid=uniform_grid(-4.0, 4.0, 41))
+
+
+def test_chi_and_rho_refuse_a_source_with_non_finite_values():
+    # One NaN per unit-direction row of a callable: every row of chi and
+    # rho would turn NaN, so the source is refused where it enters.
+    ground = marginal_evaluator(GROUND)
+
+    def broken(x, mu, nu, delta=0.0):
+        values = np.array(np.broadcast_to(ground(x, mu, nu, delta),
+                                          np.broadcast_shapes(np.shape(x), np.shape(mu))))
+        values[..., 0] = np.nan
+        return values
+
+    grid = uniform_grid(-2.0, 2.0, 9)
+    with pytest.raises(ValueError, match="non-finite"):
+        characteristic_from_marginal(broken, grid, grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        density_matrix_from_marginal(broken, grid, ReconstructionConfig(mu_samples=21))
 
 
 # ---------------------------------------------------------------------------
