@@ -11,7 +11,6 @@ so a process loads only what its command uses; every layer needs numpy only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -74,6 +73,11 @@ def _state(args) -> StateSpec:
                      q0=args.q0 or 0.0, p0=args.p0 or 0.0)
 
 
+def _state_meta(args, state: StateSpec) -> dict:
+    return {"command": args.command, "state": args.state, "q0": state.q0,
+            "p0": state.p0, "t": args.t, "potential": args.dyn.coefficients}
+
+
 def _require(field, cls, flag: str):
     if not isinstance(field, cls):
         raise ValueError(f"{flag} expects a {cls.__name__} file, got "
@@ -85,9 +89,7 @@ def cmd_state_wigner(args) -> int:
     grid, = _grids(args.config, wigner_grid=(-4.0, 4.0, 129))
     state = _state(args)
     field = sample_wigner_field(state, grid, grid, args.t, args.dyn)
-    write_field(field, args.out, meta={
-        "command": "state-wigner", "state": args.state, "q0": state.q0,
-        "p0": state.p0, "t": args.t, "potential": args.dyn.coefficients})
+    write_field(field, args.out, meta=_state_meta(args, state))
     return 0
 
 
@@ -96,9 +98,7 @@ def cmd_marginal(args) -> int:
     state = _state(args)
     params = TomographyParams(args.mu, args.nu, args.delta)
     field = marginal_slice(state, params, x_grid, args.t, args.dyn)
-    write_field(field, args.out, meta={
-        "command": "marginal", "state": args.state, "q0": state.q0,
-        "p0": state.p0, "t": args.t, "potential": args.dyn.coefficients})
+    write_field(field, args.out, meta=_state_meta(args, state))
     return 0
 
 
@@ -107,9 +107,7 @@ def cmd_sample_field(args) -> int:
                        x_grid=(-8.0, 8.0, 257))
     state = _state(args)
     field = sample_marginal_field(state, d, d, x_grid, args.t, args.dyn)
-    write_field(field, args.out, meta={
-        "command": "sample-field", "state": args.state, "q0": state.q0,
-        "p0": state.p0, "t": args.t, "potential": args.dyn.coefficients})
+    write_field(field, args.out, meta=_state_meta(args, state))
     return 0
 
 
@@ -124,13 +122,6 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _with_input(field, out):
-    """out with the warnings of the field it was computed from ahead of its
-    own, and that field's meta whole under "input"."""
-    return dataclasses.replace(out, warnings=field.warnings + out.warnings,
-                               meta={**out.meta, "input": field.meta})
-
-
 def cmd_invert(args) -> int:
     from .tomography import (
         FieldMarginalSource,
@@ -140,10 +131,9 @@ def cmd_invert(args) -> int:
 
     grid, = _grids(args.config, wigner_grid=(-4.0, 4.0, 129))
     field = _require(read_field(args.infile), MarginalField, "--in")
-    source = FieldMarginalSource(field)
-    chi = characteristic_from_marginal(source)
+    chi = characteristic_from_marginal(FieldMarginalSource(field))
     wigner = wigner_from_characteristic(chi, grid, grid)
-    write_field(_with_input(field, wigner), args.out, meta={"command": "invert"})
+    write_field(wigner, args.out, meta={"command": "invert", "input": field.meta})
     return 0
 
 
@@ -155,8 +145,7 @@ def cmd_density_matrix(args) -> int:
     source = FieldMarginalSource(field)
     config = ReconstructionConfig(s=args.s)
     dm = density_matrix_from_marginal(source, q_grid, config)
-    write_field(_with_input(field, dm), args.out,
-                meta={"command": "density-matrix"})
+    write_field(dm, args.out, meta={"command": "density-matrix", "input": field.meta})
     return 0
 
 

@@ -11,9 +11,10 @@ Conventions (hbar = 1, phase-space measure dq dp / 2pi):
 
 The density-matrix integral is independent of the scale s != 0; keeping s
 explicit allows that invariance to be checked numerically.  Every inverse
-here consumes a "marginal source": any callable w(x, mu, nu, delta) that
-broadcasts over numpy arrays.  Closed-form evaluators from `states` and the
-interpolating `RadonMarginalEvaluator` both qualify.
+here consumes a "marginal source": a callable w(x, mu, nu, delta) that
+broadcasts over numpy arrays (the closed-form evaluators from `states`),
+or a table source, a `UnitSliceSource` with `y_grid`, `unit_slices`,
+`warnings` and `meta`.  chi and rho list a table source's warnings first.
 
 All scans of the direction plane use the exact scaling law
 w(X, mu, nu, 0) = (1/r) w(X/r, mu/r, nu/r, 0), r = |(mu, nu)|, so only unit
@@ -113,7 +114,7 @@ def wigner_field_sampler(field: WignerField):
     return sample
 
 
-def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, ...]:
+def _line_integrals(wigner, phis, y) -> tuple:
     """Unit-direction marginal rows, one per angle in phis:
 
         (1/2pi) Int W(y cos phi - l sin phi, y sin phi + l cos phi) dl
@@ -126,8 +127,8 @@ def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, ...]:
     grid.  A WignerField is sampled bilinearly, which the convergence
     argument does not cover, so its rows use the full grid.
     ``y`` is one abscissa row shared by all angles or one row per angle.
-    Returns the (angle, y) table, the line step each row ended at, and each
-    row's largest line-end |W| over its largest value.
+    Returns the (angle, y) table, each row's line step and largest line-end
+    |W| over its largest value, and a WignerField's warnings.
     """
     field = isinstance(wigner, WignerField)
     sample = wigner_field_sampler(wigner) if field else wigner
@@ -161,7 +162,7 @@ def _line_integrals(wigner, phis, y) -> tuple[np.ndarray, ...]:
                 break
         table[k] = row / TWO_PI
         steps[k] = h
-    return table, steps, edges
+    return table, steps, edges, wigner.warnings if field else ()
 
 
 def radon_marginal(wigner, params: TomographyParams,
@@ -173,16 +174,16 @@ def radon_marginal(wigner, params: TomographyParams,
     is divided by r (scaling law).  The row's line step and its line-end
     |W| over its largest value are recorded in meta["line_step"] and
     meta["line_edge"], which warns past its `fields.LIMITS` entry: the line
-    window cuts W.
+    window cuts W.  A WignerField's warnings come first.
     """
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
     r = params.r
     if r == 0.0:
         raise ValueError("degenerate direction: mu and nu both zero")
-    table, steps, edges = _line_integrals(wigner, [math.atan2(params.nu, params.mu)],
-                                          (x_grid - params.delta) / r)
+    table, steps, edges, given = _line_integrals(
+        wigner, [math.atan2(params.nu, params.mu)], (x_grid - params.delta) / r)
     meta = {"line_step": float(steps[0]), "line_edge": float(edges[0])}
-    return MarginalSlice(params, x_grid, table[0] / r, warnings_of(meta), meta)
+    return MarginalSlice(params, x_grid, table[0] / r, given + warnings_of(meta), meta)
 
 
 def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
@@ -195,7 +196,7 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     WignerField; intended for moderate grids.
     The degenerate (0, 0) cell, if present, is stored as zero.  The largest
     line edge of the cells (as in `radon_marginal`) is recorded in
-    meta["line_edge"], judged by `fields.LIMITS`.
+    meta["line_edge"], judged by `fields.LIMITS`, after a WignerField's.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
@@ -204,26 +205,28 @@ def marginal_field_from_wigner(wigner, mu_grid: np.ndarray, nu_grid: np.ndarray,
     phis = np.arctan2(nu_grid[None, :], mu_grid[:, None]).ravel()
     cells = r > 0.0
     values = np.zeros((r.size, x_grid.size))
-    table, _, edges = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])
+    table, _, edges, given = _line_integrals(wigner, phis[cells], x_grid / r[cells, None])
     values[cells] = table / r[cells, None]
     meta = {"line_edge": float(edges.max(initial=0.0))}
     return MarginalField(mu_grid, nu_grid, x_grid,
                          values.reshape(mu_grid.size, nu_grid.size, -1),
-                         warnings_of(meta), meta)
+                         given + warnings_of(meta), meta)
 
 
 class UnitSliceSource:
-    """Marginal source reduced to a table of unit-direction slices.
+    """Table source: a marginal reduced to a table of unit-direction slices.
 
-    Subclasses fill a (n_phi, n_y) table of w(y, cos phi, sin phi, 0)
-    rows; arbitrary (x, mu, nu, delta) queries reduce to it through the
+    Subclasses set y_grid and fill a (n_phi, n_y) table of
+    w(y, cos phi, sin phi, 0) rows; `unit_slices` reads rows at any angle,
+    and arbitrary (x, mu, nu, delta) queries reduce to them through the
     shift and scaling identities, interpolating with a periodic cubic
     spline in phi and a cubic B-spline in y with clamped ends
     (docs/math.md section 8).  Queries with |X - delta| / r outside the
-    y table return 0.
+    y table return 0.  As a field does, it carries ``meta`` and
+    ``warnings``: its input's, then `fields.warnings_of(meta)`.
     """
 
-    def _build(self, phi_grid: np.ndarray, table: np.ndarray):
+    def _build(self, phi_grid: np.ndarray, table: np.ndarray, given, meta: dict):
         if not np.all(np.isfinite(table)):
             raise ValueError(f"{type(self).__name__}: non-finite unit-slice table")
         # Second differences m = h^2 d2w/dphi2 of the periodic spline solve
@@ -236,6 +239,8 @@ class UnitSliceSource:
         m = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n, axis=0)
         m_next = np.roll(m, -1, 0)
         self.phi_grid = phi_grid
+        self.meta = meta
+        self.warnings = tuple(given) + warnings_of(meta)
         self._phi_step = TWO_PI / n
         # Each interval's cubic in t = (phi - phi_k) / h, highest power first.
         self._phi_coeffs = np.stack(
@@ -277,7 +282,8 @@ class RadonMarginalEvaluator(UnitSliceSource):
     (docs/math.md section 3), so when n_phi is even and y_grid is
     mirror-symmetric only the angles of [0, pi) are integrated and row
     k + n_phi / 2 is row k reversed, with row k's line step and line edge;
-    on any other grid every angle is integrated.
+    on any other grid every angle is integrated.  meta holds the largest
+    "line_step" and "line_edge" over the angles.
     """
 
     def __init__(self, wigner, *, n_phi: int = 360,
@@ -288,15 +294,14 @@ class RadonMarginalEvaluator(UnitSliceSource):
             raise ValueError("n_phi too small for stable interpolation")
         phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
         half = n_phi // 2 if n_phi % 2 == 0 and _mirrored(self.y_grid) else n_phi
-        table, steps, edges = _line_integrals(wigner, phi_grid[:half], self.y_grid)
+        table, steps, edges, given = _line_integrals(wigner, phi_grid[:half], self.y_grid)
         if half < n_phi:
             table = np.concatenate([table, table[:, ::-1]])
             steps, edges = np.tile(steps, 2), np.tile(edges, 2)
-        steps.flags.writeable = False
-        edges.flags.writeable = False
-        self._line_steps = steps
-        self._line_edges = edges
-        self._build(phi_grid, table)
+        steps.flags.writeable = edges.flags.writeable = False
+        self._line_steps, self._line_edges = steps, edges
+        self._build(phi_grid, table, given, {"line_step": float(steps.max()),
+                                             "line_edge": float(edges.max())})
 
     @property
     def line_steps(self) -> np.ndarray:
@@ -328,7 +333,7 @@ class FieldMarginalSource(UnitSliceSource):
         a, b = ((radius * trig(phi_grid) - grid[0]) / grid_step(grid)
                 for trig, grid in ((np.cos, field.mu_grid), (np.sin, field.nu_grid)))
         table = radius * bicubic_rows(coeffs, a, b)
-        self._build(phi_grid, table)
+        self._build(phi_grid, table, field.warnings, {})
 
 
 def _fourier_rows(rows, freq, y):
@@ -368,33 +373,39 @@ def _powers(first, ratio, count) -> np.ndarray:
     return np.cumprod(out, axis=1, out=out)
 
 
-def _chi_table(marginal, a, b) -> np.ndarray:
-    """chi(a_i, b_j) on the product grid, one a-row at a time.
+def _unit_rows(marginal):
+    """(y, rows, warnings), rows(phis) giving w(y, cos phi, sin phi, 0) per angle:
+    a table source's own, or a callable's on CALLABLE_Y_GRID with none."""
+    if isinstance(marginal, UnitSliceSource):
+        return marginal.y_grid, marginal.unit_slices, marginal.warnings
+    return CALLABLE_Y_GRID, lambda phis: marginal(
+        CALLABLE_Y_GRID[None, :], np.cos(phis)[:, None], np.sin(phis)[:, None], 0.0), ()
 
-    The one place that tells a table source (unit_slices rows on its own
-    y_grid) from a callable (evaluated at unit directions on
-    CALLABLE_Y_GRID).  At r = 0 atan2(0, 0) = 0 picks phi = 0, and chi is
-    the marginal normalization.  When both grids are mirror-symmetric to a
-    few ulps, only the first ceil(n / 2) a-rows are integrated and the
-    rest are chi(-a, -b) = conj chi(a, b), the parity of every physical
-    marginal (docs/math.md section 3); otherwise every row is integrated.
-    Refuses a source that gives a non-finite value.
+
+def _finite(values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError("marginal source gives non-finite values")
+    return values
+
+
+def _chi_table(y, rows, a, b) -> np.ndarray:
+    """chi(a_i, b_j) on the product grid from `_unit_rows`, one a-row at a time.
+
+    At r = 0 atan2(0, 0) = 0 picks phi = 0, and chi is the marginal
+    normalization.  When both grids are mirror-symmetric to a few ulps,
+    only the first ceil(n / 2) a-rows are integrated and the rest are
+    chi(-a, -b) = conj chi(a, b), the parity of every physical marginal
+    (docs/math.md section 3); otherwise every row is integrated.  Refuses
+    a source that gives a non-finite value.
     """
-    table = hasattr(marginal, "unit_slices")
-    y = marginal.y_grid if table else CALLABLE_Y_GRID
     n = a.size
     half = -(-n // 2) if _mirrored(a) and _mirrored(b) else n
     values = np.empty((n, b.size), dtype=complex)
     for i, a_i in enumerate(a[:half]):
-        phis = np.arctan2(b, a_i)
-        if table:
-            rows = marginal.unit_slices(phis)
-        else:
-            rows = marginal(y[None, :], np.cos(phis)[:, None],
-                            np.sin(phis)[:, None], 0.0)
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("marginal source gives non-finite values")
-        values[i] = _fourier_rows(rows, np.hypot(a_i, b), y)
+        # Bound to a name, one row's slices are freed after the next are built;
+        # freed first, their pages go back and are faulted in again every row.
+        slices = _finite(rows(np.arctan2(b, a_i)))
+        values[i] = _fourier_rows(slices, np.hypot(a_i, b), y)
     np.conjugate(values[:n - half][::-1, ::-1], out=values[half:])
     return values
 
@@ -411,18 +422,18 @@ def characteristic_from_marginal(marginal, a_grid: np.ndarray | None = None,
 
     Integration uses the scaled abscissa X = r y, so the integrand is the
     unit-direction slice times exp(i r y) and the origin needs no special
-    case (chi(0, 0) is the marginal normalization).  y is a table source's
-    own y_grid, or CALLABLE_Y_GRID for a callable.  The largest |chi| on
+    case (chi(0, 0) is the marginal normalization).  The largest |chi| on
     the window's edges over max |chi| is recorded in meta["edge"], which
-    warns past its `fields.LIMITS` entry: the window cuts chi.
+    warns past its `fields.LIMITS` entry, after the source's warnings.
     """
     a_grid = uniform_grid(-10.0, 10.0, 201) if a_grid is None else np.asarray(a_grid, dtype=float)
     b_grid = uniform_grid(-10.0, 10.0, 201) if b_grid is None else np.asarray(b_grid, dtype=float)
-    chi = _chi_table(marginal, a_grid, b_grid)
+    y, rows, given = _unit_rows(marginal)
+    chi = _chi_table(y, rows, a_grid, b_grid)
     size = np.abs(chi)
     meta = {"edge": float(max(size[[0, -1]].max(), size[:, [0, -1]].max())
                           / size.max())}
-    return CharacteristicGrid(a_grid, b_grid, chi, warnings_of(meta), meta)
+    return CharacteristicGrid(a_grid, b_grid, chi, given + warnings_of(meta), meta)
 
 
 def wigner_from_characteristic(chi: CharacteristicGrid,
@@ -459,7 +470,7 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     largest |chi| at the mu_range ends over its maximum is recorded in
     meta["mu_edge"], and the larger |rho(q, q)| at the q_grid ends over the
     diagonal's maximum in meta["q_edge"]; each warns past its
-    `fields.LIMITS` entry: that window cuts the state.
+    `fields.LIMITS` entry, after the source's warnings.
     """
     q_grid = uniform_grid(-5.0, 5.0, 101) if q_grid is None else np.asarray(q_grid, dtype=float)
     config = ReconstructionConfig() if config is None else config
@@ -469,7 +480,8 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     v_vals = np.concatenate([q_grid - q_grid[-1], (q_grid - q_grid[0])[1:]])
     u_vals = np.concatenate([q_grid + q_grid[0], (q_grid + q_grid[-1])[1:]])
 
-    chi = _chi_table(marginal, a, v_vals)
+    y, rows, given = _unit_rows(marginal)
+    chi = _chi_table(y, rows, a, v_vals)
     mu_edge = float(np.max(np.abs(chi[[0, -1]])) / np.max(np.abs(chi)))
 
     # Outer integral over a, one u per row: rho_uv[u, v].
@@ -481,17 +493,18 @@ def density_matrix_from_marginal(marginal, q_grid: np.ndarray | None = None,
     diagonal = np.abs(np.diagonal(rho))
     meta = {"mu_edge": mu_edge,
             "q_edge": float(max(diagonal[0], diagonal[-1]) / diagonal.max())}
-    return DensityMatrixGrid(q_grid, rho, config, warnings_of(meta), meta)
+    return DensityMatrixGrid(q_grid, rho, config, given + warnings_of(meta), meta)
 
 
 def quadrature_moments(marginal, params: TomographyParams,
                        x_grid: np.ndarray | None = None) -> tuple[float, float]:
     """(mean, variance) of mu q + nu p + delta from a marginal source by
     trapezoid quadrature, renormalized by the slice's own mass so that grid
-    truncation shifts both moments consistently instead of biasing them."""
+    truncation shifts both moments consistently instead of biasing them.
+    Refuses a source that gives a non-finite value."""
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
-    sl = MarginalSlice(params, x_grid, np.asarray(
-        marginal(x_grid, params.mu, params.nu, params.delta)))
+    sl = MarginalSlice(params, x_grid, _finite(np.asarray(
+        marginal(x_grid, params.mu, params.nu, params.delta))))
     mass = sl.normalization()
     if mass <= 0.0:
         raise ValueError("slice has nonpositive mass")

@@ -162,15 +162,13 @@ def roundtrip_report(state: StateSpec, *,
     ``marginal_source`` overrides the marginal family (any callable
     w(x, mu, nu, delta)); the default is the closed-form evaluator backed
     by a Radon table of the state's Wigner function, exercising the full
-    projection+inversion path; the largest line step and line-end value
-    of that table are reported as "line_step" and "line_edge" in the
-    wigner-roundtrip context.
+    projection+inversion path, whose meta (the table's largest "line_step"
+    and "line_edge") goes into the wigner-roundtrip context.
     """
     tolerances, config, plan = DEFAULT_TOLERANCES, ReconstructionConfig(), {}
     if marginal_source is None:
         marginal_source = RadonMarginalEvaluator(wigner_evaluator(state))
-        plan["line_step"] = float(np.max(marginal_source.line_steps))
-        plan["line_edge"] = float(np.max(marginal_source.line_edges))
+        plan = marginal_source.meta
 
     results = []
     x_grid = uniform_grid(-10.0, 10.0, 1001)

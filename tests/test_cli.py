@@ -476,6 +476,35 @@ def test_benchmark_tracer_finds_what_it_patches(monkeypatch):
         assert owner.__dict__[attr] is original, (owner, attr)
 
 
+def test_benchmark_tracer_counts_each_source_kind_once(monkeypatch):
+    # the benchmark counts a callable's marginal points and a table
+    # source's unit_slices rows; chi on 9 x 9 mirrored grids reads 5
+    # a-rows of 9 angles, from either kind, and only one counter moves
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tomography = importlib.import_module("tomoflow.tomography")
+    states = importlib.import_module("tomoflow.states")
+    ground = states.CATALOG["ground"]
+    table = tomography.RadonMarginalEvaluator(
+        states.wigner_evaluator(ground), n_phi=8, y_grid=uniform_grid(-6.0, 6.0, 41))
+    grid = uniform_grid(-2.0, 2.0, 9)
+    counts = {}
+    for kind, source in (("callable", states.marginal_evaluator(ground)),
+                         ("table", table)):
+        tracer = tracing.Tracer("contract")
+        tracer.pass_index = 0
+        patches = tracing.install(tracer)
+        try:
+            tomography.characteristic_from_marginal(source, grid, grid)
+        finally:
+            tracing.uninstall(patches)
+        counts[kind] = tracer.counts.get(0, {})
+    assert counts["callable"] == {
+        "states.marginal_points": 5 * 9 * tomography.CALLABLE_Y_GRID.size}
+    assert counts["table"] == {"tomography.unit_slices.rows": 5 * 9}
+
+
 def test_dyn_and_potential_take_both_syntaxes(tmp_path, ground_field, capsys):
     assert main(["reduce", "--potential", "harmonic"]) == 0
     named = capsys.readouterr().out

@@ -3,7 +3,9 @@
 Every transform records its measurements in meta and returns its input's
 warnings followed by `fields.warnings_of(meta)`.  Each case below drives a
 `fields.LIMITS` key over its limit through the transform that measures it,
-and spells out the warning text that transform has always written.
+and spells out the warning text that transform has always written.  Every
+marginal source kind carries its warnings into chi, W and rho by the same
+rule, and a sampled WignerField carries its own through every Radon path.
 """
 
 import dataclasses
@@ -32,6 +34,8 @@ from tomoflow.states import (
     sample_wigner_field,
 )
 from tomoflow.tomography import (
+    FieldMarginalSource,
+    RadonMarginalEvaluator,
     characteristic_from_marginal,
     density_matrix_from_marginal,
     marginal_field_from_wigner,
@@ -154,3 +158,53 @@ def test_within_is_two_sided_and_refuses_nan():
     assert not within(1.002, 1e-3, 1.0) and not within(0.998, 1e-3, 1.0)
     assert within(0.0, 0.0)
     assert not within(math.nan, math.inf)
+
+
+def field_source():
+    field = evolve_outflow_and_drift()[0]
+    source = FieldMarginalSource(field)
+    assert source.warnings == field.warnings and len(field.warnings) == 3
+    return source, source.warnings
+
+
+def radon_source():
+    source = RadonMarginalEvaluator(wide_wigner, n_phi=8,
+                                    y_grid=uniform_grid(-3.0, 3.0, 13))
+    assert source.meta["line_edge"] == np.max(source.line_edges)
+    assert source.meta["line_step"] == np.max(source.line_steps)
+    assert source.warnings == (cut("line window cuts W: |W| at the line ends",
+                                   source.meta["line_edge"]),)
+    return source, source.warnings
+
+
+# source kind -> its builder: (source, the warnings it carries)
+SOURCES = {
+    "callable": lambda: (GROUND, ()),
+    "field": field_source,
+    "radon": radon_source,
+}
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+def test_every_source_carries_its_warnings_into_chi_w_and_rho(kind):
+    source, given = SOURCES[kind]()
+    chi = characteristic_from_marginal(source, SHORT, SHORT)
+    assert chi.warnings == given + warnings_of(chi.meta)
+    w = wigner_from_characteristic(chi, PHASE, PHASE)
+    assert w.warnings == chi.warnings + warnings_of(w.meta)
+    rho = density_matrix_from_marginal(
+        source, uniform_grid(-1.0, 1.0, 9),
+        ReconstructionConfig(mu_range=(-1.0, 1.0), mu_samples=21))
+    assert rho.warnings == given + warnings_of(rho.meta)
+
+
+def test_every_radon_path_carries_a_sampled_wigner_fields_warnings():
+    w, _, (normalization,) = sampler_normalization()
+    x, d = uniform_grid(-3.0, 3.0, 13), uniform_grid(-1.0, 1.0, 3)
+    sl = radon_marginal(w, TomographyParams(0.6, 0.8), x)
+    box = marginal_field_from_wigner(w, d, d, x)
+    table = RadonMarginalEvaluator(w, n_phi=8, y_grid=x)
+    for out in (sl, box, table):
+        assert out.warnings == (normalization,) + warnings_of(out.meta)
+    chi = characteristic_from_marginal(table, SHORT, SHORT)
+    assert chi.warnings[0] == normalization

@@ -248,7 +248,7 @@ def test_radon_table_integrates_half_a_turn_on_a_symmetric_grid():
     y = np.linspace(-12.0, 12.0, 161)
     counted, calls = counting_wigner(wigner_evaluator(CAT_TILTED))
     phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    full, steps, edges = _line_integrals(counted, phis, y)
+    full, steps, edges, _ = _line_integrals(counted, phis, y)
     full_points = sum(calls)
     calls.clear()
     source = RadonMarginalEvaluator(counted, n_phi=8, y_grid=y)
@@ -391,22 +391,40 @@ def test_radon_evaluator_rejects_non_finite_table():
                                y_grid=uniform_grid(-4.0, 4.0, 41))
 
 
-def test_chi_and_rho_refuse_a_source_with_non_finite_values():
-    # One NaN per unit-direction row of a callable: every row of chi and
-    # rho would turn NaN, so the source is refused where it enters.
+def ground_with_one_per_row(bad):
+    """The ground-state marginal with its first value in every row set to bad."""
     ground = marginal_evaluator(GROUND)
 
     def broken(x, mu, nu, delta=0.0):
         values = np.array(np.broadcast_to(ground(x, mu, nu, delta),
                                           np.broadcast_shapes(np.shape(x), np.shape(mu))))
-        values[..., 0] = np.nan
+        values[..., 0] = bad
         return values
 
+    return broken
+
+
+def test_chi_and_rho_refuse_a_source_with_non_finite_values():
+    # One NaN per unit-direction row of a callable: every row of chi and
+    # rho would turn NaN, so the source is refused where it enters.
+    broken = ground_with_one_per_row(np.nan)
     grid = uniform_grid(-2.0, 2.0, 9)
     with pytest.raises(ValueError, match="non-finite"):
         characteristic_from_marginal(broken, grid, grid)
     with pytest.raises(ValueError, match="non-finite"):
         density_matrix_from_marginal(broken, grid, ReconstructionConfig(mu_samples=21))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_moments_refuse_a_source_with_non_finite_values(bad):
+    # The moments of such a slice would be NaN; it is refused as chi and
+    # rho refuse it.
+    broken = ground_with_one_per_row(bad)
+    message = "marginal source gives non-finite values"
+    with pytest.raises(ValueError, match=message):
+        quadrature_moments(broken, TomographyParams(1.0, 0.0))
+    with pytest.raises(ValueError, match=message):
+        uncertainty_product(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +437,7 @@ class TableSource(UnitSliceSource):
     def __init__(self, table, y_grid):
         self.y_grid = y_grid
         self._build(np.linspace(0.0, 2.0 * math.pi, table.shape[0],
-                                endpoint=False), table)
+                                endpoint=False), table, (), {})
 
 
 @pytest.fixture(scope="module")
