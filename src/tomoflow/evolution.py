@@ -21,14 +21,14 @@ V = q^2/2.  The c1 term carries a plus sign; its characteristics shift
 X by +c1 (nu t + mu t^2 / 2) going backwards, which reproduces uniformly
 accelerated packets exactly.
 
-The grid solver `evolve_pde` traces each snapshot's affine flow back to
-t = 0 exactly and resamples the initial field there once by cubic spline
-(one `_resample` call), reading every lookup on one circle of directions
-through the exact scaling identity; this sidesteps both outflow from the
-direction box (the flow may leave any finite (mu, nu) box) and the 1/r
-sharpening of the marginal near the degenerate direction.  The module needs
-numpy only; its splines are the tomography layer's: `fields._prefilter`
-coefficients, padded by edge values once per call, read by `fields.padded_taps`.
+The grid solver `evolve_pde` is the exact flow of its field's tomogram:
+it reads the initial field once as a `tomography.FieldMarginalSource`, and
+each snapshot traces every cell's affine flow back to t = 0 exactly and
+reads the tomogram's unit-direction rows there through the scaling
+identity.  This sidesteps both outflow from the direction box (the flow
+may leave any finite (mu, nu) box) and the 1/r sharpening of the marginal
+near the degenerate direction.  The module needs numpy only, and reads
+no spline of its own.
 """
 
 from __future__ import annotations
@@ -40,18 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    MU_EDGE_LIMIT,
     MarginalField,
     NonlocalPotentialError,
     PotentialSpec,
     _prefilter,
-    bicubic_rows,
     check_time,
-    grid_step,
     padded_taps,
     uniform_grid,
     warnings_of,
 )
+from .tomography import FieldMarginalSource
 
 DEFAULT_MU_GRID = uniform_grid(-1.5, 1.5, 65)
 DEFAULT_NU_GRID = uniform_grid(-1.5, 1.5, 65)
@@ -61,11 +59,6 @@ DEFAULT_EVOLUTION_X_GRID = uniform_grid(-8.0, 8.0, 257)
 # this radius the default X grid (0.5 spans eight X-cells) stops representing
 # a sharp slice, and comparisons of grid fields leave those cells out.
 DEFAULT_VALID_RADIUS = 0.5
-
-# Radius of the circle every resample lookup is scaled onto, over the field's
-# reach: high in the box, where the arc h / r between directions is short, and
-# clear of the edge (1.245 on +-1.5, five cells of a 65-point grid inside it).
-_CIRCLE = 0.83
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -188,16 +181,17 @@ def evolve_characteristics(initial, potential: PotentialSpec, t: float):
     back = expm(-gen * t)
 
     def evolved(x, mu, nu, delta=0.0):
-        y = np.asarray(x, dtype=float) - delta
-        mu = np.asarray(mu, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        # back[1,0] = back[2,0] = 0: the direction flow never involves X.
-        x_b = back[0, 0] * y + back[0, 1] * mu + back[0, 2] * nu
-        mu_b = back[1, 1] * mu + back[1, 2] * nu
-        nu_b = back[2, 1] * mu + back[2, 2] * nu
-        return initial(x_b, mu_b, nu_b, 0.0)
+        return initial(*_backtrace(back, np.asarray(x, dtype=float) - delta,
+                                   np.asarray(mu, dtype=float),
+                                   np.asarray(nu, dtype=float)), 0.0)
 
     return evolved
+
+
+def _backtrace(back: np.ndarray, x, mu, nu):
+    """(X, mu, nu) carried back by back = e^{-At}, whose direction rows hold no X."""
+    return (back[0, 0] * x + back[0, 1] * mu + back[0, 2] * nu,
+            back[1, 1] * mu + back[1, 2] * nu, back[2, 1] * mu + back[2, 2] * nu)
 
 
 def evolve_wigner_reference(wigner, potential: PotentialSpec, t: float):
@@ -236,12 +230,8 @@ class SolverConfig:
     exact backtrace leaves nothing to choose; callers still pass one."""
 
 
-# Lookups per chunk of cells: the X stage's buffers stay in the L2 cache.
-_X_STAGE_POINTS = 1 << 14
-
-
-# The two spline kernels keep scipy.ndimage's names and (array, coordinates)
-# arguments: perfbench/tracing.py wraps both, and times the prefilter.
+# Nothing in the package calls these two kernels; they keep scipy.ndimage's
+# names and arguments because perfbench/tracing.py wraps both.
 def spline_filter(values: np.ndarray) -> np.ndarray:
     """Cubic B-spline coefficients along every axis, clamped ends."""
     for axis in range(values.ndim):
@@ -249,7 +239,6 @@ def spline_filter(values: np.ndarray) -> np.ndarray:
     return values
 
 
-# Nothing in the package calls this; perfbench/tracing.py wraps the name.
 def map_coordinates(coeffs: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The cubic B-spline of edge-padded coefficients ``coeffs`` at index
     coordinates ``coords`` (one row per axis) of the unpadded box, clamped
@@ -269,95 +258,54 @@ def map_coordinates(coeffs: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resample(coeffs: np.ndarray, field: MarginalField, gen: np.ndarray,
-              t: float) -> tuple[np.ndarray, float]:
-    """One SemiLagrangian resample over span t, and its outflow fraction.
-
-    Lookup (cell, k) reads the spline of edge-padded ``coeffs`` at inv *
-    (mu_d, nu_d, x_d), weighted by inv: (mu_d, nu_d) is the cell's backtraced
-    direction, x_d = x_back * x_k + shift[cell], and inv = R / |(mu_d, nu_d)|
-    (0 at the origin) puts every direction on the circle R = _CIRCLE * reach.
-    `fields.bicubic_rows` reads each cell's row on the circle once; a 4-tap
-    cubic along X reads its lookups.  A lookup past an X end reads 0, and is
-    outflow when the row's |value| at that end is above MU_EDGE_LIMIT of its
-    largest: the circle cannot supply it.
-    """
-    back = expm(-gen * t)
-    mu, nu = field.mu_grid[:, None], field.nu_grid[None, :]
-    # back[1,0] = back[2,0] = 0: the direction flow never involves X.
-    mu_d = (back[1, 1] * mu + back[1, 2] * nu).ravel()
-    nu_d = (back[2, 1] * mu + back[2, 2] * nu).ravel()
-    shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
-    r_d = np.hypot(mu_d, nu_d)
-    inv = np.divide(_CIRCLE * field.reach(), r_d, out=np.zeros_like(r_d),
-                    where=r_d > 0.0)
-
-    def index(value, grid):
-        return (value - grid[0]) / grid_step(grid)
-
-    along = bicubic_rows(coeffs, index(mu_d * inv, field.mu_grid),
-                         index(nu_d * inv, field.nu_grid))
-    n_x = field.x_grid.size
-    out, n_out = np.empty((r_d.size, n_x)), 0
-    chunk = max(1, _X_STAGE_POINTS // n_x)
-    first, buffers = np.empty((chunk, n_x), np.intp), np.empty((5, chunk, n_x))
-    for lo in range(0, r_d.size, chunk):
-        cells = slice(lo, lo + chunk)
-        rows, value = along[cells], out[cells]
-        m, tap = len(rows), buffers[0, :len(rows)]
-        # 6 x each row's values at the X nodes: c[k-1] + 4 c[k] + c[k+1].
-        node = np.abs(rows[:, 1:-4] + 4.0 * rows[:, 2:-3] + rows[:, 3:-2])
-        cut = node[:, [0, -1]] > MU_EDGE_LIMIT * node.max(axis=1, keepdims=True)
-        coord = index((back[0, 0] * field.x_grid + shift[cells, None])
-                      * inv[cells, None], field.x_grid)
-        below, above = coord < 0.0, coord > n_x - 1.0
-        n_out += np.count_nonzero(below & cut[:, :1] | above & cut[:, 1:])
-        start = padded_taps(coord, n_x, first[:m], buffers[1:, :m])
-        start += (n_x + 5) * np.arange(m)[:, None]
-        value[...] = 0.0
-        for k, w in enumerate(buffers[1:, :m]):
-            # The indices are in range; mode="clip" only spares take a buffer.
-            value += np.multiply(w, np.take(rows.ravel()[k:], start, out=tap,
-                                            mode="clip"), out=tap)
-        value *= inv[cells, None]
-        value[below | above] = 0.0
-    return out.reshape(field.values.shape), n_out / out.size
+def _mass(values: np.ndarray) -> float:
+    """sum |values|, slab by slab: no temporary of the field's size."""
+    return float(sum(np.abs(slab).sum() for slab in values))
 
 
 def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
                config: SolverConfig,
                times: list[float]) -> list[MarginalField]:
-    """Advance a marginal field on its grid; exact affine backtracing.
+    """Advance a marginal field on its grid: the exact flow of its tomogram.
 
     Returns the list of fields at ``times``: any finite times, in any
-    order, a negative one evolving backwards.  Each snapshot at t != 0 is
-    one resample of the initial field at its exact backtrace e^{-At} z, so
-    snapshots do not depend on each other; a snapshot at t = 0 is a copy of
-    the initial field.  Its meta is its own, none of the initial field's:
-    "time", "potential" and two fractions (0.0 at t = 0), "outflow", the
-    lookups past an X end that the circle of `_resample` cannot supply, and
-    "mass_drift".  Its warnings are the initial field's, then those
-    `fields.LIMITS` gives its meta.  Refuses a direction box that does not
-    surround the origin and an initial field that is not finite.
+    order, a negative one evolving backwards.  The field is read once as a
+    `FieldMarginalSource` u(y; phi); a snapshot at t != 0 gives each cell
+    u(x_d / r_d; phi_d) / r_d at its exact backtrace e^{-At} (X, mu, nu) =
+    (x_d, r_d cos phi_d, r_d sin phi_d), 0 where r_d = 0, so snapshots do
+    not depend on each other; a snapshot at t = 0 is a copy of the field.
+    Its meta is its own, none of the field's: "time", "potential" and two
+    fractions (0.0 at t = 0), "outflow", the lookups past a y-table end
+    where the tomogram's row has not decayed, and "mass_drift".  Its
+    warnings are the field's, then those `fields.LIMITS` gives its meta.
+    Refuses a direction box that does not surround the origin and a field
+    that is not finite.
     """
     gen = coeffs.generator_matrix()
-    initial.reach()  # refuses a box that does not surround the origin
     if not np.all(np.isfinite(initial.values)):
         raise ValueError("initial field has non-finite values")
     snapshot_times = [check_time(t) for t in times]
+    source = FieldMarginalSource(initial)  # refuses a box not around the origin
 
-    initial_mass = float(np.sum(np.abs(initial.values)))
-    # Edge values repeat beyond the box, as the clamped taps read them.
-    spline = np.pad(spline_filter(initial.values), ((2, 3),) * 3, mode="edge")
+    initial_mass = _mass(initial.values)
+    mu, nu = initial.mu_grid[:, None, None], initial.nu_grid[None, :, None]
     out = []
     for target in snapshot_times:
         out_frac = drift = 0.0
         if target == 0.0:
             values = initial.values.astype(float)
         else:
-            values, out_frac = _resample(spline, initial, gen, target)
+            x_d, mu_d, nu_d = _backtrace(expm(-gen * target), initial.x_grid, mu, nu)
+            r_d = np.hypot(mu_d, nu_d).reshape(-1, 1)
+            inv = np.divide(1.0, r_d, out=np.zeros_like(r_d), where=r_d > 0.0)
+            y = x_d.reshape(r_d.size, -1)
+            y *= inv
+            values, n_out = source._read_rows(np.arctan2(nu_d, mu_d).ravel(), y)
+            values *= inv
+            out_frac = n_out / values.size
+            values = values.reshape(initial.values.shape)
         if initial_mass > 0.0:
-            drift = abs(float(np.sum(np.abs(values))) - initial_mass) / initial_mass
+            drift = abs(_mass(values) - initial_mass) / initial_mass
         meta = {"time": target, "potential": coeffs.potential.coefficients,
                 "outflow": out_frac, "mass_drift": drift}
         out.append(MarginalField(initial.mu_grid, initial.nu_grid, initial.x_grid,

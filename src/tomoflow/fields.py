@@ -1,6 +1,6 @@
 """Grid-backed containers shared by the tomography and evolution layers,
-the cubic B-spline prefilter and the padded-coefficient reads both layers
-share (`padded_taps`), and the polynomial potentials that drive evolution.
+the cubic B-spline prefilter and the padded-coefficient reads of every
+spline (`padded_taps`), and the polynomial potentials that drive evolution.
 
 Conventions used throughout the package (hbar = 1):
 

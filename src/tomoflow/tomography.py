@@ -23,8 +23,8 @@ directions are ever integrated and the r -> 0 region costs no accuracy.
 The module needs numpy only; scipy is a test oracle.  Its interpolants are
 uniform-grid: a periodic cubic spline in the direction angle, clamped-end
 cubic B-splines along y and across a MarginalField's direction plane, read
-from edge-padded coefficients as the evolution layer's are, and a bilinear
-sampler for WignerFields (docs/math.md section 8).
+from edge-padded coefficients (the evolution layer reads its fields through
+them), and a bilinear sampler for WignerFields (docs/math.md section 8).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 from .fields import (
     DEFAULT_PHASE_GRID,
     DEFAULT_X_GRID,
+    MU_EDGE_LIMIT,
     CharacteristicGrid,
     DensityMatrixGrid,
     MarginalField,
@@ -46,8 +47,8 @@ from .fields import (
     _prefilter,
     bicubic_rows,
     check_uniform,
-    cubic_taps,
     grid_step,
+    padded_taps,
     trapezoid_weights,
     uniform_grid,
     warnings_of,
@@ -75,6 +76,8 @@ _LINE_STRIDE = 8
 # ~h^2, a 1e-12 change can leave 3e-13, and only the full grid reproduces
 # the 0.04 sum.
 _SETTLE_RTOL = 1e-12
+# Lookups per chunk of a table source's rows: its buffers stay in the L2 cache.
+_READ_POINTS = 1 << 14
 _EPS = np.finfo(float).eps
 
 
@@ -247,13 +250,58 @@ class UnitSliceSource:
             [(m_next - m) / 6.0, m / 2.0, ahead - table - (2.0 * m + m_next) / 6.0,
              table], axis=1)
 
-    def unit_slices(self, phis) -> np.ndarray:
-        """Rows w(y, cos phi, sin phi, 0) on self.y_grid, one per angle."""
+    def _phi_weights(self, phis):
+        """Each angle's interval k of phi_grid and powers (t^3, t^2, t, 1) of t."""
         phi = np.mod(np.asarray(phis, dtype=float), TWO_PI)
         k = np.searchsorted(self.phi_grid, phi, side="right") - 1
         t = (phi - self.phi_grid[k]) / self._phi_step
-        powers = t[..., None, None] ** np.array([3.0, 2.0, 1.0, 0.0])
+        return k, t[..., None, None] ** np.array([3.0, 2.0, 1.0, 0.0])
+
+    def unit_slices(self, phis) -> np.ndarray:
+        """Rows w(y, cos phi, sin phi, 0) on self.y_grid, one per angle."""
+        k, powers = self._phi_weights(phis)
         return (powers @ self._phi_coeffs[k])[..., 0, :]
+
+    def _read_rows(self, phis, y: np.ndarray) -> tuple[np.ndarray, int]:
+        """Lookup (i, j) reads the spline at (y[i, j]; phis[i]), 0 past a y end.
+
+        Overwrites ``y`` (rows, lookups) by the values and returns it, with
+        the outflow: lookups past a y end where row i is above MU_EDGE_LIMIT
+        of its largest |value|.  Each chunk of rows interpolates coefficient
+        rows in phi, and a 4-tap cubic along y reads their lookups.
+        """
+        k, powers = self._phi_weights(phis)
+        # The phi cubics of the intervals read, prefiltered along y and edge-
+        # padded: the two maps are linear, on different axes, so they commute.
+        used, k = np.unique(k, return_inverse=True)
+        coeffs = np.pad(_prefilter(self._phi_coeffs[used], axis=2),
+                        ((0, 0), (0, 0), (2, 3)), mode="edge")
+        (n_rows, n), n_y = y.shape, self.y_grid.size
+        chunk = max(1, _READ_POINTS // max(n, n_y + 5))
+        first, buffers = np.empty((chunk, n), np.intp), np.empty((5, chunk, n))
+        n_out = 0
+        for lo in range(0, n_rows, chunk):
+            cells = slice(lo, lo + chunk)
+            rows = (powers[cells] @ coeffs[k[cells]])[:, 0]
+            coord, m = y[cells], len(rows)
+            # 6 x each row's values at the y nodes: c[k-1] + 4 c[k] + c[k+1].
+            node = np.abs(rows[:, 1:-4] + 4.0 * rows[:, 2:-3] + rows[:, 3:-2])
+            cut = node[:, [0, -1]] > MU_EDGE_LIMIT * node.max(axis=1, keepdims=True)
+            coord -= self.y_grid[0]
+            coord /= grid_step(self.y_grid)
+            outside = ~((coord >= 0.0) & (coord <= n_y - 1.0))  # NaN included
+            n_out += np.count_nonzero(outside & np.where(coord < 0.0, cut[:, :1],
+                                                         cut[:, 1:]))
+            coord[outside] = 0.0  # read as 0 below; a NaN has no tap index
+            start = padded_taps(coord, n_y, first[:m], buffers[1:, :m])
+            start += (n_y + 5) * np.arange(m)[:, None]
+            coord[...] = 0.0
+            for j, w in enumerate(buffers[1:, :m]):
+                # The indices are in range; mode="clip" only spares take a buffer.
+                tap = np.take(rows.ravel()[j:], start, out=buffers[0, :m], mode="clip")
+                coord += np.multiply(w, tap, out=tap)
+            coord[outside] = 0.0
+        return y, n_out
 
     def __call__(self, x, mu, nu, delta=0.0):
         mu, nu = np.broadcast_arrays(np.asarray(mu, dtype=float),
@@ -261,17 +309,17 @@ class UnitSliceSource:
         r = np.hypot(mu, nu)
         if np.any(r == 0.0):
             raise ValueError("degenerate direction: mu and nu both zero")
-        phis, which = np.unique(np.arctan2(nu, mu), return_inverse=True)
-        coeffs = np.pad(_prefilter(self.unit_slices(phis), axis=-1),
-                        ((0, 0), (2, 3)), mode="edge")
-        y = (np.asarray(x, dtype=float) - delta) / r
-        y, which = np.broadcast_arrays(y, which.reshape(r.shape))
-        y_grid = self.y_grid
-        inside = (y >= y_grid[0]) & (y <= y_grid[-1])
-        coord = np.where(inside, (y - y_grid[0]) / grid_step(y_grid), 0.0)
-        vals = sum(w * coeffs[which, tap]
-                   for tap, w in cubic_taps(coord, y_grid.size))
-        return np.where(inside, vals, 0.0) / r
+        y = np.empty(np.broadcast_shapes(np.shape(x), np.shape(delta), r.shape))
+        np.divide(np.subtract(x, delta, out=y), r, out=y)
+        # One row per direction: the axes along which it varies go first.
+        shape = (1,) * (y.ndim - r.ndim) + r.shape
+        order = sorted(range(y.ndim), key=lambda ax: shape[ax] == 1)
+        rows = np.ascontiguousarray(y.transpose(order)).reshape(
+            r.size, y.size // max(r.size, 1))
+        values = self._read_rows(np.arctan2(nu, mu).ravel(), rows)[0].reshape(
+            [y.shape[ax] for ax in order]).transpose(np.argsort(order))
+        values /= r
+        return values
 
 
 class RadonMarginalEvaluator(UnitSliceSource):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 from scipy.ndimage import map_coordinates, spline_filter
 
@@ -55,7 +56,9 @@ from tomoflow.states import (
     wigner_evaluator,
 )
 from tomoflow.tomography import (
+    FieldMarginalSource,
     RadonMarginalEvaluator,
+    UnitSliceSource,
     marginal_field_from_wigner,
     radon_marginal,
 )
@@ -423,7 +426,7 @@ def test_pde_snapshots_are_independent_resamples():
     # each snapshot resamples the initial field, so no snapshot changes
     # another, warnings included, whatever the order and sign of the times.
     # The odd cat's slices are cut at the ends of X +-5: each of its
-    # snapshots warns of 14.6-15.0% outflow.
+    # snapshots warns of 10.8-11.2% outflow.
     d = uniform_grid(-1.5, 1.5, 33)
     cases = [(GROUND, uniform_grid(-6.0, 6.0, 129), [0.3, 0.6]),
              (StateSpec(StateKind.ODD_CAT, q0=3.5, p0=0.0),
@@ -472,9 +475,9 @@ def test_pde_commutes_with_characteristics(c1, c2, kind, radius, angle, t):
     # included), displaced states and times: evolve_pde against the exact
     # backward characteristics of the closed form, on the cells whose
     # backtraced radius stays >= 0.5.  Worst measured, in units of the
-    # snapshot's max|w|: 3.1e-4 over 2,600 random draws, and 4.4e-4 over
-    # 2,800 draws at the corners of the ranges (odd cat at |(q0, p0)| = 3.5,
-    # |c1| = 2, |c2| = 1, t = 0.1); the bound leaves a margin of 2.3 over
+    # snapshot's max|w|: 3.8e-4 over 600 random draws, and 4.5e-4 over 128
+    # draws at the corners of the ranges (odd cat at |(q0, p0)| = 3.5,
+    # |c1| = 2, |c2| = 1, t = 0.1); the bound leaves a margin of 2.2 over
     # that.  The path condition is this property's own: at the corner
     # coherent state (0, 3.5), V = -2q - q^2, t = 6.3, the snapshot has
     # left the box (max|w| 2.2e-5), and the cells on the inverted
@@ -538,7 +541,7 @@ def test_projection_commutes_with_evolution(name, c1, dyn, t, radius, angle,
 
 # Long runs in which re-reading an evolved, edge-clamped field instead of
 # the initial one leaves more than 1e-3 on the cells of radius >= 0.5.  The
-# backward times read 4.0e-6 and 6.6e-6, as the forward ones do.
+# backward times read 4.5e-6 and 5.2e-6, as the forward ones do.
 LONG_RUNS = {
     "oddcat-linear:0.5": (CAT_AXIS, PotentialSpec.linear(0.5),
                           [0.3, 1.0, math.pi, -1.0, -math.pi]),
@@ -579,28 +582,29 @@ def test_pde_warns_on_boundary_outflow():
     assert snap.warnings[0].startswith(f"mass drift {drift:.2%} since t=0")
 
 
-def test_pde_warns_where_the_circle_cannot_supply_a_lookup():
-    # On X +-5 the circle's slices of this cat are cut at the X ends: the
-    # free shear carries 14.6% of the lookups past an end where the row has
-    # not decayed, they read 0, and the error on the cells of radius >= 0.5
-    # is 0.48.  The snapshot's meta["outflow"], which the warning quotes,
-    # counts exactly the lookups the 64-tap oracle counts.
+def test_pde_warns_where_the_tomogram_cannot_supply_a_lookup():
+    # On X +-5 the tomogram's rows of this cat are cut at the y-table ends:
+    # the free shear carries 11.4% of the lookups past an end where the row
+    # has not decayed, they read 0, and the error on the cells of radius
+    # >= 0.5 is 0.24.  The snapshot's meta["outflow"], which the warning
+    # quotes, counts the lookups the scipy oracle counts.
     f0 = sample_marginal_field(StateSpec(StateKind.ODD_CAT, q0=3.5, p0=0.0),
                                SQUARE_MU, SQUARE_MU, uniform_grid(-5.0, 5.0, 129))
     coeffs = reduce_equation(PotentialSpec.free())
     snap, = evolve_pde(f0, coeffs, SolverConfig(), [1.0])
     assert [w.split()[0] for w in snap.warnings] == ["boundary", "mass"]
     out_frac = snap.meta["outflow"]
-    assert out_frac == reference_resample(f0, coeffs.generator_matrix(),
-                                          1.0)[2].mean()
+    _, coord, outflow = snapshot_oracle(f0, coeffs.generator_matrix(), 1.0)
+    assert out_frac == pytest.approx(outflow.mean(), abs=at_an_end(coord, f0).mean())
+    assert out_frac > 0.1
     assert snap.warnings[0].startswith(f"boundary outflow: {out_frac:.2%}")
 
 
 def test_pde_outflow_counts_only_what_the_circle_cannot_supply():
-    # The coherent state's slices leave the X box, but every lookup past an
-    # X end reads a row that has decayed there: the solver is accurate on
-    # the cells of radius >= 0.5 (1.3e-5), and only the whole-box mass drift
-    # (18%) warns.
+    # The coherent state's slices leave the X box, but every lookup past a
+    # y end of the tomogram reads a row that has decayed there: the solver
+    # is accurate on the cells of radius >= 0.5 (3.6e-6), and only the
+    # whole-box mass drift (18%) warns.
     state, potential, t = CATALOG["coherent"], PotentialSpec.linear(0.5), 4.0
     f0 = sample_marginal_field(state, **SHORT_GRIDS)
     coeffs = reduce_equation(potential)
@@ -615,10 +619,9 @@ def test_pde_outflow_counts_only_what_the_circle_cannot_supply():
 
 @pytest.mark.parametrize("dyn", ["free", "harmonic"])
 def test_pde_is_accurate_on_a_narrow_direction_box(dyn):
-    # The lookups' circle shrinks with the box's reach, to 0.83 on a +-1
-    # box; a circle of the +-1.5 box's radius 1.245 leaves that box, and
-    # such lookups gave errors of 0.28-0.38.  Worst measured: 6.2e-4
-    # (odd cat).
+    # The tomogram's circle shrinks with the box's reach, to 0.75 on a +-1
+    # box; a circle of the +-1.5 box's radius 1.125 would leave that box.
+    # Worst measured: 4.5e-4 (odd cat).
     d = uniform_grid(-1.0, 1.0, 33)
     coeffs = reduce_equation(PotentialSpec.from_string(dyn))
     for state in (GROUND, CAT_AXIS):
@@ -703,59 +706,90 @@ def test_solver_config_validation():
 
 
 def test_one_plan_per_positive_snapshot(monkeypatch):
+    # Counted work: one tomogram is built per call, whatever the number of
+    # snapshots; each snapshot at t != 0 reads one row per cell, and the
+    # snapshot at t = 0 reads none.
     f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 33),
                                uniform_grid(-1.5, 1.5, 33),
                                uniform_grid(-6.0, 6.0, 65))
     coeffs = reduce_equation(PotentialSpec.free())
-    calls = []
-    resample = evolution._resample
+    built, rows = [], []
+    init, read = FieldMarginalSource.__init__, UnitSliceSource._read_rows
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return resample(*args, **kwargs)
+    def counted_init(self, field):
+        built.append(field)
+        init(self, field)
 
-    monkeypatch.setattr(evolution, "_resample", counted)
+    def counted_read(self, phis, y):
+        rows.append(len(phis))
+        return read(self, phis, y)
+
+    monkeypatch.setattr(FieldMarginalSource, "__init__", counted_init)
+    monkeypatch.setattr(UnitSliceSource, "_read_rows", counted_read)
+    cells = f0.mu_grid.size * f0.nu_grid.size
     for j in np.linspace(0.98, 1.02, 21):
-        calls.clear()
+        built.clear()
+        rows.clear()
         evolve_pde(f0, coeffs, SolverConfig(), [0.0, j, 2.0 * j])
-        assert calls == [j, 2.0 * j], j
+        assert len(built) == 1 and built[0] is f0, j
+        assert rows == [cells, cells], j
 
 
 # ---------------------------------------------------------------------------
-# separable resample against the tricubic 3-D gather
+# the one reader of a table source against scipy
 
 
-def reference_resample(field, gen, dt):
-    """One resample as a 64-tap tricubic map_coordinates gather on the
-    circle of radius 0.83 x reach, zero past the X ends; returns the values,
-    the lookups' index coordinates (3, ...) and the outflow mask: the
-    lookups past an X end where the circle's row, gathered at the X nodes,
-    is above MU_EDGE_LIMIT of its largest |value|."""
-    back = expm(-gen * dt)
-    x = field.x_grid[None, None, :]
-    mu = field.mu_grid[:, None, None]
-    nu = field.nu_grid[None, :, None]
-    x_d = back[0, 0] * x + back[0, 1] * mu + back[0, 2] * nu
-    mu_d = back[1, 1] * mu + back[1, 2] * nu + 0.0 * x
-    nu_d = back[2, 1] * mu + back[2, 2] * nu + 0.0 * x
-    r_d = np.hypot(mu_d, nu_d)
-    radius = 0.83 * field.reach()
-    inv = np.where(r_d > 0.0, radius / np.where(r_d > 0.0, r_d, 1.0), 0.0)
-    coords = np.stack([(v * inv - g[0]) / grid_step(g) for v, g in (
-        (mu_d, field.mu_grid), (nu_d, field.nu_grid), (x_d, field.x_grid))])
-    coeffs = spline_filter(field.values, order=3, mode="nearest")
-    values = inv * map_coordinates(coeffs, coords, order=3, prefilter=False,
-                                   mode="nearest")
-    n_x = field.x_grid.size
-    below, above = coords[2] < 0.0, coords[2] > n_x - 1.0
+def spline_oracle(source, phis, y):
+    """Lookup (i, j) at (y[i, j]; phis[i]) of a table source by scipy: a
+    periodic CubicSpline along phi through its table, then spline_filter
+    and map_coordinates (order=3, mode="nearest") along y, 0 past a y end.
+    Returns the values, the lookups' y index coordinates and the outflow
+    mask: the lookups past a y end where the row's |value| is above
+    MU_EDGE_LIMIT of its largest."""
+    phi_ends = np.append(source.phi_grid, 2.0 * math.pi)
+    table = source.unit_slices(source.phi_grid)  # the table, bit for bit
+    rows = CubicSpline(phi_ends, np.vstack([table, table[:1]]),
+                       bc_type="periodic")(np.mod(phis, 2.0 * math.pi))
+    coord = (y - source.y_grid[0]) / grid_step(source.y_grid)
+    values = np.array([map_coordinates(spline_filter(row, order=3, mode="nearest"),
+                                       c[None], order=3, prefilter=False,
+                                       mode="nearest")
+                       for row, c in zip(rows, coord)])
+    below, above = coord < 0.0, coord > source.y_grid.size - 1.0
     values[below | above] = 0.0
-    nodes = np.stack((coords[0], coords[1], np.indices(coords[2].shape)[2]))
-    rows = np.abs(map_coordinates(coeffs, nodes, order=3, prefilter=False,
-                                  mode="nearest"))
-    limit = fields.MU_EDGE_LIMIT * rows.max(axis=2, keepdims=True)
-    outflow = ((below & (rows[:, :, :1] > limit))
-               | (above & (rows[:, :, -1:] > limit)))
-    return values, coords, outflow
+    limit = fields.MU_EDGE_LIMIT * np.abs(rows).max(axis=1, keepdims=True)
+    outflow = ((below & (np.abs(rows[:, :1]) > limit))
+               | (above & (np.abs(rows[:, -1:]) > limit)))
+    return values, coord, outflow
+
+
+def backtrace(field, gen, t):
+    """Every cell's backtraced direction (mu_d, nu_d) and its lookups' X,
+    x_d = back[0, 0] X + shift, one row per cell."""
+    back = expm(-gen * t)
+    mu, nu = field.mu_grid[:, None], field.nu_grid[None, :]
+    mu_d = (back[1, 1] * mu + back[1, 2] * nu).ravel()
+    nu_d = (back[2, 1] * mu + back[2, 2] * nu).ravel()
+    shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
+    return mu_d, nu_d, back[0, 0] * field.x_grid + shift[:, None]
+
+
+def snapshot_oracle(field, gen, t):
+    """The snapshot at t as the oracle reads the field's tomogram,
+    w = u(x_d / r_d; phi_d) / r_d, 0 on a cell with r_d = 0; also the
+    lookups' y index coordinates and the outflow mask."""
+    mu_d, nu_d, x_d = backtrace(field, gen, t)
+    r_d = np.hypot(mu_d, nu_d)
+    inv = np.where(r_d > 0.0, 1.0 / np.where(r_d > 0.0, r_d, 1.0), 0.0)
+    values, coord, outflow = spline_oracle(
+        FieldMarginalSource(field), np.arctan2(nu_d, mu_d), x_d * inv[:, None])
+    return inv[:, None] * values, coord, outflow
+
+
+def at_an_end(coord, field):
+    """Lookups within rounding of a y end, which may count either way."""
+    last = field.x_grid.size - 1.0
+    return (np.abs(coord) < 1e-9) | (np.abs(coord - last) < 1e-9)
 
 
 RESAMPLE_CASES = {
@@ -766,32 +800,81 @@ RESAMPLE_CASES = {
     "asymmetric-x": (PotentialSpec.free(), 0.53, uniform_grid(-6.0, 8.0, 225)),
     # the X shift carries lookups past both ends of a narrow box
     "x-outflow": (PotentialSpec.linear(3.0), 1.0, uniform_grid(-5.0, 5.0, 161)),
+    # the same past an X box whose rows are cut at the low y end only
+    "one-end-outflow": (PotentialSpec.linear(3.0), 1.0, uniform_grid(-4.0, 6.0, 161)),
 }
 
 
 @pytest.mark.parametrize("case", list(RESAMPLE_CASES))
-def test_separable_resample_matches_tricubic_gather(case):
+def test_pde_snapshot_matches_the_spline_oracle(case):
     potential, dt, x_grid = RESAMPLE_CASES[case]
     field = sample_marginal_field(CAT_AXIS, DEFAULT_MU_GRID,
                                   DEFAULT_NU_GRID, x_grid)
-    gen = reduce_equation(potential).generator_matrix()
-    want, coords, outflow = reference_resample(field, gen, dt)
-    got, out_frac = evolution._resample(
-        padded(spline_filter(field.values, order=3, mode="nearest")), field, gen, dt)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    coeffs = reduce_equation(potential)
+    want, coord, outflow = snapshot_oracle(field, coeffs.generator_matrix(), dt)
+    snap, = evolve_pde(field, coeffs, SolverConfig(), [dt])
+    got = snap.values.reshape(want.shape)
+    # a lookup within rounding of a y end may read the end or 0
+    end = at_an_end(coord, field)
+    assert np.abs(got - want)[~end].max() <= 1e-12 * np.abs(want).max()
+    out_frac = snap.meta["outflow"]
+    assert out_frac == pytest.approx(outflow.mean(), abs=end.mean())
+    # About 14% of the lookups fall past a y end and read 0 in every case
+    # (22% in the outflow cases); they count only where the tomogram's row
+    # has not decayed at that end.
     last = field.x_grid.size - 1.0
-    # lookups within rounding of an X end may count either way
-    at_edge = (np.abs(coords[2]) < 1e-9) | (np.abs(coords[2] - last) < 1e-9)
-    assert out_frac == pytest.approx(outflow.mean(), abs=at_edge.mean())
-    # About 18% of the lookups fall past an X end and read 0 in every case;
-    # they count only where the circle's row has not decayed at that end.
-    past = (coords[2] < 0.0) | (coords[2] > last)
+    past = (coord < 0.0) | (coord > last)
     assert past.mean() > 0.1
-    if case == "x-outflow":
-        assert (coords[2] < 0.0).any() and (coords[2] > last).any()
+    if case.endswith("outflow"):
+        assert (coord < 0.0).any() and (coord > last).any()
         assert 0.0 < out_frac < past.mean()
     else:
         assert out_frac == 0.0
+
+
+@pytest.mark.parametrize("case", list(RESAMPLE_CASES))
+def test_source_call_matches_the_spline_oracle(case):
+    # The same lookups through __call__, with an offset delta, in both
+    # layouts: one row per direction, and the directions along the last axis.
+    potential, dt, x_grid = RESAMPLE_CASES[case]
+    field = sample_marginal_field(CAT_AXIS, DEFAULT_MU_GRID,
+                                  DEFAULT_NU_GRID, x_grid)
+    source = FieldMarginalSource(field)
+    gen = reduce_equation(potential).generator_matrix()
+    mu_d, nu_d, x_d = backtrace(field, gen, dt)
+    r_d = np.hypot(mu_d, nu_d)
+    keep = r_d > 0.0
+    mu_d, nu_d, x_d, r_d = mu_d[keep], nu_d[keep], x_d[keep], r_d[keep]
+    want = spline_oracle(source, np.arctan2(nu_d, mu_d),
+                         x_d / r_d[:, None])[0] / r_d[:, None]
+    got = source(x_d + 0.3, mu_d[:, None], nu_d[:, None], 0.3)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    rows = source(x_d, mu_d[:, None], nu_d[:, None])
+    assert np.array_equal(source(x_d.T, mu_d, nu_d), rows.T)
+
+
+def test_a_full_box_query_reads_rows_in_chunks():
+    # A query at every cell of a 65x65x257 field reads one row per cell in
+    # chunks, as evolve_pde does, and gives its values to rounding.  Its
+    # traced peak, in units of the field's size, counts the query's own X
+    # (built by evolve_characteristics) and the answer: measured 2.72.  A
+    # read that builds every lookup's four taps at once peaks at 13.8.
+    field = sample_marginal_field(CAT_AXIS, **SHORT_GRIDS)
+    source = FieldMarginalSource(field)
+    potential = PotentialSpec.free()
+    mu, nu = np.meshgrid(field.mu_grid, field.nu_grid, indexing="ij")
+    cells = field.radius() > 0.0
+    query = evolve_characteristics(source, potential, 1.0)
+    tracemalloc.start()
+    try:
+        got = query(field.x_grid, mu[cells][:, None], nu[cells][:, None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * field.values.nbytes
+    snap, = evolve_pde(field, reduce_equation(potential), SolverConfig(), [1.0])
+    want = snap.values[cells]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def padded(coeffs):
@@ -825,80 +908,24 @@ def clamped_read(coeffs, coords):
     return out
 
 
-def clamped_x_stage(coeffs, field, gen, t):
-    """Every lookup on the circle of radius 0.83 x reach, read by the 16-tap
-    direction stage and a 4-tap X read with clamped taps, zero past the X
-    ends; also the mask of the lookups whose X coordinate lies in the box."""
-    back = evolution.expm(-gen * t)
-    mu, nu = field.mu_grid[:, None], field.nu_grid[None, :]
-    mu_d = (back[1, 1] * mu + back[1, 2] * nu).ravel()
-    nu_d = (back[2, 1] * mu + back[2, 2] * nu).ravel()
-    shift = (back[0, 1] * mu + back[0, 2] * nu).ravel()
-    r_d = np.hypot(mu_d, nu_d)
-    radius = 0.83 * field.reach()
-    inv = np.where(r_d > 0.0, radius / np.where(r_d > 0.0, r_d, 1.0), 0.0)
-    a, b = ((v * inv - g[0]) / grid_step(g)
-            for v, g in ((mu_d, field.mu_grid), (nu_d, field.nu_grid)))
-    n_mu, n_nu, n_x = coeffs.shape
-    taps = [(ia * n_nu + ib, wa * wb) for ia, wa in clamped_taps(a, n_mu)
-            for ib, wb in clamped_taps(b, n_nu)]
-    tap_rows, tap_weights = (np.stack(part, axis=1) for part in zip(*taps))
-    # The 16-row sums run over rows of the padded X length, as the library's
-    # do: the BLAS product rounds a row's last few columns by another
-    # kernel, so a row of n_x columns would move its last one by an ulp.
-    rows = np.pad(coeffs, ((0, 0), (0, 0), (2, 3)), mode="edge").reshape(-1, n_x + 5)
-    along = np.empty((a.size, n_x + 5))
-    for lo in range(0, a.size, 16):
-        cells = slice(lo, lo + 16)
-        along[cells] = (tap_weights[cells, None, :]
-                        @ rows[tap_rows[cells]])[:, 0]
-    along = np.ascontiguousarray(along[:, 2:-3])
-    x_d = back[0, 0] * field.x_grid + shift[:, None]
-    coord = (x_d * inv[:, None] - field.x_grid[0]) / grid_step(field.x_grid)
-    row = n_x * np.arange(a.size)[:, None]
-    values = inv[:, None] * sum(w * along.take(tap + row)
-                                for tap, w in clamped_taps(coord, n_x))
-    in_box = (coord >= 0.0) & (coord <= n_x - 1.0)
-    values[~in_box] = 0.0
-    return values.reshape(coeffs.shape), in_box.reshape(coeffs.shape)
-
-
-@pytest.mark.parametrize("case", list(RESAMPLE_CASES))
-def test_padded_x_stage_matches_clamped_taps(case):
-    # Reading a clipped coordinate from edge-padded rows gives the clamped
-    # taps themselves wherever the X coordinate lies in the box, so those
-    # lookups keep their bits; the others read 0 on both sides.
-    potential, t, x_grid = RESAMPLE_CASES[case]
-    field = sample_marginal_field(CAT_AXIS, DEFAULT_MU_GRID,
-                                  DEFAULT_NU_GRID, x_grid)
-    gen = reduce_equation(potential).generator_matrix()
-    coeffs = evolution.spline_filter(field.values)
-    got, _ = evolution._resample(padded(coeffs), field, gen, t)
-    want, in_box = clamped_x_stage(coeffs, field, gen, t)
-    assert in_box.any()
-    assert np.array_equal(got[in_box], want[in_box])
-    assert not got[~in_box].any() and not want[~in_box].any()
-    if case == "x-outflow":
-        assert not in_box.all()
-
-
 @pytest.mark.parametrize("potential,t", [("free", 1.0), ("harmonic", math.pi),
                                          ("linear:0.5", 1.0)])
 def test_one_resample_stays_inside_its_memory_budget(potential, t):
-    # The traced peak of one 65x65x257 resample, in units of the field's
-    # own size: the padded rows on the circle and the output take about one
-    # field each, and the chunk buffers little more.  Measured 2.19; the
-    # bound leaves no room for one more array of the field's size.
+    # The traced peak of one whole evolve_pde call with one snapshot on
+    # 65x65x257, in units of the field's own size.  The peak is building the
+    # tomogram: two prefilter sweeps of the direction plane and the padded
+    # coefficients, about one field each.  The snapshot and the chunk
+    # buffers come to less.  Measured 2.21; the bound leaves no room for
+    # one more array of a tenth of the field's size.
     field = sample_marginal_field(CAT_AXIS, **SHORT_GRIDS)
-    coeffs = padded(evolution.spline_filter(field.values))
-    gen = reduce_equation(PotentialSpec.from_string(potential)).generator_matrix()
+    coeffs = reduce_equation(PotentialSpec.from_string(potential))
     tracemalloc.start()
     try:
-        evolution._resample(coeffs, field, gen, t)
+        evolve_pde(field, coeffs, SolverConfig(), [t])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * field.values.nbytes
+    assert peak <= 2.3 * field.values.nbytes
 
 
 # ---------------------------------------------------------------------------
