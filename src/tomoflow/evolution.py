@@ -49,7 +49,7 @@ from .fields import (
     uniform_grid,
     warnings_of,
 )
-from .tomography import FieldMarginalSource
+from .tomography import FieldMarginalSource, _mirrored
 
 DEFAULT_MU_GRID = uniform_grid(-1.5, 1.5, 65)
 DEFAULT_NU_GRID = uniform_grid(-1.5, 1.5, 65)
@@ -188,9 +188,10 @@ def evolve_characteristics(initial, potential: PotentialSpec, t: float):
     return evolved
 
 
-def _backtrace(back: np.ndarray, x, mu, nu):
-    """(X, mu, nu) carried back by back = e^{-At}, whose direction rows hold no X."""
-    return (back[0, 0] * x + back[0, 1] * mu + back[0, 2] * nu,
+def _backtrace(back: np.ndarray, x, mu, nu, out=None):
+    """(X, mu, nu) carried back by back = e^{-At} (no X in its direction rows)."""
+    x_d = np.add(back[0, 0] * x, back[0, 1] * mu, out=out)
+    return (np.add(x_d, back[0, 2] * nu, out=out),
             back[1, 1] * mu + back[1, 2] * nu, back[2, 1] * mu + back[2, 2] * nu)
 
 
@@ -274,6 +275,8 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     u(x_d / r_d; phi_d) / r_d at its exact backtrace e^{-At} (X, mu, nu) =
     (x_d, r_d cos phi_d, r_d sin phi_d), 0 where r_d = 0, so snapshots do
     not depend on each other; a snapshot at t = 0 is a copy of the field.
+    On mirrored mu, nu and X grids only the first ceil(cells / 2) cells are
+    read, and cell cells - 1 - f is cell f with X reversed (the half turn).
     Its meta is its own, none of the field's: "time", "potential" and two
     fractions (0.0 at t = 0), "outflow", the lookups past a y-table end
     where the tomogram's row has not decayed, and "mass_drift".  Its
@@ -288,21 +291,26 @@ def evolve_pde(initial: MarginalField, coeffs: PDECoefficients,
     source = FieldMarginalSource(initial)  # refuses a box not around the origin
 
     initial_mass = _mass(initial.values)
-    mu, nu = initial.mu_grid[:, None, None], initial.nu_grid[None, :, None]
+    cells = initial.mu_grid.size * initial.nu_grid.size
+    half = -(-cells // 2) if _mirrored(initial.mu_grid, initial.nu_grid, initial.x_grid) else cells
+    mu, nu = (g.ravel()[:half, None] for g in np.meshgrid(
+        initial.mu_grid, initial.nu_grid, indexing="ij"))
     out = []
     for target in snapshot_times:
         out_frac = drift = 0.0
         if target == 0.0:
             values = initial.values.astype(float)
         else:
-            x_d, mu_d, nu_d = _backtrace(expm(-gen * target), initial.x_grid, mu, nu)
-            r_d = np.hypot(mu_d, nu_d).reshape(-1, 1)
+            values = np.empty((cells, initial.x_grid.size))
+            y, mu_d, nu_d = _backtrace(expm(-gen * target), initial.x_grid, mu, nu,
+                                       out=values[:half])
+            r_d = np.hypot(mu_d, nu_d)
             inv = np.divide(1.0, r_d, out=np.zeros_like(r_d), where=r_d > 0.0)
-            y = x_d.reshape(r_d.size, -1)
             y *= inv
-            values, n_out = source._read_rows(np.arctan2(nu_d, mu_d).ravel(), y)
-            values *= inv
-            out_frac = n_out / values.size
+            n_out = source._read_rows(np.arctan2(nu_d, mu_d).ravel(), y)[1]
+            y *= inv
+            values[half:] = values[:cells - half][::-1, ::-1]
+            out_frac = int(n_out.sum() + n_out[:cells - half].sum()) / values.size
             values = values.reshape(initial.values.shape)
         if initial_mass > 0.0:
             drift = abs(_mass(values) - initial_mass) / initial_mass

@@ -81,10 +81,10 @@ _READ_POINTS = 1 << 14
 _EPS = np.finfo(float).eps
 
 
-def _mirrored(grid: np.ndarray) -> bool:
-    """Whether a grid is symmetric about 0 to 8 ulps of its largest |value|,
-    the test both half-turn shortcuts (Radon rows, chi a-rows) apply."""
-    return bool(np.max(np.abs(grid + grid[::-1])) <= 8 * _EPS * np.max(np.abs(grid)))
+def _mirrored(*grids: np.ndarray) -> bool:
+    """Whether every grid is symmetric about 0 to 8 ulps of its largest
+    |value|: the test of every half-turn shortcut (docs/math.md section 3)."""
+    return all(np.abs(g + g[::-1]).max() <= 8 * _EPS * np.abs(g).max() for g in grids)
 
 
 def wigner_field_sampler(field: WignerField):
@@ -131,11 +131,14 @@ def _line_integrals(wigner, phis, y) -> tuple:
     argument does not cover, so its rows use the full grid.
     ``y`` is one abscissa row shared by all angles or one row per angle.
     Returns the (angle, y) table, each row's line step and largest line-end
-    |W| over its largest value, and a WignerField's warnings.
+    |W| over its largest value (a WignerField is 0 past its box, so its
+    border counts as a line end), and a WignerField's warnings.
     """
     field = isinstance(wigner, WignerField)
     sample = wigner_field_sampler(wigner) if field else wigner
     first = 1 if field else _LINE_STRIDE
+    border = max(np.abs(wigner.values[[0, -1]]).max(),
+                 np.abs(wigner.values[:, [0, -1]]).max()) if field else 0.0
     y = np.broadcast_to(y, (len(phis), np.shape(y)[-1]))
     table = np.empty(y.shape)
     steps, edges = np.empty((2, len(phis)))
@@ -151,7 +154,7 @@ def _line_integrals(wigner, phis, y) -> tuple:
         h = stride * grid_step(_LINE_GRID)
         ends = values[:, [0, -1]]
         row = h * (values.sum(axis=1) - 0.5 * ends.sum(axis=1))
-        edge, peak = np.max(np.abs(ends)), np.max(np.abs(row))
+        edge, peak = max(np.max(np.abs(ends)), border), np.max(np.abs(row))
         decayed = edge <= _EPS * peak
         edges[k] = edge / peak if edge > 0.0 else 0.0
         while stride > 1:
@@ -175,9 +178,9 @@ def radon_marginal(wigner, params: TomographyParams,
     ``wigner`` is a callable W(q, p) or a WignerField (sampled bilinearly,
     zero outside its box).  The unit-direction row at y = (X - delta) / r
     is divided by r (scaling law).  The row's line step and its line-end
-    |W| over its largest value are recorded in meta["line_step"] and
-    meta["line_edge"], which warns past its `fields.LIMITS` entry: the line
-    window cuts W.  A WignerField's warnings come first.
+    |W| over its largest value (a WignerField's border is a line end) are
+    in meta["line_step"] and meta["line_edge"], which warns past its
+    `fields.LIMITS` entry: W is cut.  A WignerField's warnings come first.
     """
     x_grid = DEFAULT_X_GRID if x_grid is None else np.asarray(x_grid, dtype=float)
     r = params.r
@@ -262,13 +265,13 @@ class UnitSliceSource:
         k, powers = self._phi_weights(phis)
         return (powers @ self._phi_coeffs[k])[..., 0, :]
 
-    def _read_rows(self, phis, y: np.ndarray) -> tuple[np.ndarray, int]:
+    def _read_rows(self, phis, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lookup (i, j) reads the spline at (y[i, j]; phis[i]), 0 past a y end.
 
         Overwrites ``y`` (rows, lookups) by the values and returns it, with
-        the outflow: lookups past a y end where row i is above MU_EDGE_LIMIT
-        of its largest |value|.  Each chunk of rows interpolates coefficient
-        rows in phi, and a 4-tap cubic along y reads their lookups.
+        each row's outflow: its lookups past a y end where it is above
+        MU_EDGE_LIMIT of its largest |value|.  Each chunk of rows interpolates
+        coefficient rows in phi, and a 4-tap cubic along y reads their lookups.
         """
         k, powers = self._phi_weights(phis)
         # The phi cubics of the intervals read, prefiltered along y and edge-
@@ -279,7 +282,7 @@ class UnitSliceSource:
         (n_rows, n), n_y = y.shape, self.y_grid.size
         chunk = max(1, _READ_POINTS // max(n, n_y + 5))
         first, buffers = np.empty((chunk, n), np.intp), np.empty((5, chunk, n))
-        n_out = 0
+        n_out = np.empty(n_rows, np.intp)
         for lo in range(0, n_rows, chunk):
             cells = slice(lo, lo + chunk)
             rows = (powers[cells] @ coeffs[k[cells]])[:, 0]
@@ -290,8 +293,8 @@ class UnitSliceSource:
             coord -= self.y_grid[0]
             coord /= grid_step(self.y_grid)
             outside = ~((coord >= 0.0) & (coord <= n_y - 1.0))  # NaN included
-            n_out += np.count_nonzero(outside & np.where(coord < 0.0, cut[:, :1],
-                                                         cut[:, 1:]))
+            n_out[cells] = np.count_nonzero(outside & np.where(
+                coord < 0.0, cut[:, :1], cut[:, 1:]), axis=1)
             coord[outside] = 0.0  # read as 0 below; a NaN has no tap index
             start = padded_taps(coord, n_y, first[:m], buffers[1:, :m])
             start += (n_y + 5) * np.arange(m)[:, None]
@@ -369,18 +372,22 @@ class FieldMarginalSource(UnitSliceSource):
     Unit slices at 360 angles are read off the field along the circle of
     radius 0.75 * reach, reach being the distance from the origin to the
     nearest box edge (bicubic in the direction plane, at the field's own
-    X nodes, so no X interpolation enters), and rescaled to radius 1.
+    X nodes, so no X interpolation enters), and rescaled to radius 1.  On
+    mirrored grids 180 rows are read and 180 reversed (docs/math.md section 3).
     """
 
     def __init__(self, field: MarginalField):
         radius = 0.75 * field.reach()
         self.y_grid = field.x_grid / radius
         phi_grid = np.linspace(0.0, TWO_PI, 360, endpoint=False)
+        read = 180 if _mirrored(field.mu_grid, field.nu_grid, field.x_grid) else 360
         coeffs = np.pad(_prefilter(_prefilter(field.values, axis=0), axis=1),
                         ((2, 3), (2, 3), (0, 0)), mode="edge")
-        a, b = ((radius * trig(phi_grid) - grid[0]) / grid_step(grid)
+        a, b = ((radius * trig(phi_grid[:read]) - grid[0]) / grid_step(grid)
                 for trig, grid in ((np.cos, field.mu_grid), (np.sin, field.nu_grid)))
         table = radius * bicubic_rows(coeffs, a, b)
+        if read < 360:  # before _build, so the half table is freed
+            table = np.concatenate([table, table[:, ::-1]])
         self._build(phi_grid, table, field.warnings, {})
 
 
@@ -447,7 +454,7 @@ def _chi_table(y, rows, a, b) -> np.ndarray:
     a source that gives a non-finite value.
     """
     n = a.size
-    half = -(-n // 2) if _mirrored(a) and _mirrored(b) else n
+    half = -(-n // 2) if _mirrored(a, b) else n
     values = np.empty((n, b.size), dtype=complex)
     for i, a_i in enumerate(a[:half]):
         # Bound to a name, one row's slices are freed after the next are built;

@@ -23,7 +23,7 @@ from oracles import (
     psi_free_evolved_sampled,
     psi_oddcat,
 )
-from tomoflow import evolution, fields
+from tomoflow import cli, evolution, fields, tomography
 from tomoflow.evolution import (
     DEFAULT_EVOLUTION_X_GRID,
     DEFAULT_MU_GRID,
@@ -707,11 +707,11 @@ def test_solver_config_validation():
 
 def test_one_plan_per_positive_snapshot(monkeypatch):
     # Counted work: one tomogram is built per call, whatever the number of
-    # snapshots; each snapshot at t != 0 reads one row per cell, and the
-    # snapshot at t = 0 reads none.
-    f0 = sample_marginal_field(GROUND, uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-1.5, 1.5, 33),
-                               uniform_grid(-6.0, 6.0, 65))
+    # snapshots; each snapshot at t != 0 reads one row per cell of the first
+    # half of a mirrored box, ceil(cells / 2) (545 of 33 x 33 = 1089, the
+    # middle cell read), and one per cell of any other box; the snapshot at
+    # t = 0 reads none.
+    d = uniform_grid(-1.5, 1.5, 33)
     coeffs = reduce_equation(PotentialSpec.free())
     built, rows = [], []
     init, read = FieldMarginalSource.__init__, UnitSliceSource._read_rows
@@ -726,13 +726,77 @@ def test_one_plan_per_positive_snapshot(monkeypatch):
 
     monkeypatch.setattr(FieldMarginalSource, "__init__", counted_init)
     monkeypatch.setattr(UnitSliceSource, "_read_rows", counted_read)
-    cells = f0.mu_grid.size * f0.nu_grid.size
-    for j in np.linspace(0.98, 1.02, 21):
-        built.clear()
-        rows.clear()
-        evolve_pde(f0, coeffs, SolverConfig(), [0.0, j, 2.0 * j])
-        assert len(built) == 1 and built[0] is f0, j
-        assert rows == [cells, cells], j
+    cells = d.size * d.size
+    for x_grid, per_snapshot in ((uniform_grid(-6.0, 6.0, 65), -(-cells // 2)),
+                                 (uniform_grid(-4.0, 6.0, 65), cells)):
+        f0 = sample_marginal_field(GROUND, d, d, x_grid)
+        for j in np.linspace(0.98, 1.02, 21):
+            built.clear()
+            rows.clear()
+            evolve_pde(f0, coeffs, SolverConfig(), [0.0, j, 2.0 * j])
+            assert len(built) == 1 and built[0] is f0, j
+            assert rows == [per_snapshot, per_snapshot], j
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_pde_mirrored_cells_are_exact_half_turns(n):
+    # On a mirrored box a snapshot's cell (mu, nu) is its cell (-mu, -nu)
+    # with X reversed, bit for bit, for a state with no symmetry of its own.
+    d = uniform_grid(-1.5, 1.5, n)
+    f0 = sample_marginal_field(COHERENT_A, d, d, SQUARE_X)
+    for potential in ("free", "harmonic", "linear:0.5"):
+        for snap in evolve_pde(f0, reduce_equation(PotentialSpec.from_string(
+                potential)), SolverConfig(), [0.7, -1.3]):
+            assert np.array_equal(snap.values, snap.values[::-1, ::-1, ::-1])
+
+
+def test_pde_half_box_counts_the_outflow_of_every_lookup():
+    # The cut case: the odd cat at (3.5, 0) on 33 x 33 directions and X +-5
+    # (129 points).  Its outflow is the count over every lookup, the middle
+    # cell's once and each mirrored pair's twice, and its warnings are
+    # those the solver gave when it read every cell.
+    f0 = sample_marginal_field(StateSpec(StateKind.ODD_CAT, q0=3.5, p0=0.0),
+                               SQUARE_MU, SQUARE_MU, uniform_grid(-5.0, 5.0, 129))
+    source = FieldMarginalSource(f0)
+    mu, nu = np.meshgrid(SQUARE_MU, SQUARE_MU, indexing="ij")
+    quoted = {"free": ((11.37, 2.26), (11.13, 1.16)),
+              "harmonic": ((11.22, 1.97), (11.38, 1.47)),
+              "linear:3": ((15.42, 16.87), (12.19, 4.07))}
+    for potential, pairs in quoted.items():
+        coeffs = reduce_equation(PotentialSpec.from_string(potential))
+        for t, (outflow, drift), snap in zip([1.0, 0.4], pairs, evolve_pde(
+                f0, coeffs, SolverConfig(), [1.0, 0.4])):
+            # every cell's lookups, by the solver's own arithmetic
+            x_d, mu_d, nu_d = evolution._backtrace(
+                evolution.expm(-coeffs.generator_matrix() * t), f0.x_grid,
+                mu.reshape(-1, 1), nu.reshape(-1, 1))
+            r_d = np.hypot(mu_d, nu_d)
+            x_d *= np.divide(1.0, r_d, out=np.zeros_like(r_d), where=r_d > 0.0)
+            counts = source._read_rows(np.arctan2(nu_d, mu_d).ravel(), x_d)[1]
+            assert snap.meta["outflow"] == counts.sum() / f0.values.size
+            assert snap.warnings == (
+                f"boundary outflow: {outflow:.2f}% of lookups fall past an X "
+                "end where the field has not decayed",
+                f"mass drift {drift:.2f}% since t=0 (boundary outflow or "
+                "under-resolution)")
+
+
+def test_default_grids_take_the_half_box():
+    # A default grid that failed the mirror test would read every cell,
+    # twice the work of evolve_pde and of its field's tomogram.
+    for grid in (DEFAULT_MU_GRID, DEFAULT_NU_GRID, DEFAULT_EVOLUTION_X_GRID):
+        assert tomography._mirrored(grid)
+    seen = []
+
+    def stop(state, mu_grid, nu_grid, x_grid, *rest):
+        seen.extend([mu_grid, nu_grid, x_grid])
+        raise ValueError("grids seen")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "sample_marginal_field", stop)
+        assert cli.main(["sample-field", "--state", "ground", "--out", "-"]) == 1
+    assert [g.size for g in seen] == [65, 65, 257]
+    assert all(map(tomography._mirrored, seen))
 
 
 # ---------------------------------------------------------------------------

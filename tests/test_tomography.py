@@ -23,13 +23,16 @@ from tomoflow.evolution import (
     evolve_wigner_reference,
     reduce_equation,
 )
+from tomoflow import tomography
 from tomoflow.fields import (
+    DEFAULT_PHASE_GRID,
     MU_EDGE_LIMIT,
     DensityMatrixGrid,
     ReconstructionConfig,
     TomographyParams,
     trapezoid_weights,
     uniform_grid,
+    warnings_of,
 )
 from tomoflow.states import (
     CATALOG,
@@ -294,6 +297,29 @@ def test_radon_marginal_reports_where_the_line_window_cuts():
         assert sl.meta["line_edge"] <= MU_EDGE_LIMIT
 
 
+def test_radon_paths_report_where_a_sampled_field_box_cuts_w():
+    # A WignerField reads 0 past its box, so where the box cuts W the line
+    # ends see no |W|; its border counts as a line end.  The ground state on
+    # q, p in [-1, 1] (16 points) keeps |W| = 0.73 on its border, 0.24 of
+    # its largest row value; on the default phase grid it has decayed.
+    x, d = uniform_grid(-4.0, 4.0, 33), uniform_grid(-1.5, 1.5, 5)
+    y = uniform_grid(-6.0, 6.0, 61)
+    g = uniform_grid(-1.0, 1.0, 16)
+    for grid, cut in ((g, True), (DEFAULT_PHASE_GRID, False)):
+        field = sample_wigner_field(GROUND, grid, grid)
+        for got in (radon_marginal(field, TomographyParams(1.0, 0.3), x),
+                    RadonMarginalEvaluator(field, n_phi=16, y_grid=y),
+                    marginal_field_from_wigner(field, d, d, x)):
+            assert got.warnings == field.warnings + warnings_of(got.meta)
+            if cut:
+                assert got.meta["line_edge"] > 0.2
+                assert got.warnings[-1].startswith("line window cuts W: |W| at "
+                                                   "the line ends is 0.2")
+            else:
+                assert got.warnings == ()
+                assert got.meta["line_edge"] <= np.finfo(float).eps
+
+
 def test_radon_line_steps_are_read_only():
     source = RadonMarginalEvaluator(wigner_evaluator(GROUND), n_phi=8,
                                     y_grid=uniform_grid(-6.0, 6.0, 41))
@@ -500,6 +526,33 @@ def test_field_source_table_matches_map_coordinates(mu_grid, nu_grid):
     want = field_table_oracle(field)
     got = source.unit_slices(source.phi_grid)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nu_grid, x_grid, read", [
+    (uniform_grid(-1.5, 1.5, 41), uniform_grid(-8.0, 8.0, 161), 180),
+    (uniform_grid(-1.5, 1.5, 41), uniform_grid(-6.0, 8.0, 141), 360),
+    (uniform_grid(-1.2, 2.0, 57), uniform_grid(-8.0, 8.0, 161), 360),
+], ids=["mirrored", "asymmetric-x", "asymmetric-nu"])
+def test_field_source_reads_half_a_turn_on_mirrored_grids(monkeypatch, nu_grid,
+                                                          x_grid, read):
+    # On mirrored mu, nu and X grids only the rows of [0, pi) are read off
+    # the field, and row k + 180 is row k reversed; elsewhere all 360 are.
+    field = sample_marginal_field(CAT_TILTED, uniform_grid(-1.5, 1.5, 41),
+                                  nu_grid, x_grid)
+    points, read_rows = [], tomography.bicubic_rows
+
+    def counted(coeffs, a, b):
+        points.append(len(a))
+        return read_rows(coeffs, a, b)
+
+    monkeypatch.setattr(tomography, "bicubic_rows", counted)
+    source = FieldMarginalSource(field)
+    monkeypatch.undo()
+    assert points == [read]
+    got = source.unit_slices(source.phi_grid)
+    want = field_table_oracle(field)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(got[180:], got[:180, ::-1]) == (read == 180)
 
 
 def test_bilinear_sampler_matches_map_coordinates():
