@@ -27,13 +27,12 @@ each snapshot traces every cell's affine flow back to t = 0 exactly and
 reads the tomogram's unit-direction rows there through the scaling
 identity.  This sidesteps both outflow from the direction box (the flow
 may leave any finite (mu, nu) box) and the 1/r sharpening of the marginal
-near the degenerate direction.  The module needs numpy only, and reads
-no spline of its own.
+near the degenerate direction.  The module needs numpy only, and defines
+no spline kernel of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +42,10 @@ from .fields import (
     MarginalField,
     NonlocalPotentialError,
     PotentialSpec,
-    _prefilter,
     check_time,
-    padded_taps,
+    # Not called here: the benchmark's tracer wraps both names on this module.
+    map_coordinates,
+    spline_filter,
     uniform_grid,
     warnings_of,
 )
@@ -229,34 +229,6 @@ def evolve_wigner_reference(wigner, potential: PotentialSpec, t: float):
 class SolverConfig:
     """Grid-solver plan for evolve_pde.  It takes no settings, since the
     exact backtrace leaves nothing to choose; callers still pass one."""
-
-
-# Nothing in the package calls these two kernels; they keep scipy.ndimage's
-# names and arguments because perfbench/tracing.py wraps both.
-def spline_filter(values: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients along every axis, clamped ends."""
-    for axis in range(values.ndim):
-        values = _prefilter(values, axis)
-    return values
-
-
-def map_coordinates(coeffs: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The cubic B-spline of edge-padded coefficients ``coeffs`` at index
-    coordinates ``coords`` (one row per axis) of the unpadded box, clamped
-    ends (`fields.padded_taps`); sums the last axis innermost."""
-    steps = np.cumprod((1,) + coeffs.shape[:0:-1])[::-1]
-    first = np.empty(np.shape(coords), np.intp)
-    weights = np.empty((coeffs.ndim, 4) + first.shape[1:])
-    for axis, size in enumerate(coeffs.shape):
-        padded_taps(np.array(coords[axis], dtype=float), size - 5, first[axis],
-                    weights[axis])
-    base, flat = steps @ first, coeffs.ravel()
-    out = 0.0
-    for outer in itertools.product(range(4), repeat=coeffs.ndim - 1):
-        at = flat[sum(step * k for step, k in zip(steps, outer)):]
-        inner = sum(w * at[k:].take(base) for k, w in enumerate(weights[-1]))
-        out = out + math.prod(w[k] for w, k in zip(weights, outer)) * inner
-    return out
 
 
 def _mass(values: np.ndarray) -> float:

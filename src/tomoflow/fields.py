@@ -1,6 +1,6 @@
 """Grid-backed containers shared by the tomography and evolution layers,
-the cubic B-spline prefilter and the padded-coefficient reads of every
-spline (`padded_taps`), and the polynomial potentials that drive evolution.
+the cubic B-spline kernels (the prefilter `spline_filter`, the padded reads
+`padded_taps` and `map_coordinates`), and the potentials of evolution.
 
 Conventions used throughout the package (hbar = 1):
 
@@ -17,6 +17,8 @@ All grids are uniform and ascending.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,16 +61,6 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def cubic_taps(coord, size: int):
-    """The four (tap index, cubic B-spline weight) pairs of index coordinates
-    on an axis of size points, as indices into its padded coefficients
-    (`padded_taps`)."""
-    coord = np.array(coord, dtype=float)
-    weights = np.empty((4,) + coord.shape)
-    first = padded_taps(coord, size, np.empty(coord.shape, np.intp), weights)
-    return [(first + k, w) for k, w in enumerate(weights)]
-
-
 def padded_taps(coord, size: int, first, weights):
     """The clamped taps of index coordinates on an axis of size points whose
     coefficients are padded by edge values, 2 before and 3 after.  Clips
@@ -90,44 +82,51 @@ def padded_taps(coord, size: int, first, weights):
     return first
 
 
-def bicubic_rows(coeffs: np.ndarray, a, b) -> np.ndarray:
-    """The spline of coefficients padded on their first two axes, read there
-    at index coordinates (a, b): one row per point, carrying the trailing
-    axes.  Each point sums its 16 gathered rows, 16 points at a time."""
-    n_a, n_b = coeffs.shape[:2]
-    taps = [(ia * n_b + ib, wa * wb) for ia, wa in cubic_taps(a, n_a - 5)
-            for ib, wb in cubic_taps(b, n_b - 5)]
-    tap_rows, tap_weights = (np.stack(part, axis=1) for part in zip(*taps))
-    rows = coeffs.reshape(n_a * n_b, -1)
-    out = np.empty((len(tap_rows), rows.shape[1]))
-    for lo in range(0, len(out), 16):
-        points = slice(lo, lo + 16)
-        out[points] = (tap_weights[points, None, :] @ rows[tap_rows[points]])[:, 0]
-    return out.reshape(out.shape[:1] + coeffs.shape[2:])
+def map_coordinates(coeffs: np.ndarray, coords) -> np.ndarray:
+    """The cubic B-spline of edge-padded coefficients at index coordinates
+    coords (one row per axis read, the leading axes) of the unpadded box,
+    clamped ends (`padded_taps`), carrying the trailing axes: one row per
+    point.  Reads coeffs in place; sums the last axis read innermost."""
+    shape = coeffs.shape[:len(coords)]
+    steps = np.cumprod((1,) + shape[:0:-1])[::-1]
+    first = np.empty((len(shape), len(coords[0])), np.intp)
+    weights = np.empty((len(shape), 4, first.shape[1], 1))
+    for axis, size in enumerate(shape):
+        padded_taps(np.array(coords[axis], dtype=float), size - 5, first[axis],
+                    weights[axis, ..., 0])
+    base, rows = steps @ first, coeffs.reshape(math.prod(shape), -1)
+    out = 0.0
+    for outer in itertools.product(range(4), repeat=len(shape) - 1):
+        at = rows[sum(step * k for step, k in zip(steps, outer)):]
+        inner = sum(w * at[k:].take(base, axis=0) for k, w in enumerate(weights[-1]))
+        out = out + math.prod(w[k] for w, k in zip(weights, outer)) * inner
+    return out.reshape(base.shape + coeffs.shape[len(shape):])
 
 
-def _prefilter(values, axis: int = 0) -> np.ndarray:
-    """Cubic B-spline coefficients of samples along one axis.
+def spline_filter(values, axes) -> np.ndarray:
+    """Cubic B-spline coefficients of samples along each of axes in turn.
 
     Solves (c[k-1] + 4 c[k] + c[k+1]) / 6 = f[k] with clamped ends,
     c[-1] = c[0] and c[n] = c[n-1], as scipy.ndimage's spline_filter(
     mode="nearest") does on axes of 13 or more points (on shorter ones it
-    misses its samples).  A Thomas sweep over a contiguous copy, moved
+    misses its samples), by a Thomas sweep over a contiguous copy, moved
     axis first; its pivots depend on n only (one point: c[0] = f[0]).
     """
-    c = np.multiply(6.0, np.moveaxis(np.asarray(values, dtype=float), axis, 0),
-                    order="C")
-    n = c.shape[0]
-    pivots = np.empty(n)
-    pivots[0] = 6.0 if n == 1 else 5.0
-    for k in range(1, n):
-        pivots[k] = (5.0 if k == n - 1 else 4.0) - 1.0 / pivots[k - 1]
-    for k in range(1, n):
-        c[k] -= c[k - 1] / pivots[k - 1]
-    c[-1] /= pivots[-1]
-    for k in range(n - 2, -1, -1):
-        c[k] = (c[k] - c[k + 1]) / pivots[k]
-    return np.moveaxis(c, 0, axis)
+    c = np.asarray(values, dtype=float)
+    for axis in axes:
+        c = np.multiply(6.0, np.moveaxis(c, axis, 0), order="C")
+        n = c.shape[0]
+        pivots = np.empty(n)
+        pivots[0] = 6.0 if n == 1 else 5.0
+        for k in range(1, n):
+            pivots[k] = (5.0 if k == n - 1 else 4.0) - 1.0 / pivots[k - 1]
+        for k in range(1, n):
+            c[k] -= c[k - 1] / pivots[k - 1]
+        c[-1] /= pivots[-1]
+        for k in range(n - 2, -1, -1):
+            c[k] = (c[k] - c[k + 1]) / pivots[k]
+        c = np.moveaxis(c, 0, axis)
+    return c
 
 
 class NonlocalPotentialError(ValueError):

@@ -23,7 +23,7 @@ directions are ever integrated and the r -> 0 region costs no accuracy.
 The module needs numpy only; scipy is a test oracle.  Its interpolants are
 uniform-grid: a periodic cubic spline in the direction angle, clamped-end
 cubic B-splines along y and across a MarginalField's direction plane, read
-from edge-padded coefficients (the evolution layer reads its fields through
+by the kernels of `fields` (the evolution layer reads its fields through
 them), and a bilinear sampler for WignerFields (docs/math.md section 8).
 """
 
@@ -44,11 +44,11 @@ from .fields import (
     ReconstructionConfig,
     TomographyParams,
     WignerField,
-    _prefilter,
-    bicubic_rows,
     check_uniform,
     grid_step,
+    map_coordinates,
     padded_taps,
+    spline_filter,
     trapezoid_weights,
     uniform_grid,
     warnings_of,
@@ -131,8 +131,9 @@ def _line_integrals(wigner, phis, y) -> tuple:
     argument does not cover, so its rows use the full grid.
     ``y`` is one abscissa row shared by all angles or one row per angle.
     Returns the (angle, y) table, each row's line step and largest line-end
-    |W| over its largest value (a WignerField is 0 past its box, so its
-    border counts as a line end), and a WignerField's warnings.
+    |W| over its largest value (inf on a row of zeros whose ends are not; a
+    WignerField is 0 past its box, so its border counts as a line end), and
+    a WignerField's warnings.
     """
     field = isinstance(wigner, WignerField)
     sample = wigner_field_sampler(wigner) if field else wigner
@@ -156,7 +157,7 @@ def _line_integrals(wigner, phis, y) -> tuple:
         row = h * (values.sum(axis=1) - 0.5 * ends.sum(axis=1))
         edge, peak = max(np.max(np.abs(ends)), border), np.max(np.abs(row))
         decayed = edge <= _EPS * peak
-        edges[k] = edge / peak if edge > 0.0 else 0.0
+        edges[k] = 0.0 if edge == 0.0 else edge / peak if peak > 0.0 else math.inf
         while stride > 1:
             stride //= 2
             h *= 0.5
@@ -277,7 +278,7 @@ class UnitSliceSource:
         # The phi cubics of the intervals read, prefiltered along y and edge-
         # padded: the two maps are linear, on different axes, so they commute.
         used, k = np.unique(k, return_inverse=True)
-        coeffs = np.pad(_prefilter(self._phi_coeffs[used], axis=2),
+        coeffs = np.pad(spline_filter(self._phi_coeffs[used], (2,)),
                         ((0, 0), (0, 0), (2, 3)), mode="edge")
         (n_rows, n), n_y = y.shape, self.y_grid.size
         chunk = max(1, _READ_POINTS // max(n, n_y + 5))
@@ -381,11 +382,11 @@ class FieldMarginalSource(UnitSliceSource):
         self.y_grid = field.x_grid / radius
         phi_grid = np.linspace(0.0, TWO_PI, 360, endpoint=False)
         read = 180 if _mirrored(field.mu_grid, field.nu_grid, field.x_grid) else 360
-        coeffs = np.pad(_prefilter(_prefilter(field.values, axis=0), axis=1),
+        coeffs = np.pad(spline_filter(field.values, (0, 1)),
                         ((2, 3), (2, 3), (0, 0)), mode="edge")
         a, b = ((radius * trig(phi_grid[:read]) - grid[0]) / grid_step(grid)
                 for trig, grid in ((np.cos, field.mu_grid), (np.sin, field.nu_grid)))
-        table = radius * bicubic_rows(coeffs, a, b)
+        table = radius * map_coordinates(coeffs, (a, b))
         if read < 360:  # before _build, so the half table is freed
             table = np.concatenate([table, table[:, ::-1]])
         self._build(phi_grid, table, field.warnings, {})
@@ -451,7 +452,7 @@ def _chi_table(y, rows, a, b) -> np.ndarray:
     only the first ceil(n / 2) a-rows are integrated and the rest are
     chi(-a, -b) = conj chi(a, b), the parity of every physical marginal
     (docs/math.md section 3); otherwise every row is integrated.  Refuses
-    a source that gives a non-finite value.
+    a source that gives a non-finite value, or a chi of 0 over the window.
     """
     n = a.size
     half = -(-n // 2) if _mirrored(a, b) else n
@@ -462,6 +463,8 @@ def _chi_table(y, rows, a, b) -> np.ndarray:
         slices = _finite(rows(np.arctan2(b, a_i)))
         values[i] = _fourier_rows(slices, np.hypot(a_i, b), y)
     np.conjugate(values[:n - half][::-1, ::-1], out=values[half:])
+    if not values.any():
+        raise ValueError("marginal source's chi is 0 over the whole window")
     return values
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import tomoflow
+from tomoflow import evolution, fields
 from tomoflow.cli import build_parser, main
 from tomoflow.fields import (
     DensityMatrixGrid,
@@ -27,7 +28,7 @@ from tomoflow.fields import (
     WignerField,
     uniform_grid,
 )
-from tomoflow.io import read_field
+from tomoflow.io import read_field, write_field
 from tomoflow.states import StateKind, StateSpec, sample_marginal_field
 from tomoflow.verify import SUITES, CheckResult
 
@@ -234,6 +235,18 @@ def test_evolve_refuses_a_box_that_does_not_surround_the_origin(tmp_path,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "surround the origin" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["invert", "density-matrix"])
+def test_reconstructions_refuse_an_all_zero_field(tmp_path, capsys, command):
+    d, x = uniform_grid(-1.5, 1.5, 9), uniform_grid(-6.0, 6.0, 33)
+    field, out = tmp_path / "zero.csv", tmp_path / "out.csv"
+    write_field(MarginalField(d, d, x, np.zeros((9, 9, 33))), field)
+    assert main([command, "--in", str(field), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "chi is 0 over the whole window" in err
     assert not out.exists()
 
 
@@ -474,6 +487,13 @@ def test_benchmark_tracer_finds_what_it_patches(monkeypatch):
         tracing.uninstall(patches)
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_evolution_names_the_one_copy_of_each_spline_kernel():
+    # the tracer wraps these two names on tomoflow.evolution; they are the
+    # kernels of fields, so a second copy cannot come back unnoticed
+    assert evolution.map_coordinates is fields.map_coordinates
+    assert evolution.spline_filter is fields.spline_filter
 
 
 def test_benchmark_tracer_counts_each_source_kind_once(monkeypatch):

@@ -40,7 +40,6 @@ from tomoflow.evolution import (
 )
 from tomoflow.fields import (
     TomographyParams,
-    cubic_taps,
     grid_step,
     uniform_grid,
     warnings_of,
@@ -677,9 +676,9 @@ def test_kernels_leave_their_inputs_unchanged():
     coords = rng.uniform(-3.0, 15.0, (3, 40))
     kept = values.tobytes(), coords.tobytes()
     for axis in range(3):  # axis 0 moves nothing: the input is contiguous
-        fields._prefilter(values, axis)
-    evolution.spline_filter(values)
-    evolution.map_coordinates(values, coords)
+        fields.spline_filter(values, (axis,))
+    fields.map_coordinates(values, coords)
+    fields.map_coordinates(values, coords[:2])  # carries the last axis
     assert (values.tobytes(), coords.tobytes()) == kept
     f0 = sample_marginal_field(CAT_AXIS, uniform_grid(-1.5, 1.5, 17),
                                uniform_grid(-1.5, 1.5, 17),
@@ -1029,7 +1028,7 @@ def test_prefilter_interpolates_and_matches_spline_filter(shape, seed,
     if long_axes:
         shape = tuple(n + 14 for n in shape)
     values = np.random.default_rng(seed).standard_normal(shape)
-    coeffs = evolution.spline_filter(values)
+    coeffs = fields.spline_filter(values, range(values.ndim))
     nodes = np.stack([g.ravel() for g in np.indices(shape, dtype=float)])
     back = map_coordinates(coeffs, nodes, order=3, prefilter=False,
                            mode="nearest").reshape(shape)
@@ -1041,19 +1040,27 @@ def test_prefilter_interpolates_and_matches_spline_filter(shape, seed,
 
 
 @settings(max_examples=60, deadline=None)
-@given(shape=st.lists(AXIS_SIZE, min_size=2, max_size=3), seed=SEED)
-def test_map_coordinates_matches_scipy(shape, seed):
+@given(shape=st.lists(AXIS_SIZE, min_size=2, max_size=3),
+       carried=st.lists(AXIS_SIZE, max_size=2), seed=SEED)
+def test_map_coordinates_matches_scipy(shape, carried, seed):
     # Index coordinates up to 3 cells outside the box on either side, a
-    # quarter of them on integer nodes; worst measured over 5,000 draws:
-    # 1.2e-15 of the largest coefficient.
+    # quarter of them on integer nodes, on the leading axes; each slice of
+    # the carried trailing axes is compared with scipy's read of its own.
+    # Worst measured over 5,000 draws, each with up to two carried axes:
+    # 1.1e-15 of the largest coefficient.
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(shape)
+    coeffs = rng.standard_normal(shape + carried)
     coords = np.stack([rng.uniform(-3.0, n + 2.0, 64) for n in shape])
     coords[:, :16] = np.round(coords[:, :16])
-    want = map_coordinates(coeffs, coords, order=3, prefilter=False,
-                           mode="nearest")
-    got = evolution.map_coordinates(padded(coeffs), coords)
-    assert np.abs(got - want).max() <= 4e-15 * np.abs(coeffs).max()
+    got = fields.map_coordinates(
+        np.pad(coeffs, [(2, 3)] * len(shape) + [(0, 0)] * len(carried),
+               mode="edge"), coords)
+    assert got.shape == (64,) + tuple(carried)
+    for index in np.ndindex(*carried):
+        want = map_coordinates(coeffs[(...,) + index], coords, order=3,
+                               prefilter=False, mode="nearest")
+        assert (np.abs(got[(slice(None),) + index] - want).max()
+                <= 4e-15 * np.abs(coeffs).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -1069,34 +1076,39 @@ def test_padded_reads_match_clamped_taps(shape, seed):
     coeffs = rng.standard_normal(shape)
     inside = np.stack([rng.uniform(0.0, n - 1.0, 64) for n in shape])
     inside[:, :16] = np.round(inside[:, :16])
-    assert np.array_equal(evolution.map_coordinates(padded(coeffs), inside),
+    assert np.array_equal(fields.map_coordinates(padded(coeffs), inside),
                           clamped_read(coeffs, inside))
     if len(shape) == 1:
-        for (tap, w), (want_tap, want_w) in zip(
-                cubic_taps(inside[0], shape[0]), clamped_taps(inside[0], shape[0])):
-            assert np.array_equal(padded(coeffs)[tap], coeffs[want_tap])
-            assert np.array_equal(w, want_w)
+        weights = np.empty((4, 64))
+        first = fields.padded_taps(inside[0].copy(), shape[0],
+                                   np.empty(64, np.intp), weights)
+        for k, (want_tap, want_w) in enumerate(clamped_taps(inside[0], shape[0])):
+            assert np.array_equal(padded(coeffs)[first + k], coeffs[want_tap])
+            assert np.array_equal(weights[k], want_w)
     outside = np.stack([rng.uniform(-3.0, n + 2.0, 64) for n in shape])
-    got = evolution.map_coordinates(padded(coeffs), outside)
+    got = fields.map_coordinates(padded(coeffs), outside)
     assert np.abs(got - clamped_read(coeffs, outside)).max() <= (
         2e-15 * np.abs(coeffs).max())
 
 
 def test_map_coordinates_reads_its_coefficients_in_place():
-    # A read allocates its taps and weights per point and never copies the
-    # coefficients: 4,096 points, up to 3 cells outside the box, from padded
-    # 65x65x257 coefficients (10.3 MB).  Measured 0.067 of the array's size;
-    # a read that pads its own copy peaks at 1.24.
+    # A read allocates its taps and weights per point, and its sums per
+    # point and carried row, and never copies the coefficients: up to 3
+    # cells outside the box, from padded 65x65x257 coefficients (10.3 MB),
+    # read on every axis at 4,096 points or on (mu, nu) at 64 points that
+    # carry X.  Measured 0.067 and 0.073 of the array's size; a read that
+    # pads its own copy peaks at 1.24.
     rng = np.random.default_rng(5)
     coeffs = padded(rng.standard_normal((65, 65, 257)))
-    coords = np.stack([rng.uniform(-3.0, n + 2.0, 4096) for n in (65, 65, 257)])
-    tracemalloc.start()
-    try:
-        evolution.map_coordinates(coeffs, coords)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.1 * coeffs.nbytes
+    for points, box in ((4096, (65, 65, 257)), (64, (65, 65))):
+        coords = np.stack([rng.uniform(-3.0, n + 2.0, points) for n in box])
+        tracemalloc.start()
+        try:
+            fields.map_coordinates(coeffs, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * coeffs.nbytes, box
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from tomoflow.fields import (
     DEFAULT_PHASE_GRID,
     MU_EDGE_LIMIT,
     DensityMatrixGrid,
+    MarginalField,
     ReconstructionConfig,
     TomographyParams,
     trapezoid_weights,
@@ -320,6 +321,34 @@ def test_radon_paths_report_where_a_sampled_field_box_cuts_w():
                 assert got.meta["line_edge"] <= np.finfo(float).eps
 
 
+def test_radon_table_of_rows_that_miss_the_box_records_an_infinite_edge():
+    # The coherent state at (6, 6) sampled on q, p in [5, 7]: off the
+    # diagonal angles (3 pi / 4 and 7 pi / 4, rows 3 and 7) every line within
+    # 1 of the origin misses the box, so the row's peak is 0 while the box's
+    # border is not.  The edge over that peak is inf, recorded with no numpy
+    # warning, and warns through LIMITS.
+    grid = uniform_grid(5.0, 7.0, 17)
+    field = sample_wigner_field(StateSpec(StateKind.COHERENT, q0=6.0, p0=6.0),
+                                grid, grid)
+    source = RadonMarginalEvaluator(field, n_phi=8, y_grid=uniform_grid(-1.0, 1.0, 21))
+    assert np.all(np.delete(source.line_edges, [3, 7]) == math.inf)
+    assert source.meta["line_edge"] == math.inf
+    assert source.warnings == field.warnings + (
+        "line window cuts W: |W| at the line ends is inf of its maximum, "
+        "above 1e-05",)
+
+
+def test_chi_and_rho_refuse_a_source_whose_chi_is_zero_everywhere():
+    # An all-zero field (a file can hold one) gives chi = 0 over the whole
+    # window, whose edge ratios would be 0 / 0.
+    d, x = uniform_grid(-1.5, 1.5, 9), uniform_grid(-6.0, 6.0, 33)
+    source = FieldMarginalSource(MarginalField(d, d, x, np.zeros((9, 9, 33))))
+    with pytest.raises(ValueError, match="chi is 0 over the whole window"):
+        characteristic_from_marginal(source)
+    with pytest.raises(ValueError, match="chi is 0 over the whole window"):
+        density_matrix_from_marginal(source)
+
+
 def test_radon_line_steps_are_read_only():
     source = RadonMarginalEvaluator(wigner_evaluator(GROUND), n_phi=8,
                                     y_grid=uniform_grid(-6.0, 6.0, 41))
@@ -539,13 +568,13 @@ def test_field_source_reads_half_a_turn_on_mirrored_grids(monkeypatch, nu_grid,
     # the field, and row k + 180 is row k reversed; elsewhere all 360 are.
     field = sample_marginal_field(CAT_TILTED, uniform_grid(-1.5, 1.5, 41),
                                   nu_grid, x_grid)
-    points, read_rows = [], tomography.bicubic_rows
+    points, original = [], tomography.map_coordinates
 
-    def counted(coeffs, a, b):
-        points.append(len(a))
-        return read_rows(coeffs, a, b)
+    def counted(coeffs, coords):
+        points.append(len(coords[0]))
+        return original(coeffs, coords)
 
-    monkeypatch.setattr(tomography, "bicubic_rows", counted)
+    monkeypatch.setattr(tomography, "map_coordinates", counted)
     source = FieldMarginalSource(field)
     monkeypatch.undo()
     assert points == [read]
